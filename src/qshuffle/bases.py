@@ -27,7 +27,7 @@ from functools import lru_cache
 from math import factorial
 
 from .lyndon import is_lyndon, lyndon_factorization, standard_factorization
-from .ncpoly import NCPolynomial
+from .ncpoly import NCPolynomial, add_into
 from .words import Word, compositions_of, words_of_weight
 
 FAMILIES = ("p", "s", "Pi", "Sigma", "PiL", "SigmaL", "PiR", "SigmaR")
@@ -55,21 +55,20 @@ def _pi1_word(letters: tuple) -> NCPolynomial:
         return NCPolynomial.one()
     w = Word(letters)
     n = w.weight
-    acc: dict[Word, Fraction] = {}
+    terms: list[tuple[tuple, Fraction]] = []
 
     def rec(remaining: int, k: int, prod_poly: NCPolynomial, concat: tuple) -> None:
         if remaining == 0:
             c = prod_poly.coeff(w)
             if c:
-                key = Word(concat)
-                acc[key] = acc.get(key, Fraction(0)) + c * Fraction((-1) ** (k - 1), k)
+                terms.append((concat, c * Fraction((-1) ** (k - 1), k)))
             return
         for m in range(1, remaining + 1):
             for comp in compositions_of(m):
                 rec(remaining - m, k + 1, prod_poly.stuffle(NCPolynomial.word(comp)), concat + comp)
 
     rec(n, 0, NCPolynomial.one(), ())
-    return NCPolynomial(acc)
+    return NCPolynomial(terms)
 
 
 def pi1(p: NCPolynomial | Word) -> NCPolynomial:
@@ -77,10 +76,10 @@ def pi1(p: NCPolynomial | Word) -> NCPolynomial:
     extended linearly from words."""
     if isinstance(p, Word):
         return _pi1_word(p.letters)
-    out = NCPolynomial.zero()
+    out: dict[Word, Fraction] = {}
     for w, c in p.terms.items():
-        out = out + _pi1_word(w.letters) * c
-    return out
+        add_into(out, _pi1_word(w.letters).terms.items(), c)
+    return NCPolynomial._raw(out)
 
 
 def pi1_inverse_check(w: Word) -> bool:

@@ -15,8 +15,16 @@ from typing import Callable
 
 from .bases import p_basis, pi_basis, pi_s_basis, s_basis, sigma_basis, sigma_s_basis, pi1
 from .lyndon import lyndon_up_to
-from .ncpoly import NCPolynomial, product, shuffle_words, stuffle_words
-from .symqsym import encode_M, encode_S, m_star
+from .ncpoly import (
+    NCPolynomial,
+    TensorPolynomial,
+    _as_coeff,
+    add_into,
+    product,
+    shuffle_words,
+    stuffle_words,
+)
+from .symqsym import encode_M, encode_S
 from .words import Composition, Word, sort_key, word_str, words_up_to
 
 PAIRS = ("shuffle", "stuffle", "L", "R")
@@ -40,11 +48,10 @@ class GradedTensorSeries:
             raise ValueError(f"left_kind must be shuffle or stuffle, got {left_kind!r}")
         self.bound = bound
         self.left_kind = left_kind
-        self.terms: dict[tuple[Word, Word], Fraction] = {}
-        if terms:
-            for (u, v), c in terms.items():
-                if c and u.weight <= bound and v.weight <= bound:
-                    self.terms[(u, v)] = Fraction(c)
+        items = (terms or {}).items()
+        self.terms: dict[tuple[Word, Word], Fraction] = add_into(
+            {}, (((u, v), _as_coeff(c)) for (u, v), c in items if max(u.weight, v.weight) <= bound)
+        )
 
     @classmethod
     def unit(cls, bound: int, left_kind: str) -> "GradedTensorSeries":
@@ -66,14 +73,8 @@ class GradedTensorSeries:
                 v = v1 * v2
                 if v.weight > bound:
                     continue
-                c = c1 * c2
-                for ut, n in kernel(u1.letters, u2.letters):
-                    key = (Word(ut), v)
-                    total = out.get(key, Fraction(0)) + c * n
-                    if total:
-                        out[key] = total
-                    elif key in out:
-                        del out[key]
+                left = kernel(u1.letters, u2.letters)
+                add_into(out, [((Word(ut), v), n) for ut, n in left], c1 * c2)
         result = GradedTensorSeries.__new__(GradedTensorSeries)
         result.terms = out
         result.bound = bound
@@ -121,11 +122,8 @@ def _exp_factor(
         k += 1
         dual_pow = product(dual_pow, dual, left_kind)
         primal_pow = primal_pow * primal
-        scale = Fraction(1, factorial(k))
-        for u, cu in dual_pow.terms.items():
-            for v, cv in primal_pow.terms.items():
-                key = (u, v)
-                terms[key] = terms.get(key, Fraction(0)) + cu * cv * scale
+        pow_terms = TensorPolynomial.tensor(dual_pow, primal_pow).terms
+        add_into(terms, pow_terms.items(), Fraction(1, factorial(k)))
     return GradedTensorSeries(terms, bound, left_kind)
 
 
@@ -174,42 +172,11 @@ def verify_factorization(
 # character series in QSym coefficients
 # ---------------------------------------------------------------------------
 
-def _mw_mul(a: dict, b: dict, bound: int) -> dict:
-    # product on QSym (x) wordalgebra: (M_I (x) u)(M_J (x) v) = (M_I * M_J) (x) uv
-    out: dict[tuple[Composition, Word], Fraction] = {}
-    for (i, u), c1 in a.items():
-        for (j, v), c2 in b.items():
-            w = u * v
-            if w.weight > bound:
-                continue
-            c = c1 * c2
-            for k, n in m_star(i, j):
-                key = (k, w)
-                total = out.get(key, Fraction(0)) + c * n
-                if total:
-                    out[key] = total
-                elif key in out:
-                    del out[key]
-    return out
-
-
-def _ms_mul(a: dict, b: dict, bound: int) -> dict:
-    # product on QSym (x) Sym: (M_I (x) S^K)(M_J (x) S^L) = (M_I * M_J) (x) S^(K.L)
-    out: dict[tuple[Composition, Composition], Fraction] = {}
-    for (i, k1), c1 in a.items():
-        for (j, k2), c2 in b.items():
-            right = k1 + k2
-            if sum(right) > bound:
-                continue
-            c = c1 * c2
-            for k, n in m_star(i, j):
-                key = (k, right)
-                total = out.get(key, Fraction(0)) + c * n
-                if total:
-                    out[key] = total
-                elif key in out:
-                    del out[key]
-    return out
+def _encoded_key(u: Word, v: Word) -> tuple[Composition, Composition]:
+    # encode_M(u) = M_u and encode_S(v) = S^v are single terms
+    (i,) = encode_M(u).terms
+    (j,) = encode_S(v).terms
+    return i, j
 
 
 def character_checks(max_weight: int) -> list[tuple[str, bool, str]]:
@@ -223,6 +190,14 @@ def character_checks(max_weight: int) -> list[tuple[str, bool, str]]:
     (c) sum_w M_w (x) S_w equals the ordered product of
         exp(M_{Sigma_l} (x) S_{Pi_l}), for the quasi-shuffle pair and for both
         primitive-series variants.
+
+    The index-level encodings `encode_M` and `encode_S` send a word w to M_w
+    and S^w, turning the quasi-shuffle into the monomial product and
+    concatenation into the product of S.  So (b) and (c) run on
+    `GradedTensorSeries` with the stuffle left product: (b) is the termwise
+    log of `diagonal(max_weight, "stuffle")`, and (c) is `factorized_product`
+    for the stuffle, L and R pairs with its keys relabeled through the
+    encodings.
     """
     results: list[tuple[str, bool, str]] = []
 
@@ -250,32 +225,21 @@ def character_checks(max_weight: int) -> list[tuple[str, bool, str]]:
         )
     )
 
-    # (b) log of the generating series
-    series = {(w.letters, w): Fraction(1) for w in words_up_to(max_weight)}
-    z = dict(series)
-    del z[((), Word())]
-    log_series: dict[tuple[Composition, Word], Fraction] = {}
-    power: dict[tuple[Composition, Word], Fraction] = {((), Word()): Fraction(1)}
+    # (b) log of the generating series: log(1 + z) with z = diagonal - 1
+    z = diagonal(max_weight, "stuffle")
+    del z.terms[(Word(), Word())]
+    log_series: dict[tuple[Word, Word], Fraction] = {}
+    power = GradedTensorSeries.unit(max_weight, "stuffle")
     for k in range(1, max_weight + 1):
-        power = _mw_mul(power, z, max_weight)
-        if not power:
+        power = power * z
+        if not power.terms:
             break
-        scale = Fraction((-1) ** (k - 1), k)
-        for key, c in power.items():
-            total = log_series.get(key, Fraction(0)) + c * scale
-            if total:
-                log_series[key] = total
-            elif key in log_series:
-                del log_series[key]
-    expected: dict[tuple[Composition, Word], Fraction] = {}
-    for w in words_up_to(max_weight, include_empty=False):
-        for x, c in pi1(w).terms.items():
-            key = (w.letters, x)
-            total = expected.get(key, Fraction(0)) + c
-            if total:
-                expected[key] = total
-            elif key in expected:
-                del expected[key]
+        add_into(log_series, power.terms.items(), Fraction((-1) ** (k - 1), k))
+    expected = {
+        (w, x): c
+        for w in words_up_to(max_weight, include_empty=False)
+        for x, c in pi1(w).terms.items()
+    }
     ok_log = log_series == expected
     results.append(
         (
@@ -292,38 +256,8 @@ def character_checks(max_weight: int) -> list[tuple[str, bool, str]]:
         (w.letters, w.letters): Fraction(1) for w in words_up_to(max_weight)
     }
     for pair in ("stuffle", "L", "R"):
-        dual_fn, primal_fn, _ = _PAIR_FAMILIES[pair]
-        acc: dict[tuple[Composition, Composition], Fraction] = {((), ()): Fraction(1)}
-        for l in lyndon_decreasing(max_weight):
-            dual_terms = encode_M(dual_fn(l)).terms
-            primal_terms = encode_S(primal_fn(l)).terms
-            m = l.weight
-            factor: dict[tuple[Composition, Composition], Fraction] = {
-                ((), ()): Fraction(1)
-            }
-            dual_pow: dict[Composition, Fraction] = {(): Fraction(1)}
-            primal_pow: dict[Composition, Fraction] = {(): Fraction(1)}
-            k = 0
-            while (k + 1) * m <= max_weight:
-                k += 1
-                nxt: dict[Composition, Fraction] = {}
-                for i, c1 in dual_pow.items():
-                    for j, c2 in dual_terms.items():
-                        for comp, n in m_star(i, j):
-                            nxt[comp] = nxt.get(comp, Fraction(0)) + c1 * c2 * n
-                dual_pow = {c: v for c, v in nxt.items() if v}
-                nxt2: dict[Composition, Fraction] = {}
-                for i, c1 in primal_pow.items():
-                    for j, c2 in primal_terms.items():
-                        nxt2[i + j] = nxt2.get(i + j, Fraction(0)) + c1 * c2
-                primal_pow = {c: v for c, v in nxt2.items() if v}
-                scale = Fraction(1, factorial(k))
-                for i, c1 in dual_pow.items():
-                    for j, c2 in primal_pow.items():
-                        key = (i, j)
-                        factor[key] = factor.get(key, Fraction(0)) + c1 * c2 * scale
-            acc = _ms_mul(acc, factor, max_weight)
-        ok = acc == target
+        got = factorized_product(max_weight, pair).terms
+        ok = {_encoded_key(u, v): c for (u, v), c in got.items()} == target
         results.append(
             (
                 f"closing-identity-{pair}",

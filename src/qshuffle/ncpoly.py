@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .words import Word, sort_key, word_str
+from .words import Word, parse_coeff, sort_key, word_str
 
 PRODUCT_KINDS = ("concat", "shuffle", "stuffle")
 COPRODUCT_KINDS = ("concat", "shuffle", "stuffle", "plus")
@@ -27,26 +27,65 @@ def _as_coeff(c) -> Fraction:
     return c if isinstance(c, Fraction) else Fraction(c)
 
 
+def add_into(out: dict, items: Iterable, scale: Fraction | None = None) -> dict:
+    """Adds scale·c to out[key] for every (key, c) in items (c itself when
+    scale is None) and returns out.  A key whose total becomes 0 is deleted,
+    so out never holds a zero; this is the one accumulate step behind every
+    sparse container in the package."""
+    get = out.get
+    for key, c in items:
+        if scale is not None:
+            c = scale if c == 1 else scale * c
+        if not c:
+            continue
+        cur = get(key)
+        if cur is None:
+            out[key] = c
+        elif cur := cur + c:
+            out[key] = cur
+        else:
+            del out[key]
+    return out
+
+
+def bilinear(p: Mapping, q: Mapping, kernel) -> dict:
+    """Bilinear extension of kernel(a, b) -> ((key, n), ...) over the term
+    maps p and q; pairs whose kernel output is empty cost no multiply."""
+    out: dict = {}
+    for a, ca in p.items():
+        for b, cb in q.items():
+            got = kernel(a, b)
+            if got:
+                add_into(out, got, ca * cb)
+    return out
+
+
+def dot(a: Mapping, b: Mapping) -> Fraction:
+    """Sum over shared keys of the coefficient products."""
+    small, large = (a, b) if len(a) <= len(b) else (b, a)
+    total = Fraction(0)
+    for k, c in small.items():
+        d = large.get(k)
+        if d:
+            total += c * d
+    return total
+
+
 class NCPolynomial:
     """Finite word -> rational map; zero coefficients are never stored."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping | Iterable | None = None):
-        cleaned: dict[Word, Fraction] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for w, c in items:
-                c = _as_coeff(c)
-                if c:
-                    w = _as_word(w)
-                    cur = cleaned.get(w)
-                    total = c if cur is None else cur + c
-                    if total:
-                        cleaned[w] = total
-                    elif cur is not None:
-                        del cleaned[w]
-        self.terms = cleaned
+        items = terms.items() if isinstance(terms, Mapping) else terms or ()
+        self.terms = add_into({}, ((_as_word(w), _as_coeff(c)) for w, c in items))
+
+    @classmethod
+    def _raw(cls, terms: dict) -> "NCPolynomial":
+        # terms must already be clean: Word keys, nonzero Fraction values
+        p = cls.__new__(cls)
+        p.terms = terms
+        return p
 
     @classmethod
     def zero(cls) -> "NCPolynomial":
@@ -79,24 +118,13 @@ class NCPolynomial:
         return NCPolynomial({w: c for w, c in self.terms.items() if w.weight <= max_weight})
 
     def __add__(self, other: "NCPolynomial") -> "NCPolynomial":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            total = out.get(w, Fraction(0)) + c
-            if total:
-                out[w] = total
-            elif w in out:
-                del out[w]
-        p = NCPolynomial.__new__(NCPolynomial)
-        p.terms = out
-        return p
+        return NCPolynomial._raw(add_into(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other: "NCPolynomial") -> "NCPolynomial":
         return self + (-other)
 
     def __neg__(self) -> "NCPolynomial":
-        p = NCPolynomial.__new__(NCPolynomial)
-        p.terms = {w: -c for w, c in self.terms.items()}
-        return p
+        return NCPolynomial._raw({w: -c for w, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, NCPolynomial):
@@ -113,9 +141,7 @@ class NCPolynomial:
         scalar = _as_coeff(scalar)
         if not scalar:
             return NCPolynomial()
-        p = NCPolynomial.__new__(NCPolynomial)
-        p.terms = {w: c * scalar for w, c in self.terms.items()}
-        return p
+        return NCPolynomial._raw({w: c * scalar for w, c in self.terms.items()})
 
     def shuffle(self, other: "NCPolynomial") -> "NCPolynomial":
         return product(self, other, "shuffle")
@@ -145,64 +171,44 @@ def shuffle_words(u: tuple, v: tuple) -> tuple:
     if not v:
         return ((u, 1),)
     out: dict[tuple, int] = {}
-    for rest, c in shuffle_words(u[1:], v):
-        k = (u[0],) + rest
-        out[k] = out.get(k, 0) + c
-    for rest, c in shuffle_words(u, v[1:]):
-        k = (v[0],) + rest
-        out[k] = out.get(k, 0) + c
+    add_into(out, (((u[0],) + w, n) for w, n in shuffle_words(u[1:], v)))
+    add_into(out, (((v[0],) + w, n) for w, n in shuffle_words(u, v[1:])))
     return tuple(out.items())
 
 
 @lru_cache(maxsize=None)
 def stuffle_words(u: tuple, v: tuple) -> tuple:
-    """Shuffle recursion plus the contraction term y_i, y_j -> y_{i+j}."""
+    """Shuffle recursion plus the contraction term y_i, y_j -> y_{i+j}.
+
+    This is the one quasi-shuffle kernel: on composition tuples it is also
+    the monomial product M_I * M_J of QSym."""
     if not u:
         return ((v, 1),)
     if not v:
         return ((u, 1),)
     out: dict[tuple, int] = {}
-    for rest, c in stuffle_words(u[1:], v):
-        k = (u[0],) + rest
-        out[k] = out.get(k, 0) + c
-    for rest, c in stuffle_words(u, v[1:]):
-        k = (v[0],) + rest
-        out[k] = out.get(k, 0) + c
-    for rest, c in stuffle_words(u[1:], v[1:]):
-        k = (u[0] + v[0],) + rest
-        out[k] = out.get(k, 0) + c
+    add_into(out, (((u[0],) + w, n) for w, n in stuffle_words(u[1:], v)))
+    add_into(out, (((v[0],) + w, n) for w, n in stuffle_words(u, v[1:])))
+    add_into(out, (((u[0] + v[0],) + w, n) for w, n in stuffle_words(u[1:], v[1:])))
     return tuple(out.items())
+
+
+def _on_words(kernel):
+    return lambda u, v: [(Word(w), n) for w, n in kernel(u.letters, v.letters)]
+
+
+_PRODUCT_KERNELS = {
+    "concat": lambda u, v: ((u * v, 1),),
+    "shuffle": _on_words(shuffle_words),
+    "stuffle": _on_words(stuffle_words),
+}
 
 
 def product(p: NCPolynomial, q: NCPolynomial, kind: str) -> NCPolynomial:
     """Bilinear extension of the word-level product of the given kind."""
     if kind not in PRODUCT_KINDS:
         raise ValueError(f"unknown product kind {kind!r}")
-    out: dict[Word, Fraction] = {}
-    if kind == "concat":
-        for u, cu in p.terms.items():
-            for v, cv in q.terms.items():
-                w = u * v
-                total = out.get(w, Fraction(0)) + cu * cv
-                if total:
-                    out[w] = total
-                elif w in out:
-                    del out[w]
-    else:
-        kernel = shuffle_words if kind == "shuffle" else stuffle_words
-        for u, cu in p.terms.items():
-            for v, cv in q.terms.items():
-                c = cu * cv
-                for wt, n in kernel(u.letters, v.letters):
-                    w = Word(wt)
-                    total = out.get(w, Fraction(0)) + c * n
-                    if total:
-                        out[w] = total
-                    elif w in out:
-                        del out[w]
-    r = NCPolynomial.__new__(NCPolynomial)
-    r.terms = out
-    return r
+    return NCPolynomial._raw(bilinear(p.terms, q.terms, _PRODUCT_KERNELS[kind]))
 
 
 # ---------------------------------------------------------------------------
@@ -215,23 +221,21 @@ class TensorPolynomial:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping | Iterable | None = None):
-        cleaned: dict[tuple[Word, Word], Fraction] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for (u, v), c in items:
-                c = _as_coeff(c)
-                if c:
-                    key = (_as_word(u), _as_word(v))
-                    total = cleaned.get(key, Fraction(0)) + c
-                    if total:
-                        cleaned[key] = total
-                    elif key in cleaned:
-                        del cleaned[key]
-        self.terms = cleaned
+        items = terms.items() if isinstance(terms, Mapping) else terms or ()
+        self.terms = add_into(
+            {}, (((_as_word(u), _as_word(v)), _as_coeff(c)) for (u, v), c in items)
+        )
+
+    @classmethod
+    def _raw(cls, terms: dict) -> "TensorPolynomial":
+        # terms must already be clean: (Word, Word) keys, nonzero Fraction values
+        t = cls.__new__(cls)
+        t.terms = terms
+        return t
 
     @classmethod
     def tensor(cls, p: NCPolynomial, q: NCPolynomial) -> "TensorPolynomial":
-        return cls({(u, v): cu * cv for u, cu in p.terms.items() for v, cv in q.terms.items()})
+        return cls._raw(bilinear(p.terms, q.terms, lambda u, v: (((u, v), 1),)))
 
     def coeff(self, u, v) -> Fraction:
         return self.terms.get((_as_word(u), _as_word(v)), Fraction(0))
@@ -240,47 +244,27 @@ class TensorPolynomial:
         return not self.terms
 
     def __add__(self, other: "TensorPolynomial") -> "TensorPolynomial":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            total = out.get(k, Fraction(0)) + c
-            if total:
-                out[k] = total
-            elif k in out:
-                del out[k]
-        t = TensorPolynomial.__new__(TensorPolynomial)
-        t.terms = out
-        return t
+        return TensorPolynomial._raw(add_into(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other: "TensorPolynomial") -> "TensorPolynomial":
         return self + (-other)
 
     def __neg__(self) -> "TensorPolynomial":
-        t = TensorPolynomial.__new__(TensorPolynomial)
-        t.terms = {k: -c for k, c in self.terms.items()}
-        return t
+        return TensorPolynomial._raw({k: -c for k, c in self.terms.items()})
 
     def __rmul__(self, scalar) -> "TensorPolynomial":
         scalar = _as_coeff(scalar)
-        t = TensorPolynomial.__new__(TensorPolynomial)
-        t.terms = {k: c * scalar for k, c in self.terms.items()} if scalar else {}
-        return t
+        return TensorPolynomial._raw(
+            {k: c * scalar for k, c in self.terms.items()} if scalar else {}
+        )
 
     def __mul__(self, other):
         # componentwise concatenation; the product of the tensor-square algebra
         if not isinstance(other, TensorPolynomial):
             return self.__rmul__(other)
-        out: dict[tuple[Word, Word], Fraction] = {}
-        for (u1, v1), c1 in self.terms.items():
-            for (u2, v2), c2 in other.terms.items():
-                key = (u1 * u2, v1 * v2)
-                total = out.get(key, Fraction(0)) + c1 * c2
-                if total:
-                    out[key] = total
-                elif key in out:
-                    del out[key]
-        t = TensorPolynomial.__new__(TensorPolynomial)
-        t.terms = out
-        return t
+        return TensorPolynomial._raw(
+            bilinear(self.terms, other.terms, lambda a, b: (((a[0] * b[0], a[1] * b[1]), 1),))
+        )
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TensorPolynomial) and self.terms == other.terms
@@ -300,18 +284,19 @@ def _letter_coproduct(a: int, kind: str) -> tuple:
     return tuple(pairs)
 
 
+def concat_pairs(s: tuple, t: tuple) -> tuple:
+    """Kernel of the tensor square of a concatenation algebra on tuple keys:
+    (a, b)(c, d) = (ac, bd)."""
+    return (((s[0] + t[0], s[1] + t[1]), 1),)
+
+
 @lru_cache(maxsize=None)
 def _word_coproduct(letters: tuple, kind: str) -> tuple:
     """Coproduct of a single word for the shuffle/stuffle kinds, extended as a
     morphism for concatenation."""
     pairs: dict[tuple[tuple, tuple], int] = {((), ()): 1}
     for a in letters:
-        nxt: dict[tuple[tuple, tuple], int] = {}
-        for (u, v), c in pairs.items():
-            for (x, y), d in _letter_coproduct(a, kind):
-                key = (u + x, v + y)
-                nxt[key] = nxt.get(key, 0) + c * d
-        pairs = nxt
+        pairs = bilinear(pairs, dict(_letter_coproduct(a, kind)), concat_pairs)
     return tuple(pairs.items())
 
 
@@ -326,54 +311,29 @@ def coproduct(p: NCPolynomial, kind: str) -> TensorPolynomial:
     if kind not in COPRODUCT_KINDS:
         raise ValueError(f"unknown coproduct kind {kind!r}")
     out: dict[tuple[Word, Word], Fraction] = {}
-
-    def bump(u: tuple, v: tuple, c: Fraction) -> None:
-        key = (Word(u), Word(v))
-        total = out.get(key, Fraction(0)) + c
-        if total:
-            out[key] = total
-        elif key in out:
-            del out[key]
-
     for w, c in p.terms.items():
         ls = w.letters
         if kind == "concat":
-            for i in range(len(ls) + 1):
-                bump(ls[:i], ls[i:], c)
+            items = [((Word(ls[:i]), Word(ls[i:])), 1) for i in range(len(ls) + 1)]
         elif kind == "plus":
             if len(ls) != 1:
                 raise ValueError(
                     f"the contraction coproduct is only defined on letters, got {word_str(w)!r}"
                 )
-            for i in range(1, ls[0]):
-                bump((i,), (ls[0] - i,), c)
+            items = [((Word((i,)), Word((ls[0] - i,))), 1) for i in range(1, ls[0])]
         else:
-            for (u, v), n in _word_coproduct(ls, kind):
-                bump(u, v, c * n)
-    t = TensorPolynomial.__new__(TensorPolynomial)
-    t.terms = out
-    return t
+            items = [((Word(u), Word(v)), n) for (u, v), n in _word_coproduct(ls, kind)]
+        add_into(out, items, c)
+    return TensorPolynomial._raw(out)
 
 
 def pairing(p: NCPolynomial, q: NCPolynomial) -> Fraction:
     """Word-basis bilinear form: sum over words of the coefficient products."""
-    small, large = (p.terms, q.terms) if len(p.terms) <= len(q.terms) else (q.terms, p.terms)
-    total = Fraction(0)
-    for w, c in small.items():
-        d = large.get(w)
-        if d:
-            total += c * d
-    return total
+    return dot(p.terms, q.terms)
 
 
 def pairing_tensor(s: TensorPolynomial, t: TensorPolynomial) -> Fraction:
-    small, large = (s.terms, t.terms) if len(s.terms) <= len(t.terms) else (t.terms, s.terms)
-    total = Fraction(0)
-    for k, c in small.items():
-        d = large.get(k)
-        if d:
-            total += c * d
-    return total
+    return dot(s.terms, t.terms)
 
 
 def is_primitive(p: NCPolynomial, kind: str) -> bool:
@@ -465,11 +425,11 @@ def parse_poly(s: str) -> NCPolynomial:
             tok = tok[1:].strip()
         if "·" in tok:
             cs, ws = tok.split("·", 1)
-            coeff = Fraction(cs.strip())
+            coeff = parse_coeff(cs)
         elif tok.startswith("["):
             coeff, ws = Fraction(1), tok
         else:
-            coeff, ws = Fraction(tok), None
+            coeff, ws = parse_coeff(tok), None
         if ws is None:
             w = Word()
         else:

@@ -5,9 +5,10 @@ Sym carries five bases: complete (S), elementary (Lambda), power sums of the
 first (Psi) and second (Phi) kind, and ribbons (Rib).  QSym carries the
 monomial (M) and fundamental (F) bases.  Every conversion is an explicit
 refinement/coarsening sum; conversions between two non-S bases route through
-S.  The two sides pair by <S^I, M_J> = delta, the M side multiplies by the
-quasi-shuffle recursion, and both are word-encoded Hopf algebras through the
-maps defined at the bottom.
+S.  The two sides pair by <S^I, M_J> = delta, the M side multiplies through
+`ncpoly.stuffle_words` (composition tuples are its letter tuples, so it is the
+one quasi-shuffle kernel of the package), and both are word-encoded Hopf
+algebras through the maps defined at the bottom.
 """
 
 from __future__ import annotations
@@ -16,13 +17,15 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .ncpoly import NCPolynomial
+from .ncpoly import NCPolynomial, _as_coeff, add_into, bilinear, concat_pairs, dot, stuffle_words
 from .words import (
     Composition,
     Word,
     coarsenings,
     comp_str,
     compositions_up_to,
+    parse_coeff,
+    parse_comp,
     refinements,
     relative_stats,
     stats,
@@ -32,24 +35,9 @@ SYM_BASES = ("S", "Lambda", "Psi", "Phi", "Rib")
 QSYM_BASES = ("M", "F")
 
 
-def _as_coeff(c) -> Fraction:
-    return c if isinstance(c, Fraction) else Fraction(c)
-
-
 def _clean(terms) -> dict[Composition, Fraction]:
-    cleaned: dict[Composition, Fraction] = {}
-    if terms:
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for comp, c in items:
-            c = _as_coeff(c)
-            if c:
-                key = tuple(int(p) for p in comp)
-                total = cleaned.get(key, Fraction(0)) + c
-                if total:
-                    cleaned[key] = total
-                elif key in cleaned:
-                    del cleaned[key]
-    return cleaned
+    items = terms.items() if isinstance(terms, Mapping) else terms or ()
+    return add_into({}, ((tuple(int(p) for p in comp), _as_coeff(c)) for comp, c in items))
 
 
 class _CompositionIndexed:
@@ -89,14 +77,7 @@ class _CompositionIndexed:
 
     def __add__(self, other):
         self._check_same_basis(other)
-        out = dict(self.terms)
-        for comp, c in other.terms.items():
-            total = out.get(comp, Fraction(0)) + c
-            if total:
-                out[comp] = total
-            elif comp in out:
-                del out[comp]
-        return type(self)(out, self.basis)
+        return type(self)(add_into(dict(self.terms), other.terms.items()), self.basis)
 
     def __sub__(self, other):
         return self + (-other)
@@ -139,16 +120,8 @@ class SymElement(_CompositionIndexed):
             # ribbons are not multiplicative; route through the complete basis
             prod_s = convert(self, "S") * convert(other, "S")
             return convert(prod_s, "Rib")
-        out: dict[Composition, Fraction] = {}
-        for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                key = a + b
-                total = out.get(key, Fraction(0)) + ca * cb
-                if total:
-                    out[key] = total
-                elif key in out:
-                    del out[key]
-        return SymElement(out, self.basis)
+        concat = lambda a, b: ((a + b, 1),)
+        return SymElement(bilinear(self.terms, other.terms, concat), self.basis)
 
 
 class QSymElement(_CompositionIndexed):
@@ -201,7 +174,7 @@ def parse_element(s: str, default_basis: str | None = None):
         coeff = Fraction(1)
         if "·" in tok:
             cs, tok = tok.split("·", 1)
-            coeff = Fraction(cs.strip())
+            coeff = parse_coeff(cs)
             tok = tok.strip()
         if ":" in tok:
             tag, comp_part = tok.split(":", 1)
@@ -210,11 +183,11 @@ def parse_element(s: str, default_basis: str | None = None):
                 basis = tag
             elif basis != tag:
                 raise ValueError(f"mixed bases in element text: {basis} vs {tag}")
-            comp = _parse_comp_token(comp_part)
+            comp = parse_comp(comp_part)
         elif tok.startswith("("):
-            comp = _parse_comp_token(tok)
+            comp = parse_comp(tok)
         else:
-            coeff = coeff * Fraction(tok)
+            coeff = coeff * parse_coeff(tok)
             comp = ()
         terms.append((comp, sign * coeff))
     basis = basis or default_basis
@@ -222,13 +195,6 @@ def parse_element(s: str, default_basis: str | None = None):
         raise ValueError("cannot infer basis from element text; tag terms like S:(1,2)")
     cls = SymElement if basis in SYM_BASES else QSymElement
     return cls(terms, basis)
-
-
-def _parse_comp_token(s: str) -> Composition:
-    s = s.strip().strip("()").strip()
-    if s in ("", "e"):
-        return ()
-    return tuple(int(x) for x in s.replace(",", " ").split())
 
 
 def element_to_json(x: _CompositionIndexed) -> dict:
@@ -245,16 +211,17 @@ def element_to_json(x: _CompositionIndexed) -> dict:
 # mirror-statistics variants kept as oracles)
 # ---------------------------------------------------------------------------
 
+# Rows are ((target, coeff), ...).  refinements() and coarsenings() list each
+# composition once, so a row never repeats a target.
+
 @lru_cache(maxsize=None)
 def _to_s_row(basis: str, comp: Composition) -> tuple:
     if basis == "S":
         return ((comp, Fraction(1)),)
-    out: dict[Composition, Fraction] = {}
     if basis == "Rib":
         # Rib_I = sum over coarser-or-equal J of (-1)^(l(I)-l(J)) S^J
-        for j in coarsenings(comp):
-            out[j] = out.get(j, Fraction(0)) + Fraction((-1) ** (len(comp) - len(j)))
-        return tuple(out.items())
+        return tuple((j, Fraction((-1) ** (len(comp) - len(j)))) for j in coarsenings(comp))
+    row = []
     for j, _blocks in refinements(comp):
         rel = relative_stats(j, comp)
         if basis == "Lambda":
@@ -265,20 +232,18 @@ def _to_s_row(basis: str, comp: Composition) -> tuple:
             c = Fraction((-1) ** (len(j) - len(comp))) * Fraction(stats(comp).pi, rel.l)
         else:
             raise ValueError(f"unknown basis {basis!r}")
-        out[j] = out.get(j, Fraction(0)) + c
-    return tuple(out.items())
+        row.append((j, c))
+    return tuple(row)
 
 
 @lru_cache(maxsize=None)
 def _from_s_row(basis: str, comp: Composition) -> tuple:
     if basis == "S":
         return ((comp, Fraction(1)),)
-    out: dict[Composition, Fraction] = {}
     if basis == "Rib":
         # S^I = sum over coarser-or-equal J of Rib_J
-        for j in coarsenings(comp):
-            out[j] = out.get(j, Fraction(0)) + 1
-        return tuple(out.items())
+        return tuple((j, Fraction(1)) for j in coarsenings(comp))
+    row = []
     for j, _blocks in refinements(comp):
         rel = relative_stats(j, comp)
         if basis == "Lambda":
@@ -289,8 +254,8 @@ def _from_s_row(basis: str, comp: Composition) -> tuple:
             c = Fraction(1, rel.sp)
         else:
             raise ValueError(f"unknown basis {basis!r}")
-        out[j] = out.get(j, Fraction(0)) + c
-    return tuple(out.items())
+        row.append((j, c))
+    return tuple(row)
 
 
 @lru_cache(maxsize=None)
@@ -314,12 +279,7 @@ def _qsym_from_m_row(basis: str, comp: Composition) -> tuple:
 def _apply_rows(terms: dict[Composition, Fraction], row_fn, basis: str):
     out: dict[Composition, Fraction] = {}
     for comp, c in terms.items():
-        for target, factor in row_fn(basis, comp):
-            total = out.get(target, Fraction(0)) + c * factor
-            if total:
-                out[target] = total
-            elif target in out:
-                del out[target]
+        add_into(out, row_fn(basis, comp), c)
     return out
 
 
@@ -355,86 +315,50 @@ def lambda_in_psi_oracle(comp: Composition, literal_sign: bool = False) -> SymEl
     """Lambda^I as a Psi combination via mirror statistics.  The printed sign
     uses l(I); that variant (literal_sign=True) fails at I=(2), so the
     corrected exponent w(J) - l(J) is the default."""
-    out: dict[Composition, Fraction] = {}
+    terms = []
     for j, _ in refinements(comp):
         rel = relative_stats(stats(j).mirror, stats(comp).mirror)
         e = sum(j) - (len(comp) if literal_sign else len(j))
-        c = Fraction((-1) ** e, rel.pi_u)
-        out[j] = out.get(j, Fraction(0)) + c
-    return SymElement(out, "Psi")
+        terms.append((j, Fraction((-1) ** e, rel.pi_u)))
+    return SymElement(terms, "Psi")
 
 
 def psi_in_lambda_oracle(comp: Composition) -> SymElement:
     """Psi^I = sum (-1)^(w(I)+l(J)) lp(mirror J, mirror I) Lambda^J."""
-    out: dict[Composition, Fraction] = {}
+    terms = []
     for j, _ in refinements(comp):
         rel = relative_stats(stats(j).mirror, stats(comp).mirror)
-        c = Fraction((-1) ** (sum(comp) + len(j))) * rel.lp
-        out[j] = out.get(j, Fraction(0)) + c
-    return SymElement(out, "Lambda")
+        terms.append((j, Fraction((-1) ** (sum(comp) + len(j))) * rel.lp))
+    return SymElement(terms, "Lambda")
 
 
 def lambda_in_phi_oracle(comp: Composition, literal_sign: bool = False) -> SymElement:
-    out: dict[Composition, Fraction] = {}
+    terms = []
     for j, _ in refinements(comp):
         rel = relative_stats(j, comp)
         e = sum(j) - (len(comp) if literal_sign else len(j))
-        c = Fraction((-1) ** e, rel.sp)
-        out[j] = out.get(j, Fraction(0)) + c
-    return SymElement(out, "Phi")
+        terms.append((j, Fraction((-1) ** e, rel.sp)))
+    return SymElement(terms, "Phi")
 
 
 def phi_in_lambda_oracle(comp: Composition, literal_sign: bool = False) -> SymElement:
-    out: dict[Composition, Fraction] = {}
+    terms = []
     for j, _ in refinements(comp):
         rel = relative_stats(j, comp)
         e = sum(j) - (len(comp) if literal_sign else len(j))
-        c = Fraction((-1) ** e) * Fraction(stats(comp).pi, rel.l)
-        out[j] = out.get(j, Fraction(0)) + c
-    return SymElement(out, "Lambda")
+        terms.append((j, Fraction((-1) ** e) * Fraction(stats(comp).pi, rel.l)))
+    return SymElement(terms, "Lambda")
 
 
 # ---------------------------------------------------------------------------
 # products and coproducts
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def m_star(a: Composition, b: Composition) -> tuple:
-    """M_I * M_J recursion on raw compositions; returns ((comp, coeff), ...)."""
-    if not a:
-        return ((b, 1),)
-    if not b:
-        return ((a, 1),)
-    i, a_rest = a[0], a[1:]
-    j, b_rest = b[0], b[1:]
-    out: dict[Composition, int] = {}
-    for k, c in m_star(a_rest, b):
-        key = (i,) + k
-        out[key] = out.get(key, 0) + c
-    for k, c in m_star(a, b_rest):
-        key = (j,) + k
-        out[key] = out.get(key, 0) + c
-    for k, c in m_star(a_rest, b_rest):
-        key = (i + j,) + k
-        out[key] = out.get(key, 0) + c
-    return tuple(out.items())
-
-
 def qsym_product(a: QSymElement, b: QSymElement) -> QSymElement:
     """Commutative quasi-shuffle product; inputs are converted to the
-    monomial basis first."""
+    monomial basis first, where M_I * M_J is the quasi-shuffle of I and J."""
     am, bm = convert(a, "M"), convert(b, "M")
-    out: dict[Composition, Fraction] = {}
-    for i, ci in am.terms.items():
-        for j, cj in bm.terms.items():
-            c = ci * cj
-            for k, n in m_star(i, j):
-                total = out.get(k, Fraction(0)) + c * n
-                if total:
-                    out[k] = total
-                elif k in out:
-                    del out[k]
-    return QSymElement(out, "M")
+    return QSymElement(bilinear(am.terms, bm.terms, stuffle_words), "M")
 
 
 def sym_coproduct(x: SymElement) -> dict[tuple[Composition, Composition], Fraction]:
@@ -445,18 +369,12 @@ def sym_coproduct(x: SymElement) -> dict[tuple[Composition, Composition], Fracti
     for comp, c in xs.terms.items():
         pairs: dict[tuple[Composition, Composition], int] = {((), ()): 1}
         for part in comp:
-            nxt: dict[tuple[Composition, Composition], int] = {}
-            for (a, b), n in pairs.items():
-                for i in range(part + 1):
-                    key = (a + ((i,) if i else ()), b + ((part - i,) if part - i else ()))
-                    nxt[key] = nxt.get(key, 0) + n
-            pairs = nxt
-        for key, n in pairs.items():
-            total = out.get(key, Fraction(0)) + c * n
-            if total:
-                out[key] = total
-            elif key in out:
-                del out[key]
+            # S_part -> sum_i S_i (x) S_{part-i}, where S_0 = 1 has the empty index
+            split = {
+                ((i,) if i else (), (part - i,) if i < part else ()): 1 for i in range(part + 1)
+            }
+            pairs = bilinear(pairs, split, concat_pairs)
+        add_into(out, pairs.items(), c)
     return out
 
 
@@ -465,26 +383,13 @@ def qsym_coproduct(x: QSymElement) -> dict[tuple[Composition, Composition], Frac
     xm = convert(x, "M")
     out: dict[tuple[Composition, Composition], Fraction] = {}
     for comp, c in xm.terms.items():
-        for i in range(len(comp) + 1):
-            key = (comp[:i], comp[i:])
-            total = out.get(key, Fraction(0)) + c
-            if total:
-                out[key] = total
-            elif key in out:
-                del out[key]
+        add_into(out, (((comp[:i], comp[i:]), c) for i in range(len(comp) + 1)))
     return out
 
 
 def pairing_ext(x: SymElement, y: QSymElement) -> Fraction:
     """<S^I, M_J> = delta, extended bilinearly after conversion."""
-    xs, ym = convert(x, "S"), convert(y, "M")
-    small, large = (xs.terms, ym.terms) if len(xs.terms) <= len(ym.terms) else (ym.terms, xs.terms)
-    total = Fraction(0)
-    for comp, c in small.items():
-        d = large.get(comp)
-        if d:
-            total += c * d
-    return total
+    return dot(convert(x, "S").terms, convert(y, "M").terms)
 
 
 # ---------------------------------------------------------------------------
@@ -526,13 +431,9 @@ class QSeries:
 
     def __init__(self, coeffs: Mapping[int, Fraction] | None, bound: int):
         self.bound = bound
-        self.coeffs: dict[int, Fraction] = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                c = _as_coeff(c)
-                if c and 0 <= e < bound:
-                    self.coeffs[e] = self.coeffs.get(e, Fraction(0)) + c
-            self.coeffs = {e: c for e, c in self.coeffs.items() if c}
+        self.coeffs: dict[int, Fraction] = add_into(
+            {}, ((e, _as_coeff(c)) for e, c in (coeffs or {}).items() if 0 <= e < bound)
+        )
 
     @classmethod
     def one(cls, bound: int) -> "QSeries":
@@ -540,20 +441,12 @@ class QSeries:
 
     def __add__(self, other: "QSeries") -> "QSeries":
         bound = min(self.bound, other.bound)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return QSeries(out, bound)
+        return QSeries(add_into(dict(self.coeffs), other.coeffs.items()), bound)
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         bound = min(self.bound, other.bound)
-        out: dict[int, Fraction] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                if e < bound:
-                    out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return QSeries(out, bound)
+        kernel = lambda e1, e2: ((e1 + e2, 1),) if e1 + e2 < bound else ()
+        return QSeries(bilinear(self.coeffs, other.coeffs, kernel), bound)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, QSeries) and self.coeffs == other.coeffs
@@ -580,11 +473,11 @@ def specialize_Mq(comp: Composition, q_bound: int) -> QSeries:
     """M_I evaluated on {q^n}: sum over strictly decreasing exponent tuples
     n_1 > ... > n_r >= 0 of q^(n_1 i_1 + ... + n_r i_r), exponents < q_bound."""
     comp = tuple(comp)
-    acc: dict[int, Fraction] = {}
+    acc: dict[int, int] = {}
 
     def rec(pos: int, prev: int | None, partial: int) -> None:
         if pos == len(comp):
-            acc[partial] = acc.get(partial, Fraction(0)) + 1
+            acc[partial] = acc.get(partial, 0) + 1
             return
         part = comp[pos]
         hi = (q_bound - 1 - partial) // part
@@ -614,11 +507,8 @@ def hl_product(max_weight: int, q_bound: int) -> dict[Composition, QSeries]:
                     break
                 key = comp + ((i,) if i else ())
                 slot = nxt.setdefault(key, {})
-                for e, c in qs.items():
-                    e2 = e + shift
-                    if e2 < q_bound:
-                        slot[e2] = slot.get(e2, Fraction(0)) + c
-        acc = {k: v for k, v in nxt.items() if any(v.values())}
+                add_into(slot, ((e + shift, c) for e, c in qs.items() if e + shift < q_bound))
+        acc = {k: v for k, v in nxt.items() if v}
     return {comp: QSeries(qs, q_bound) for comp, qs in acc.items()}
 
 
@@ -644,14 +534,6 @@ def cauchy_check(max_weight: int) -> bool:
     lhs = {(i, i): Fraction(1) for i in comps}
     rhs: dict[tuple[Composition, Composition], Fraction] = {}
     for j in comps:
-        f_in_m = _qsym_to_m_row("F", j)
-        rib_in_s = _to_s_row("Rib", j)
-        for i, ci in f_in_m:
-            for k, ck in rib_in_s:
-                key = (i, k)
-                total = rhs.get(key, Fraction(0)) + ci * ck
-                if total:
-                    rhs[key] = total
-                elif key in rhs:
-                    del rhs[key]
+        f_in_m, rib_in_s = dict(_qsym_to_m_row("F", j)), dict(_to_s_row("Rib", j))
+        add_into(rhs, bilinear(f_in_m, rib_in_s, lambda i, k: (((i, k), 1),)).items())
     return lhs == rhs

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from math import prod
 from typing import Iterable, Iterator
 
@@ -104,11 +105,29 @@ def comp_str(parts: Composition) -> str:
 
 
 def parse_comp(s: str) -> Composition:
-    """Accepts "(1,2)", "1 2", "e", "()" and "" (the last three are empty)."""
-    s = s.strip().strip("()")
+    """Accepts "(1,2)", "1 2", "e", "()" and "" (the last three are empty).
+
+    Raises ValueError on unbalanced parentheses and on parts below 1."""
+    s = s.strip()
+    if s.startswith("(") or s.endswith(")"):
+        if len(s) < 2 or not (s.startswith("(") and s.endswith(")")):
+            raise ValueError(f"unbalanced parentheses in composition {s!r}")
+        s = s[1:-1].strip()
     if s in ("", "e"):
         return ()
-    return tuple(int(tok) for tok in s.replace(",", " ").split())
+    parts = tuple(int(tok) for tok in s.replace(",", " ").split())
+    if any(p < 1 for p in parts):
+        raise ValueError(f"composition parts must be >= 1: {parts!r}")
+    return parts
+
+
+def parse_coeff(s: str) -> Fraction:
+    """Exact rational coefficient such as "3", "-1/2"; ValueError on a zero
+    denominator as on any other malformed text."""
+    try:
+        return Fraction(s.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in coefficient {s.strip()!r}") from None
 
 
 # ---------------------------------------------------------------------------

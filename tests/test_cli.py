@@ -160,3 +160,12 @@ def test_weight_cap_guard(capsys):
 def test_bad_element_text_exits_2(capsys):
     code = main(["convert", "--from", "S", "--to", "Psi", "--element", "M:(1)"])
     assert code == 2
+
+
+@pytest.mark.parametrize("element", ["1/0·S:(1)", "S:(0)", "S:(-1,2)", "S:(1"])
+def test_malformed_element_is_a_usage_error(capsys, element):
+    code = main(["convert", "--from", "S", "--to", "Lambda", "--element", element])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err

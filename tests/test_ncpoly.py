@@ -19,6 +19,7 @@ from qshuffle.ncpoly import (
     poly_to_json,
     product,
 )
+from qshuffle.symqsym import QSymElement, SymElement
 from qshuffle.words import Word, words_up_to
 
 one = NCPolynomial.one()
@@ -302,6 +303,8 @@ def test_text_parse_examples():
     assert parse_poly("1 + 2·[1 1] + 1/2·[2]") == one + 2 * mono(1, 1) + mono(2) / 2
     assert parse_poly("-[1] + [2]") == -mono(1) + mono(2)
     assert parse_poly("0").is_zero()
+    with pytest.raises(ValueError):
+        parse_poly("1/0·[1]")
 
 
 @settings(max_examples=40)
@@ -324,3 +327,36 @@ def test_tensor_polynomial_basics():
     u = tensor(one, one)
     assert t * u == t
     assert 2 * t == t + t
+
+
+# -- the shared sparse core ------------------------------------------------------
+
+SPARSE_CONTAINERS = {
+    "concat": (NCPolynomial, lambda a, b: product(a, b, "concat")),
+    "shuffle": (NCPolynomial, lambda a, b: product(a, b, "shuffle")),
+    "stuffle": (NCPolynomial, lambda a, b: product(a, b, "stuffle")),
+    "S": (lambda terms: SymElement(terms, "S"), lambda a, b: a * b),
+    "M": (lambda terms: QSymElement(terms, "M"), lambda a, b: a * b),
+}
+
+
+@st.composite
+def cancelling_terms(draw):
+    """A sparse term list in which some terms recur with the opposite sign."""
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    keys = small_words.filter(lambda t: sum(t) <= 3)
+    terms = draw(st.lists(st.tuples(keys, coeffs), max_size=4))
+    cancelled = draw(st.lists(st.sampled_from(terms), max_size=len(terms))) if terms else []
+    return terms + [(key, -c) for key, c in cancelled]
+
+
+@pytest.mark.parametrize("kind", sorted(SPARSE_CONTAINERS))
+@settings(max_examples=30)
+@given(a=cancelling_terms(), b=cancelling_terms(), c=cancelling_terms())
+def test_sparse_core_drops_zeros_and_is_bilinear(kind, a, b, c):
+    make, prod = SPARSE_CONTAINERS[kind]
+    x, y, z = make(a), make(b), make(c)
+    for v in (x, y, z, x + y, x - x, prod(x, z), prod(y, z), prod(x + y, z)):
+        assert all(isinstance(coeff, Fraction) and coeff != 0 for coeff in v.terms.values())
+    assert (x - x).terms == {}
+    assert prod(x + y, z) == prod(x, z) + prod(y, z)
