@@ -8,11 +8,9 @@ Example:
 import argparse
 import sys
 
-from qshuffle.bases import FAMILIES, basis_element
+from qshuffle.bases import FAMILIES, PAIRS, basis_element
 from qshuffle.ncpoly import pairing, poly_str
 from qshuffle.words import word_str, words_of_weight
-
-DUAL_OF = {"p": "s", "Pi": "Sigma", "PiL": "SigmaL", "PiR": "SigmaR"}
 
 
 def main() -> int:
@@ -29,7 +27,7 @@ def main() -> int:
                 value = basis_element(family, w).value
                 print(f"  {family}_[{word_str(w)}] = {poly_str(value)}")
     if args.gram:
-        for primal, dual in DUAL_OF.items():
+        for dual, primal, _ in PAIRS.values():
             if primal not in args.families and dual not in args.families:
                 continue
             print(f"== Gram <{primal}_u, {dual}_v> per weight ==")

@@ -2,7 +2,8 @@
 behind them.
 
 Four dual systems are built here, all indexed by words through their
-decreasing Lyndon factorizations:
+decreasing Lyndon factorizations.  `PAIRS` is the one table of them (dual
+family, primal family, commutative product on the dual side):
 
 * (p_w, s_w): the classical shuffle-side pair.  p brackets letters along
   standard factorizations; s follows the divided-power shuffle recursion.
@@ -13,6 +14,10 @@ decreasing Lyndon factorizations:
 * (Pi^L, Sigma^L) and (Pi^R, Sigma^R): same construction seeded with the
   primitive elements L_n and R_n coming from the logarithmic derivatives of
   the letter generating series.
+
+pi1 and its inverse expansion run on the iterated stuffle coproduct: by
+<coproduct(w), u (x) v> = <w, u st v> their sums over word tuples need only
+its nonzero terms.
 
 The series side lives in `TSeries`, a t-truncated power series with
 polynomial coefficients: the letter series, its inverse, the L/R series,
@@ -27,10 +32,8 @@ from functools import lru_cache
 from math import factorial
 
 from .lyndon import is_lyndon, lyndon_factorization, standard_factorization
-from .ncpoly import NCPolynomial, add_into
-from .words import Word, compositions_of, words_of_weight
-
-FAMILIES = ("p", "s", "Pi", "Sigma", "PiL", "SigmaL", "PiR", "SigmaR")
+from .ncpoly import NCPolynomial, _word_coproduct, add_into
+from .words import Word, compositions_of, stats, words_of_weight
 
 
 def _bracket(a: NCPolynomial, b: NCPolynomial) -> NCPolynomial:
@@ -46,29 +49,35 @@ def _y(n: int) -> NCPolynomial:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
+def _iterated(letters: tuple, k: int, primitive: bool) -> NCPolynomial:
+    # sum over ordered k-tuples (u_1..u_k) of nonempty words of
+    # <w | u_1 st ... st u_k> f(u_1)...f(u_k), with f = pi1 if `primitive`
+    # and f = id otherwise.  By <coproduct(w), u (x) v> = <w, u st v> only the
+    # nonzero terms of the iterated stuffle coproduct of w contribute.
+    f = _pi1_word if primitive else NCPolynomial.word
+    if k == 1:
+        return f(letters)
+    out: dict[Word, Fraction] = {}
+    for (u, v), n in _word_coproduct(letters, "stuffle"):
+        if u and v:
+            add_into(out, (f(u) * _iterated(v, k - 1, primitive)).terms.items(), n)
+    return NCPolynomial._raw(out)
+
+
+def _sum_iterated(letters: tuple, primitive: bool, coeff) -> NCPolynomial:
+    # sum_k coeff(k) _iterated(w, k, primitive); a k-tuple needs k <= weight
+    out: dict[Word, Fraction] = {}
+    for k in range(1, sum(letters) + 1):
+        add_into(out, _iterated(letters, k, primitive).terms.items(), coeff(k))
+    return NCPolynomial._raw(out)
+
+
+@lru_cache(maxsize=None)
 def _pi1_word(letters: tuple) -> NCPolynomial:
-    # pi1(w) = sum over ordered tuples (u_1..u_k) of nonempty words,
-    #          ((-1)^(k-1)/k) <w | u_1 st ... st u_k> u_1...u_k
-    # (k = 1 contributes w itself).  Tuples are walked depth-first while the
-    # running quasi-shuffle product is accumulated.
+    # pi1(w) = sum_k ((-1)^(k-1)/k) sum <w | u_1 st ... st u_k> u_1...u_k
     if not letters:
         return NCPolynomial.one()
-    w = Word(letters)
-    n = w.weight
-    terms: list[tuple[tuple, Fraction]] = []
-
-    def rec(remaining: int, k: int, prod_poly: NCPolynomial, concat: tuple) -> None:
-        if remaining == 0:
-            c = prod_poly.coeff(w)
-            if c:
-                terms.append((concat, c * Fraction((-1) ** (k - 1), k)))
-            return
-        for m in range(1, remaining + 1):
-            for comp in compositions_of(m):
-                rec(remaining - m, k + 1, prod_poly.stuffle(NCPolynomial.word(comp)), concat + comp)
-
-    rec(n, 0, NCPolynomial.one(), ())
-    return NCPolynomial(terms)
+    return _sum_iterated(letters, False, lambda k: Fraction((-1) ** (k - 1), k))
 
 
 def pi1(p: NCPolynomial | Word) -> NCPolynomial:
@@ -85,29 +94,8 @@ def pi1(p: NCPolynomial | Word) -> NCPolynomial:
 def pi1_inverse_check(w: Word) -> bool:
     """Checks that w equals
     sum_k (1/k!) sum <w | u_1 st ... st u_k> pi1(u_1)...pi1(u_k)."""
-    n = w.weight
-    if n == 0:
-        return True
-    acc = NCPolynomial.zero()
-
-    def rec(remaining: int, k: int, prod_poly: NCPolynomial, pi_product: NCPolynomial) -> None:
-        nonlocal acc
-        if remaining == 0:
-            c = prod_poly.coeff(w)
-            if c:
-                acc = acc + pi_product * Fraction(c, factorial(k))
-            return
-        for m in range(1, remaining + 1):
-            for comp in compositions_of(m):
-                rec(
-                    remaining - m,
-                    k + 1,
-                    prod_poly.stuffle(NCPolynomial.word(comp)),
-                    pi_product * _pi1_word(comp),
-                )
-
-    rec(n, 0, NCPolynomial.one(), NCPolynomial.one())
-    return acc == NCPolynomial.word(w)
+    expansion = _sum_iterated(w.letters, True, lambda k: Fraction(1, factorial(k)))
+    return w.weight == 0 or expansion == NCPolynomial.word(w)
 
 
 # ---------------------------------------------------------------------------
@@ -133,37 +121,28 @@ def x_elements(n_max: int) -> list[NCPolynomial]:
 
 
 @lru_cache(maxsize=None)
-def _l_list(n_max: int) -> tuple[NCPolynomial, ...]:
+def _lr_list(n_max: int, side: str) -> tuple[NCPolynomial, ...]:
+    # [L_1..L_n] for side "L", [R_1..R_n] for side "R": the letter y_{i+1}
+    # sits left of X_{n-1-i} in L_n and right of it in R_n.
     xs = _x_list(n_max)
     out = []
     for n in range(1, n_max + 1):
         total = NCPolynomial.zero()
         for i in range(n):
-            total = total + (_y(i + 1) * xs[n - 1 - i]) * (i + 1)
-        out.append(total)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _r_list(n_max: int) -> tuple[NCPolynomial, ...]:
-    xs = _x_list(n_max)
-    out = []
-    for n in range(1, n_max + 1):
-        total = NCPolynomial.zero()
-        for i in range(n):
-            total = total + (xs[n - 1 - i] * _y(i + 1)) * (i + 1)
+            y, x = _y(i + 1), xs[n - 1 - i]
+            total = total + (y * x if side == "L" else x * y) * (i + 1)
         out.append(total)
     return tuple(out)
 
 
 def l_elements(n_max: int) -> list[NCPolynomial]:
     """[L_1, ..., L_n]: L_n = sum_{i=0}^{n-1} (i+1) y_{i+1} X_{n-1-i}."""
-    return list(_l_list(n_max))
+    return list(_lr_list(n_max, "L"))
 
 
 def r_elements(n_max: int) -> list[NCPolynomial]:
     """[R_1, ..., R_n]: R_n = sum_{i=0}^{n-1} (i+1) X_{n-1-i} y_{i+1}."""
-    return list(_r_list(n_max))
+    return list(_lr_list(n_max, "R"))
 
 
 def y_in_r_expansion(n: int, use_partial_sums: bool = True) -> bool:
@@ -175,20 +154,14 @@ def y_in_r_expansion(n: int, use_partial_sums: bool = True) -> bool:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rs = _r_list(n)
+    rs = _lr_list(n, "R")
     total = NCPolynomial.zero()
     for comp in compositions_of(n):
         term = NCPolynomial.one()
         for j in comp:
             term = term * rs[j - 1]
-        acc, denom = 0, 1
-        for p in comp:
-            if use_partial_sums:
-                acc += p
-                denom *= acc
-            else:
-                denom *= p
-        total = total + term / denom
+        st = stats(comp)
+        total = total + term / (st.pi_u if use_partial_sums else st.pi)
     return total == _y(n)
 
 
@@ -220,28 +193,6 @@ def _pbw(letters: tuple, letter_image, cache: dict) -> NCPolynomial:
     return out
 
 
-_P_CACHE: dict[tuple, NCPolynomial] = {}
-_PI_CACHE: dict[tuple, NCPolynomial] = {}
-_PIL_CACHE: dict[tuple, NCPolynomial] = {}
-_PIR_CACHE: dict[tuple, NCPolynomial] = {}
-
-
-def p_basis(w: Word) -> NCPolynomial:
-    return _pbw(w.letters, lambda n: _y(n), _P_CACHE)
-
-
-def pi_basis(w: Word) -> NCPolynomial:
-    return _pbw(w.letters, lambda n: _pi1_word((n,)), _PI_CACHE)
-
-
-def pi_s_basis(w: Word, side: str) -> NCPolynomial:
-    if side == "L":
-        return _pbw(w.letters, lambda n: _l_list(n)[n - 1], _PIL_CACHE)
-    if side == "R":
-        return _pbw(w.letters, lambda n: _r_list(n)[n - 1], _PIR_CACHE)
-    raise ValueError(f"side must be 'L' or 'R', got {side!r}")
-
-
 @lru_cache(maxsize=None)
 def _s_cached(letters: tuple) -> NCPolynomial:
     if len(letters) == 0:
@@ -259,10 +210,6 @@ def _s_cached(letters: tuple) -> NCPolynomial:
             out = out.shuffle(piece)
         denom *= factorial(mult)
     return out / denom
-
-
-def s_basis(w: Word) -> NCPolynomial:
-    return _s_cached(w.letters)
 
 
 # ---------------------------------------------------------------------------
@@ -287,23 +234,16 @@ def _invert_matrix(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     return [row[m:] for row in aug]
 
 
-_PRIMAL_FOR_DUAL = {
-    "Sigma": pi_basis,
-    "SigmaL": lambda w: pi_s_basis(w, "L"),
-    "SigmaR": lambda w: pi_s_basis(w, "R"),
-}
-
-
 @lru_cache(maxsize=None)
 def _dual_table(n: int, family: str) -> dict[Word, NCPolynomial]:
     """Solves <primal_u, dual_v> = delta_{u,v} on the weight-n component.
 
     The primal coefficient matrix over the 2^(n-1) words of weight n is
     inverted exactly; the columns of the inverse are the dual elements."""
-    primal = _PRIMAL_FOR_DUAL[family]
+    (primal,) = (p for d, p, _ in PAIRS.values() if d == family)
     words = words_of_weight(n)
     m = len(words)
-    a = [[primal(u).coeff(x) for x in words] for u in words]
+    a = [[_element(primal, u).coeff(x) for x in words] for u in words]
     c = _invert_matrix(a)
     return {
         words[j]: NCPolynomial({words[i]: c[i][j] for i in range(m)})
@@ -311,18 +251,72 @@ def _dual_table(n: int, family: str) -> dict[Word, NCPolynomial]:
     }
 
 
+# ---------------------------------------------------------------------------
+# the dual-pair table and the one family dispatcher
+# ---------------------------------------------------------------------------
+
+# pair -> (dual family, primal family, commutative product on the dual side)
+PAIRS = {
+    "shuffle": ("s", "p", "shuffle"),
+    "stuffle": ("Sigma", "Pi", "stuffle"),
+    "L": ("SigmaL", "PiL", "stuffle"),
+    "R": ("SigmaR", "PiR", "stuffle"),
+}
+FAMILIES = tuple(f for dual, primal, _ in PAIRS.values() for f in (primal, dual))
+
+_P_CACHE: dict[tuple, NCPolynomial] = {}
+_PI_CACHE: dict[tuple, NCPolynomial] = {}
+_PIL_CACHE: dict[tuple, NCPolynomial] = {}
+_PIR_CACHE: dict[tuple, NCPolynomial] = {}
+
+# primal family -> (letter image, cache)
+_PRIMAL = {
+    "p": (_y, _P_CACHE),
+    "Pi": (lambda n: _pi1_word((n,)), _PI_CACHE),
+    "PiL": (lambda n: _lr_list(n, "L")[n - 1], _PIL_CACHE),
+    "PiR": (lambda n: _lr_list(n, "R")[n - 1], _PIR_CACHE),
+}
+
+
+def _element(family: str, w: Word) -> NCPolynomial:
+    if family in _PRIMAL:
+        return _pbw(w.letters, *_PRIMAL[family])
+    if family == "s":
+        return _s_cached(w.letters)
+    if family not in FAMILIES:
+        raise ValueError(f"unknown basis family {family!r}; expected one of {FAMILIES}")
+    # the remaining duals are solved from the pairing
+    return NCPolynomial.one() if w.weight == 0 else _dual_table(w.weight, family)[w]
+
+
+def _sided(family: str, side: str) -> str:
+    if side not in ("L", "R"):
+        raise ValueError(f"side must be 'L' or 'R', got {side!r}")
+    return family + side
+
+
+def p_basis(w: Word) -> NCPolynomial:
+    return _element("p", w)
+
+
+def s_basis(w: Word) -> NCPolynomial:
+    return _element("s", w)
+
+
+def pi_basis(w: Word) -> NCPolynomial:
+    return _element("Pi", w)
+
+
 def sigma_basis(w: Word) -> NCPolynomial:
-    if w.weight == 0:
-        return NCPolynomial.one()
-    return _dual_table(w.weight, "Sigma")[w]
+    return _element("Sigma", w)
+
+
+def pi_s_basis(w: Word, side: str) -> NCPolynomial:
+    return _element(_sided("Pi", side), w)
 
 
 def sigma_s_basis(w: Word, side: str) -> NCPolynomial:
-    if side not in ("L", "R"):
-        raise ValueError(f"side must be 'L' or 'R', got {side!r}")
-    if w.weight == 0:
-        return NCPolynomial.one()
-    return _dual_table(w.weight, f"Sigma{side}")[w]
+    return _element(_sided("Sigma", side), w)
 
 
 @dataclass(frozen=True)
@@ -333,19 +327,7 @@ class BasisElement:
 
 
 def basis_element(family: str, w: Word) -> BasisElement:
-    dispatch = {
-        "p": p_basis,
-        "s": s_basis,
-        "Pi": pi_basis,
-        "Sigma": sigma_basis,
-        "PiL": lambda u: pi_s_basis(u, "L"),
-        "PiR": lambda u: pi_s_basis(u, "R"),
-        "SigmaL": lambda u: sigma_s_basis(u, "L"),
-        "SigmaR": lambda u: sigma_s_basis(u, "R"),
-    }
-    if family not in dispatch:
-        raise ValueError(f"unknown basis family {family!r}; expected one of {FAMILIES}")
-    return BasisElement(index=w, family=family, value=dispatch[family](w))
+    return BasisElement(index=w, family=family, value=_element(family, w))
 
 
 # ---------------------------------------------------------------------------
@@ -454,12 +436,12 @@ def y_inverse_series(bound: int) -> TSeries:
 
 
 def l_series(bound: int) -> TSeries:
-    ls = _l_list(bound + 1)
+    ls = _lr_list(bound + 1, "L")
     return TSeries({n: ls[n] for n in range(bound + 1)}, bound)
 
 
 def r_series(bound: int) -> TSeries:
-    rs = _r_list(bound + 1)
+    rs = _lr_list(bound + 1, "R")
     return TSeries({n: rs[n] for n in range(bound + 1)}, bound)
 
 

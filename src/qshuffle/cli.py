@@ -21,6 +21,7 @@ from .ncpoly import NCPolynomial, add_into
 from .words import Word
 
 WEIGHT_CAP = 8  # 2^(n-1) words per weight; beyond this the sweeps stop being desk-scale
+Q_DEGREE_CAP = 64  # hl-check --max-weight 8: about 3 s at q-degree 64 on a 2-core x86 host
 FORMATS = ("text", "json", "csv")
 
 
@@ -31,6 +32,7 @@ class RunConfig:
     q_degree: int = 8
     fmt: str = "text"
     seed: int = 0
+    unsafe_weight: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +52,7 @@ def _sample_words(rng: random.Random, max_weight: int, count: int) -> list[Word]
     return out
 
 
-def _check_words_refinements(w_max: int, rng) -> tuple[bool, str]:
+def _check_words_refinements(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
     for comp in words.compositions_up_to(w_max):
         refs = words.refinements(comp)
         if len(refs) != words.refinement_count(comp):
@@ -65,7 +67,7 @@ def _check_words_refinements(w_max: int, rng) -> tuple[bool, str]:
     return True, f"counts, blocks and mirror over all compositions of weight <= {w_max}"
 
 
-def _check_words_roundtrip(w_max: int, rng) -> tuple[bool, str]:
+def _check_words_roundtrip(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
     for w in words.words_up_to(w_max):
         if words.parse_word(words.word_str(w)) != w:
             return False, f"text round trip fails at {w}"
@@ -74,7 +76,7 @@ def _check_words_roundtrip(w_max: int, rng) -> tuple[bool, str]:
     return True, f"text and composition round trips over all words of weight <= {w_max}"
 
 
-def _check_lyndon_counts(w_max: int, rng) -> tuple[bool, str]:
+def _check_lyndon_counts(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
     ws = lyndon.lyndon_up_to(w_max)
     for n in range(1, w_max + 1):
         got = sum(1 for w in ws if w.weight == n)
@@ -83,7 +85,7 @@ def _check_lyndon_counts(w_max: int, rng) -> tuple[bool, str]:
     return True, f"enumeration matches the necklace formula for n <= {w_max}"
 
 
-def _check_lyndon_factorization(w_max: int, rng) -> tuple[bool, str]:
+def _check_lyndon_factorization(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
     for w in words.words_up_to(min(w_max, 6), include_empty=False):
         fac = lyndon.lyndon_factorization(w)
         if fac.word() != w:
@@ -104,7 +106,7 @@ def _check_lyndon_factorization(w_max: int, rng) -> tuple[bool, str]:
     return True, "reconstruction, decrease, and standard-factorization properties"
 
 
-def _check_products(w_max: int, rng) -> tuple[bool, str]:
+def _check_products(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
     sample = _sample_words(rng, min(w_max, 4), 8)
     one = NCPolynomial.one()
     for kind in ("shuffle", "stuffle"):
@@ -129,7 +131,7 @@ def _check_products(w_max: int, rng) -> tuple[bool, str]:
     return True, "unit, commutativity, associativity, homogeneity on seeded samples"
 
 
-def _check_coproducts(w_max: int, rng) -> tuple[bool, str]:
+def _check_coproducts(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
     cap = min(w_max, 4)
     for kind in ("concat", "shuffle", "stuffle"):
         for w in words.words_up_to(cap):
@@ -171,7 +173,7 @@ def _check_coproducts(w_max: int, rng) -> tuple[bool, str]:
     return True, f"counit, coassociativity, morphism property up to weight {cap}"
 
 
-def _check_adjunction(w_max: int, rng) -> tuple[bool, str]:
+def _check_adjunction(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
     cap = min(w_max, 4)
     ws = words.words_up_to(cap)
     for kind in ("shuffle", "stuffle"):
@@ -190,7 +192,7 @@ def _check_adjunction(w_max: int, rng) -> tuple[bool, str]:
     return True, f"<coproduct(w), u (x) v> = <w, u * v> exhaustively up to weight {cap}"
 
 
-def _check_exp_log(w_max: int, rng) -> tuple[bool, str]:
+def _check_exp_log(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
     cap = min(w_max, 4)
     for _ in range(5):
         terms = {}
@@ -202,24 +204,19 @@ def _check_exp_log(w_max: int, rng) -> tuple[bool, str]:
     return True, f"log/exp round trips on seeded polynomials, weight <= {cap}"
 
 
-def _check_duality(w_max: int, rng) -> tuple[bool, str]:
-    fams = {
-        "p/s": (bases.p_basis, bases.s_basis),
-        "Pi/Sigma": (bases.pi_basis, bases.sigma_basis),
-        "PiL/SigmaL": (lambda w: bases.pi_s_basis(w, "L"), lambda w: bases.sigma_s_basis(w, "L")),
-        "PiR/SigmaR": (lambda w: bases.pi_s_basis(w, "R"), lambda w: bases.sigma_s_basis(w, "R")),
-    }
+def _check_duality(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
     ws = words.words_up_to(w_max, include_empty=False)
-    for name, (primal, dual) in fams.items():
+    for dual, primal, _ in bases.PAIRS.values():
+        duals = [bases.basis_element(dual, v).value for v in ws]
         for u in ws:
-            for v in ws:
-                expected = Fraction(1 if u == v else 0)
-                if ncpoly.pairing(primal(u), dual(v)) != expected:
-                    return False, f"duality {name} fails at {u}, {v}"
+            pu = bases.basis_element(primal, u).value
+            for v, dv in zip(ws, duals):
+                if ncpoly.pairing(pu, dv) != Fraction(1 if u == v else 0):
+                    return False, f"duality {primal}/{dual} fails at {u}, {v}"
     return True, f"four pairing matrices are the identity up to weight {w_max}"
 
 
-def _check_primitivity(w_max: int, rng) -> tuple[bool, str]:
+def _check_primitivity(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
     for n in range(1, w_max + 1):
         if not ncpoly.is_primitive(bases.pi1(Word((n,))), "stuffle"):
             return False, f"pi1(y_{n}) not primitive"
@@ -240,7 +237,7 @@ def _check_primitivity(w_max: int, rng) -> tuple[bool, str]:
     return True, f"primitive families confirmed up to weight {w_max}"
 
 
-def _check_series(w_max: int, rng) -> tuple[bool, str]:
+def _check_series(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
     d = w_max
     y = bases.y_series(d)
     yi = bases.y_inverse_series(d)
@@ -277,7 +274,7 @@ def _check_series(w_max: int, rng) -> tuple[bool, str]:
     return True, f"inverse, derivative, and conjugation identities to degree {d}"
 
 
-def _check_y_in_r(w_max: int, rng) -> tuple[bool, str]:
+def _check_y_in_r(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
     for n in range(1, w_max + 1):
         if not bases.y_in_r_expansion(n):
             return False, f"partial-sum expansion fails at n={n}"
@@ -286,7 +283,7 @@ def _check_y_in_r(w_max: int, rng) -> tuple[bool, str]:
     return True, f"letters expand over R-monomials with partial-sum weights, n <= {w_max}"
 
 
-def _check_pi1(w_max: int, rng) -> tuple[bool, str]:
+def _check_pi1(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
     cap = min(w_max, 4)
     for w in words.words_up_to(cap):
         if not bases.pi1_inverse_check(w):
@@ -294,7 +291,7 @@ def _check_pi1(w_max: int, rng) -> tuple[bool, str]:
     return True, f"inverse expansion reproduces every word of weight <= {cap}"
 
 
-def _check_sym_roundtrips(w_max: int, rng) -> tuple[bool, str]:
+def _check_sym_roundtrips(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
     for basis in ("Lambda", "Psi", "Phi", "Rib"):
         for comp in words.compositions_up_to(w_max):
             e = symqsym.SymElement.single(comp, "S")
@@ -316,7 +313,7 @@ def _check_sym_roundtrips(w_max: int, rng) -> tuple[bool, str]:
     return True, f"all basis changes invert exactly up to weight {w_max}"
 
 
-def _check_sym_hopf(w_max: int, rng) -> tuple[bool, str]:
+def _check_sym_hopf(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
     for basis in ("Psi", "Phi"):
         for n in range(1, w_max + 1):
             x = symqsym.SymElement.single((n,), basis)
@@ -343,7 +340,7 @@ def _check_sym_hopf(w_max: int, rng) -> tuple[bool, str]:
     return True, f"power sums primitive to {w_max}; adjunction exhaustive to {cap}"
 
 
-def _check_ribbon_duality(w_max: int, rng) -> tuple[bool, str]:
+def _check_ribbon_duality(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
     cap = min(w_max, 5)
     comps = words.compositions_up_to(cap)
     for i in comps:
@@ -356,7 +353,7 @@ def _check_ribbon_duality(w_max: int, rng) -> tuple[bool, str]:
     return True, f"<Rib_I, F_J> = delta exhaustively up to weight {cap}"
 
 
-def _check_encodings(w_max: int, rng) -> tuple[bool, str]:
+def _check_encodings(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
     cap = min(w_max, 4)
     ws = words.words_up_to(cap)
     for u in ws:
@@ -391,7 +388,7 @@ def _check_encodings(w_max: int, rng) -> tuple[bool, str]:
     return True, f"word encodings are Hopf morphisms; power-sum images hold to weight {w_max}"
 
 
-def _check_mirror_oracles(w_max: int, rng) -> tuple[bool, str]:
+def _check_mirror_oracles(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
     cap = min(w_max, 4)
     for comp in words.compositions_up_to(cap):
         lam = symqsym.SymElement.single(comp, "Lambda")
@@ -412,7 +409,7 @@ def _check_mirror_oracles(w_max: int, rng) -> tuple[bool, str]:
     return True, f"mirror-statistics formulas (corrected sign) match to weight {cap}"
 
 
-def _check_cauchy(w_max: int, rng) -> tuple[bool, str]:
+def _check_cauchy(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
     ok = symqsym.cauchy_check(w_max)
     return ok, f"sum M_I (x) S^I = sum F_J (x) Rib_J up to weight {w_max}"
 
@@ -423,7 +420,7 @@ def _check_hall_littlewood(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
     return ok, f"geometric-alphabet specialization matches mod q^{q_degree}, weight <= {cap}"
 
 
-def _check_factorization(w_max: int, rng) -> tuple[bool, str]:
+def _check_factorization(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
     for pair in factorization.PAIRS:
         ok, report = factorization.verify_factorization(w_max, pair)
         if not ok:
@@ -435,7 +432,7 @@ def _check_factorization(w_max: int, rng) -> tuple[bool, str]:
     return True, f"all four pairs reproduce the diagonal up to weight {w_max}; control fails"
 
 
-def _check_characters(w_max: int, rng) -> tuple[bool, str]:
+def _check_characters(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
     cap = min(w_max, 4)
     for name, ok, detail in factorization.character_checks(cap):
         if not ok:
@@ -463,7 +460,7 @@ CHECKS = (
     ("encodings", _check_encodings),
     ("mirror-oracles", _check_mirror_oracles),
     ("cauchy", _check_cauchy),
-    ("hall-littlewood", None),  # needs q_degree; dispatched specially
+    ("hall-littlewood", _check_hall_littlewood),
     ("factorization", _check_factorization),
     ("characters", _check_characters),
 )
@@ -473,10 +470,7 @@ def run_verify(config: RunConfig, out) -> int:
     rng = random.Random(config.seed)
     rows = []
     for name, fn in CHECKS:
-        if name == "hall-littlewood":
-            ok, detail = _check_hall_littlewood(config.max_weight, config.q_degree, rng)
-        else:
-            ok, detail = fn(config.max_weight, rng)
+        ok, detail = fn(config.max_weight, config.q_degree, rng)
         rows.append({"check": name, "status": "pass" if ok else "fail", "detail": detail})
     failed = [r for r in rows if r["status"] == "fail"]
     if config.fmt == "json":
@@ -513,6 +507,18 @@ def _emit_poly(p: NCPolynomial, fmt: str, out) -> None:
         out.write(ncpoly.poly_str(p) + "\n")
 
 
+def _within_cap(config: RunConfig, weight: int, what: str) -> None:
+    if weight > WEIGHT_CAP and not config.unsafe_weight:
+        raise ValueError(
+            f"{what} has weight {weight}, above the cap of {WEIGHT_CAP}; "
+            "pass --unsafe-weight to override"
+        )
+
+
+def _element_within_cap(config: RunConfig, x, flag: str) -> None:
+    _within_cap(config, max(map(sum, x.terms), default=0), f"a composition in {flag}")
+
+
 def run_lyndon(config: RunConfig, out) -> int:
     ws = lyndon.lyndon_up_to(config.max_weight)
     if config.fmt == "json":
@@ -530,6 +536,7 @@ def run_lyndon(config: RunConfig, out) -> int:
 
 def run_basis(config: RunConfig, family: str, word_text: str, out) -> int:
     w = words.parse_word(word_text)
+    _within_cap(config, w.weight, "--word")
     elem = bases.basis_element(family, w)
     _emit_poly(elem.value, config.fmt, out)
     return 0
@@ -538,8 +545,9 @@ def run_basis(config: RunConfig, family: str, word_text: str, out) -> int:
 def run_product(config: RunConfig, kind: str, word_texts: list[str], out) -> int:
     if len(word_texts) != 2:
         raise ValueError("product needs exactly two --word arguments")
-    p = NCPolynomial.word(words.parse_word(word_texts[0]))
-    q = NCPolynomial.word(words.parse_word(word_texts[1]))
+    u, v = (words.parse_word(t) for t in word_texts)
+    _within_cap(config, u.weight + v.weight, "the two --word arguments")
+    p, q = NCPolynomial.word(u), NCPolynomial.word(v)
     _emit_poly(ncpoly.product(p, q, kind), config.fmt, out)
     return 0
 
@@ -548,6 +556,7 @@ def run_convert(config: RunConfig, source: str, target: str, element_text: str, 
     x = symqsym.parse_element(element_text, default_basis=source)
     if x.basis != source:
         raise ValueError(f"element tagged {x.basis} but --from says {source}")
+    _element_within_cap(config, x, "--element")
     y = symqsym.convert(x, target)
     if config.fmt == "json":
         out.write(json.dumps(symqsym.element_to_json(y)) + "\n")
@@ -566,6 +575,8 @@ def run_pair(config: RunConfig, sym_text: str, qsym_text: str, out) -> int:
     y = symqsym.parse_element(qsym_text)
     if not isinstance(x, symqsym.SymElement) or not isinstance(y, symqsym.QSymElement):
         raise ValueError("--sym must use an S/Lambda/Psi/Phi/Rib basis and --qsym an M/F basis")
+    _element_within_cap(config, x, "--sym")
+    _element_within_cap(config, y, "--qsym")
     value = symqsym.pairing_ext(x, y)
     if config.fmt == "json":
         out.write(json.dumps({"value": str(value)}) + "\n")
@@ -651,7 +662,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--unsafe-weight",
             action="store_true",
-            help=f"allow --max-weight above the default cap of {WEIGHT_CAP}",
+            help=f"allow weights above the default cap of {WEIGHT_CAP} (--max-weight, "
+            f"--word, compositions in --element/--sym/--qsym) and --q-degree above "
+            f"{Q_DEGREE_CAP}",
         )
 
     add_common(sub.add_parser("lyndon", help="list Lyndon words by weight"))
@@ -701,8 +714,15 @@ def main(argv: list[str] | None = None) -> int:
             f"--max-weight {args.max_weight} exceeds the cap of {WEIGHT_CAP}; "
             "pass --unsafe-weight to override"
         )
+    if args.command == "verify" and args.max_weight < 1:
+        parser.error("verify needs --max-weight >= 1")
     if args.q_degree < 1:
         parser.error("--q-degree must be >= 1")
+    if args.q_degree > Q_DEGREE_CAP and not args.unsafe_weight:
+        parser.error(
+            f"--q-degree {args.q_degree} exceeds the cap of {Q_DEGREE_CAP}; "
+            "pass --unsafe-weight to override"
+        )
 
     config = RunConfig(
         command=args.command,
@@ -710,6 +730,7 @@ def main(argv: list[str] | None = None) -> int:
         q_degree=args.q_degree,
         fmt=args.format,
         seed=args.seed,
+        unsafe_weight=args.unsafe_weight,
     )
     out = sys.stdout
     try:

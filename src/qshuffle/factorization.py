@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Callable
 
-from .bases import p_basis, pi_basis, pi_s_basis, s_basis, sigma_basis, sigma_s_basis, pi1
+from . import bases
 from .lyndon import lyndon_up_to
 from .ncpoly import (
     NCPolynomial,
@@ -27,14 +26,7 @@ from .ncpoly import (
 from .symqsym import encode_M, encode_S
 from .words import Composition, Word, sort_key, word_str, words_up_to
 
-PAIRS = ("shuffle", "stuffle", "L", "R")
-
-_PAIR_FAMILIES: dict[str, tuple[Callable, Callable, str]] = {
-    "shuffle": (s_basis, p_basis, "shuffle"),
-    "stuffle": (sigma_basis, pi_basis, "stuffle"),
-    "L": (lambda w: sigma_s_basis(w, "L"), lambda w: pi_s_basis(w, "L"), "stuffle"),
-    "R": (lambda w: sigma_s_basis(w, "R"), lambda w: pi_s_basis(w, "R"), "stuffle"),
-}
+PAIRS = tuple(bases.PAIRS)
 
 
 class GradedTensorSeries:
@@ -144,15 +136,16 @@ def factorized_product(
     `left_kind` overrides the pair's own commutative product and `mismatch`
     swaps in the primitive family of the opposite side; both are negative
     controls and break the identity at weight 2."""
-    if pair not in _PAIR_FAMILIES:
+    if pair not in PAIRS:
         raise ValueError(f"unknown pair {pair!r}; expected one of {PAIRS}")
-    dual_fn, primal_fn, kind = _PAIR_FAMILIES[pair]
+    dual, primal, kind = bases.PAIRS[pair]
     if mismatch:
-        primal_fn = pi_basis if pair == "shuffle" else p_basis
+        primal = "Pi" if pair == "shuffle" else "p"
     kind = left_kind or kind
     acc = GradedTensorSeries.unit(max_weight, kind)
     for l in lyndon_decreasing(max_weight):
-        acc = acc * _exp_factor(dual_fn(l), primal_fn(l), max_weight, kind)
+        dual_l, primal_l = (bases.basis_element(f, l).value for f in (dual, primal))
+        acc = acc * _exp_factor(dual_l, primal_l, max_weight, kind)
     return acc
 
 
@@ -161,9 +154,8 @@ def verify_factorization(
 ) -> tuple[bool, list[tuple]]:
     """Term-by-term comparison of the diagonal series with the factorized
     product; returns (equal, discrepancy list)."""
-    side = _PAIR_FAMILIES[pair][2]
-    target = diagonal(max_weight, side)
     got = factorized_product(max_weight, pair, mismatch=negative_control)
+    target = diagonal(max_weight, got.left_kind)
     report = target.discrepancies(got)
     return (not report, report)
 
@@ -238,7 +230,7 @@ def character_checks(max_weight: int) -> list[tuple[str, bool, str]]:
     expected = {
         (w, x): c
         for w in words_up_to(max_weight, include_empty=False)
-        for x, c in pi1(w).terms.items()
+        for x, c in bases.pi1(w).terms.items()
     }
     ok_log = log_series == expected
     results.append(

@@ -123,7 +123,10 @@ def parse_comp(s: str) -> Composition:
 
 def parse_coeff(s: str) -> Fraction:
     """Exact rational coefficient such as "3", "-1/2"; ValueError on a zero
-    denominator as on any other malformed text."""
+    denominator, on exponent notation (whose size is unbounded) and on any
+    other malformed text."""
+    if "e" in s.lower():
+        raise ValueError(f"exponent notation is not accepted in coefficient {s.strip()!r}")
     try:
         return Fraction(s.strip())
     except ZeroDivisionError:

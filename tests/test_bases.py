@@ -1,6 +1,11 @@
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
 from qshuffle.bases import (
+    FAMILIES,
+    PAIRS,
     TSeries,
     basis_element,
     exp_ad,
@@ -30,8 +35,9 @@ from qshuffle.ncpoly import (
     coproduct,
     is_primitive,
     pairing,
+    poly_str,
 )
-from qshuffle.words import Word, words_up_to
+from qshuffle.words import Word, compositions_of, word_str, words_up_to
 
 one = NCPolynomial.one()
 
@@ -85,11 +91,37 @@ def test_pi1_outputs_are_primitive():
         assert is_primitive(pi1(w), "stuffle"), w
 
 
+def _pi1_by_tuples(w: Word) -> NCPolynomial:
+    # The paper's formula read literally: the sum over ordered tuples
+    # (u_1..u_k) of nonempty words of ((-1)^(k-1)/k) <w | u_1 st ... st u_k>
+    # u_1...u_k, walking every tuple of total weight |w|.
+    out = NCPolynomial.zero()
+
+    def rec(remaining: int, k: int, prod_poly: NCPolynomial, concat: tuple) -> None:
+        nonlocal out
+        if remaining == 0:
+            c = prod_poly.coeff(w)
+            if c:
+                out = out + NCPolynomial.word(Word(concat), c * Fraction((-1) ** (k - 1), k))
+            return
+        for m in range(1, remaining + 1):
+            for comp in compositions_of(m):
+                rec(remaining - m, k + 1, prod_poly.stuffle(NCPolynomial.word(comp)), concat + comp)
+
+    rec(w.weight, 0, NCPolynomial.one(), ())
+    return out
+
+
+def test_pi1_matches_the_ordered_tuple_formula():
+    for w in words_up_to(5, include_empty=False):
+        assert pi1(w) == _pi1_by_tuples(w), w
+
+
 def test_pi1_inverse_expansion():
     assert pi1_inverse_check(Word((2,)))
     assert pi1_inverse_check(Word((1,)))
     assert pi1_inverse_check(Word((2, 1)))
-    for w in words_up_to(4):
+    for w in words_up_to(5):
         assert pi1_inverse_check(w), w
 
 
@@ -123,12 +155,25 @@ def test_pi_triangularity_and_homogeneity():
 
 
 def test_all_families_are_weight_homogeneous():
-    from qshuffle.bases import FAMILIES
-
     for family in FAMILIES:
         for w in words_up_to(4, include_empty=False):
             value = basis_element(family, w).value
             assert all(x.weight == w.weight for x in value.terms), (family, w)
+
+
+def test_pairs_table_orders_the_families():
+    assert FAMILIES == ("p", "s", "Pi", "Sigma", "PiL", "SigmaL", "PiR", "SigmaR")
+    assert tuple(PAIRS) == ("shuffle", "stuffle", "L", "R")
+
+
+def test_all_families_match_the_golden_output_to_weight_4():
+    golden = (Path(__file__).parent / "data" / "basis_weight4.txt").read_text()
+    got = [
+        f"{family} [{word_str(w)}] = {poly_str(basis_element(family, w).value)}"
+        for family in FAMILIES
+        for w in words_up_to(4, include_empty=False)
+    ]
+    assert got == golden.splitlines()
 
 
 # -- inverse series and L/R elements ----------------------------------------------

@@ -169,3 +169,41 @@ def test_malformed_element_is_a_usage_error(capsys, element):
     assert code == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["basis", "--family", "Sigma", "--word", "12"],
+        ["basis", "--family", "Pi", "--word", "40"],
+        ["product", "--word", "5", "--word", "4"],
+        ["convert", "--from", "Lambda", "--to", "S", "--element", "(40)"],
+        ["hl-check", "--q-degree", "100000"],
+        ["pair", "--sym", "1e100000000·S:(1)", "--qsym", "M:(1)"],
+    ],
+)
+def test_inputs_beyond_the_caps_are_usage_errors(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert any("error:" in line for line in err.splitlines())
+    assert "Traceback" not in err
+
+
+def test_unsafe_weight_lifts_the_input_caps(capsys):
+    code, out = run(capsys, "product", "--kind", "concat", "--word", "5", "--word", "4",
+                    "--unsafe-weight")
+    assert code == 0
+    assert out.strip() == "[5 4]"
+
+
+def test_verify_needs_a_positive_weight(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--max-weight", "0"])
+    assert exc.value.code == 2
+    assert "verify needs --max-weight >= 1" in capsys.readouterr().err
+    code, out = run(capsys, "lyndon", "--max-weight", "0")
+    assert code == 0 and out == ""

@@ -98,6 +98,8 @@ def test_graded_tensor_series_guards():
         a * b
     with pytest.raises(ValueError):
         factorized_product(2, "sh")
+    with pytest.raises(ValueError):
+        verify_factorization(2, "sh")
 
 
 def test_discrepancy_report_is_sorted_and_bounded():

@@ -305,6 +305,8 @@ def test_text_parse_examples():
     assert parse_poly("0").is_zero()
     with pytest.raises(ValueError):
         parse_poly("1/0·[1]")
+    with pytest.raises(ValueError):
+        parse_poly("1e100000000·[1]")
 
 
 @settings(max_examples=40)
