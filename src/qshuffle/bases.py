@@ -216,39 +216,38 @@ def _s_cached(letters: tuple) -> NCPolynomial:
 # duality solve for the Sigma-type families
 # ---------------------------------------------------------------------------
 
-def _invert_matrix(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    m = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(m)]
-           for i, row in enumerate(rows)]
-    for col in range(m):
-        piv = next((r for r in range(col, m) if aug[r][col]), None)
-        if piv is None:
-            raise ArithmeticError("singular matrix in duality solve")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[m:] for row in aug]
-
-
 @lru_cache(maxsize=None)
 def _dual_table(n: int, family: str) -> dict[Word, NCPolynomial]:
     """Solves <primal_u, dual_v> = delta_{u,v} on the weight-n component.
 
-    The primal coefficient matrix over the 2^(n-1) words of weight n is
-    inverted exactly; the columns of the inverse are the dual elements."""
+    In (length, word) order the primal coefficient matrix A over the 2^(n-1)
+    words of weight n is upper triangular with a nonzero diagonal: primal_u
+    is a nonzero multiple of u plus words that come later.  Its inverse C is
+    then upper triangular too, and back-substitution gives its rows from the
+    last word to the first, C_u = (e_u - sum_{x > u} A_ux C_x) / A_uu, each a
+    sparse combination of rows already solved.  The columns of C are the dual
+    elements.  A primal row that breaks triangularity raises ArithmeticError.
+    """
     (primal,) = (p for d, p, _ in PAIRS.values() if d == family)
-    words = words_of_weight(n)
-    m = len(words)
-    a = [[_element(primal, u).coeff(x) for x in words] for u in words]
-    c = _invert_matrix(a)
-    return {
-        words[j]: NCPolynomial({words[i]: c[i][j] for i in range(m)})
-        for j in range(m)
-    }
+    listed = words_of_weight(n)
+    words = sorted(listed, key=lambda w: (len(w), w))
+    pos = {w: i for i, w in enumerate(words)}
+    inverse_rows: dict[Word, dict[Word, Fraction]] = {}
+    for u in reversed(words):
+        row = _element(primal, u).terms
+        diag = row.get(u)
+        if not diag or any(pos.get(x, -1) < pos[u] for x in row):
+            raise ArithmeticError(f"{primal} is not triangular at {u} in the duality solve")
+        acc = {u: Fraction(1)}
+        for x, a in row.items():
+            if x != u:
+                add_into(acc, inverse_rows[x].items(), -a)
+        inverse_rows[u] = {v: c / diag for v, c in acc.items()}
+    columns: dict[Word, dict[Word, Fraction]] = {v: {} for v in listed}
+    for u in listed:
+        for v, c in inverse_rows[u].items():
+            columns[v][u] = c
+    return {v: NCPolynomial._raw(terms) for v, terms in columns.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from .ncpoly import (
     TensorPolynomial,
     _as_coeff,
     add_into,
+    bilinear,
     product,
     shuffle_words,
     stuffle_words,
@@ -31,7 +32,12 @@ PAIRS = tuple(bases.PAIRS)
 
 class GradedTensorSeries:
     """Finite (word, word) -> rational map truncated by weight on both sides;
-    the left slot multiplies with `left_kind`, the right with concatenation."""
+    the left slot multiplies with `left_kind`, the right with concatenation.
+
+    Both products are graded, so `*` groups each operand's terms by (left
+    weight, right weight) and multiplies only the bucket pairs whose summed
+    weights stay within the bound; the kernels run on letter tuples and the
+    result is keyed by (Word, Word) again."""
 
     __slots__ = ("terms", "bound", "left_kind")
 
@@ -52,23 +58,33 @@ class GradedTensorSeries:
     def coeff(self, u: Word, v: Word) -> Fraction:
         return self.terms.get((u, v), Fraction(0))
 
+    def _buckets(self) -> dict[tuple[int, int], dict[tuple[tuple, tuple], Fraction]]:
+        # (left weight, right weight) -> {(left letters, right letters): coeff}
+        out: dict = {}
+        for (u, v), c in self.terms.items():
+            u, v = u.letters, v.letters
+            out.setdefault((sum(u), sum(v)), {})[(u, v)] = c
+        return out
+
     def __mul__(self, other: "GradedTensorSeries") -> "GradedTensorSeries":
         if self.left_kind != other.left_kind:
             raise ValueError("cannot multiply series with different left products")
         bound = min(self.bound, other.bound)
         kernel = shuffle_words if self.left_kind == "shuffle" else stuffle_words
-        out: dict[tuple[Word, Word], Fraction] = {}
-        for (u1, v1), c1 in self.terms.items():
-            for (u2, v2), c2 in other.terms.items():
-                if u1.weight + u2.weight > bound:
-                    continue
-                v = v1 * v2
-                if v.weight > bound:
-                    continue
-                left = kernel(u1.letters, u2.letters)
-                add_into(out, [((Word(ut), v), n) for ut, n in left], c1 * c2)
+
+        def pair_kernel(a, b):
+            v = a[1] + b[1]
+            return [((u, v), n) for u, n in kernel(a[0], b[0])]
+
+        out: dict[tuple[tuple, tuple], Fraction] = {}
+        theirs = other._buckets()
+        for (l1, r1), p in self._buckets().items():
+            for (l2, r2), q in theirs.items():
+                if l1 + l2 <= bound and r1 + r2 <= bound:
+                    add_into(out, bilinear(p, q, pair_kernel).items())
+        raw = Word._raw
         result = GradedTensorSeries.__new__(GradedTensorSeries)
-        result.terms = out
+        result.terms = {(raw(u), raw(v)): c for (u, v), c in out.items()}
         result.bound = bound
         result.left_kind = self.left_kind
         return result

@@ -194,7 +194,9 @@ def stuffle_words(u: tuple, v: tuple) -> tuple:
 
 
 def _on_words(kernel):
-    return lambda u, v: [(Word(w), n) for w, n in kernel(u.letters, v.letters)]
+    # kernel outputs are concatenations of valid words, so skip re-validation
+    raw = Word._raw
+    return lambda u, v: [(raw(w), n) for w, n in kernel(u.letters, v.letters)]
 
 
 _PRODUCT_KERNELS = {
@@ -310,19 +312,20 @@ def coproduct(p: NCPolynomial, kind: str) -> TensorPolynomial:
     """
     if kind not in COPRODUCT_KINDS:
         raise ValueError(f"unknown coproduct kind {kind!r}")
+    raw = Word._raw
     out: dict[tuple[Word, Word], Fraction] = {}
     for w, c in p.terms.items():
         ls = w.letters
         if kind == "concat":
-            items = [((Word(ls[:i]), Word(ls[i:])), 1) for i in range(len(ls) + 1)]
+            items = [((raw(ls[:i]), raw(ls[i:])), 1) for i in range(len(ls) + 1)]
         elif kind == "plus":
             if len(ls) != 1:
                 raise ValueError(
                     f"the contraction coproduct is only defined on letters, got {word_str(w)!r}"
                 )
-            items = [((Word((i,)), Word((ls[0] - i,))), 1) for i in range(1, ls[0])]
+            items = [((raw((i,)), raw((ls[0] - i,))), 1) for i in range(1, ls[0])]
         else:
-            items = [((Word(u), Word(v)), n) for (u, v), n in _word_coproduct(ls, kind)]
+            items = [((raw(u), raw(v)), n) for (u, v), n in _word_coproduct(ls, kind)]
         add_into(out, items, c)
     return TensorPolynomial._raw(out)
 

@@ -30,6 +30,13 @@ class Word:
             raise ValueError(f"letter indices must be >= 1: {ls!r}")
         self.letters = ls
 
+    @classmethod
+    def _raw(cls, letters: tuple) -> "Word":
+        # letters must already be a tuple of ints >= 1, e.g. a kernel output
+        w = cls.__new__(cls)
+        w.letters = letters
+        return w
+
     @property
     def weight(self) -> int:
         return sum(self.letters)
@@ -42,11 +49,11 @@ class Word:
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return Word(self.letters[i])
+            return Word._raw(self.letters[i])
         return self.letters[i]
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        return Word._raw(self.letters + other.letters)
 
     def __hash__(self) -> int:
         return hash(self.letters)

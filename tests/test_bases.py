@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from qshuffle import bases
 from qshuffle.bases import (
     FAMILIES,
     PAIRS,
@@ -37,7 +38,7 @@ from qshuffle.ncpoly import (
     pairing,
     poly_str,
 )
-from qshuffle.words import Word, compositions_of, word_str, words_up_to
+from qshuffle.words import Word, compositions_of, word_str, words_of_weight, words_up_to
 
 one = NCPolynomial.one()
 
@@ -145,6 +146,54 @@ def test_pi_sigma_duality_weight_4():
     for u in ws:
         for v in ws:
             assert pairing(pi_basis(u), sigma_basis(v)) == (1 if u == v else 0), (u, v)
+
+
+def _gauss_jordan_inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:
+    # dense exact Gauss-Jordan with row pivoting: the oracle for the
+    # triangular back-substitution in bases._dual_table
+    m = len(rows)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(m)]
+           for i, row in enumerate(rows)]
+    for col in range(m):
+        piv = next(r for r in range(col, m) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = Fraction(1) / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(m):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return [row[m:] for row in aug]
+
+
+def test_dual_tables_match_the_dense_inverse_to_weight_6():
+    for dual, primal, _ in PAIRS.values():
+        if dual == "s":
+            continue
+        for n in range(1, 7):
+            ws = words_of_weight(n)
+            c = _gauss_jordan_inverse([[basis_element(primal, u).value.coeff(x) for x in ws] for u in ws])
+            table = bases._dual_table(n, dual)
+            for j, v in enumerate(ws):
+                assert table[v] == NCPolynomial({u: c[i][j] for i, u in enumerate(ws)}), (dual, v)
+
+
+@pytest.mark.parametrize("defect", ["entry below the diagonal", "zero diagonal"])
+def test_dual_solve_rejects_a_non_triangular_primal(monkeypatch, defect):
+    # In (length, word) order the weight-2 words are (2), (1 1), and
+    # Pi_(1 1) = [1 1]; either defect breaks the solve's precondition.
+    element = bases._element
+
+    def broken(family, w):
+        value = element(family, w)
+        if family == "Pi" and w == Word((1, 1)):
+            return value + mono(2) if defect == "entry below the diagonal" else value - mono(1, 1)
+        return value
+
+    monkeypatch.setattr(bases, "_element", broken)
+    with pytest.raises(ArithmeticError):
+        bases._dual_table.__wrapped__(2, "Sigma")
+
 
 
 def test_pi_triangularity_and_homogeneity():

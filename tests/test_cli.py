@@ -1,11 +1,13 @@
 import json
+import random
 
 import pytest
 
+from qshuffle import bases, cli
 from qshuffle.cli import main
-from qshuffle.ncpoly import parse_poly, poly_from_json
+from qshuffle.ncpoly import NCPolynomial, parse_poly, poly_from_json
 from qshuffle.symqsym import SymElement, convert
-from qshuffle.words import parse_word
+from qshuffle.words import Word, parse_word
 
 
 def run(capsys, *argv):
@@ -207,3 +209,20 @@ def test_verify_needs_a_positive_weight(capsys):
     assert "verify needs --max-weight >= 1" in capsys.readouterr().err
     code, out = run(capsys, "lyndon", "--max-weight", "0")
     assert code == 0 and out == ""
+
+
+def test_duality_check_rejects_an_inhomogeneous_element(monkeypatch):
+    # the weight-blocked pairing check skips cross-weight pairs, so it must
+    # fail on an element with a term outside its word's weight
+    element = bases.basis_element
+
+    def leaky(family, w):
+        got = element(family, w)
+        if family == "Sigma" and w == Word((2,)):
+            return bases.BasisElement(w, family, got.value + NCPolynomial.word((1,)))
+        return got
+
+    monkeypatch.setattr(bases, "basis_element", leaky)
+    ok, detail = cli._check_duality(3, 8, random.Random(0))
+    assert not ok
+    assert detail == "Sigma at 2 is not homogeneous of weight 2"

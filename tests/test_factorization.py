@@ -2,17 +2,19 @@ from fractions import Fraction
 
 import pytest
 
+from qshuffle import bases
 from qshuffle.bases import pi_basis, sigma_basis
 from qshuffle.factorization import (
     PAIRS,
     GradedTensorSeries,
+    _exp_factor,
     character_checks,
     diagonal,
     factorized_product,
     lyndon_decreasing,
     verify_factorization,
 )
-from qshuffle.ncpoly import NCPolynomial
+from qshuffle.ncpoly import NCPolynomial, add_into, shuffle_words, stuffle_words
 from qshuffle.words import Word
 
 
@@ -78,8 +80,6 @@ def test_ordered_product_regrouping():
     full = factorized_product(n, "stuffle")
     ls = lyndon_decreasing(n)
     cut = len(ls) // 2
-    from qshuffle.factorization import _exp_factor  # noqa: PLC2701 - test of internals
-
     first = GradedTensorSeries.unit(n, "stuffle")
     for l in ls[:cut]:
         first = first * _exp_factor(sigma_basis(l), pi_basis(l), n, "stuffle")
@@ -87,6 +87,52 @@ def test_ordered_product_regrouping():
     for l in ls[cut:]:
         second = second * _exp_factor(sigma_basis(l), pi_basis(l), n, "stuffle")
     assert first * second == full
+
+
+def _all_pairs_product(a: GradedTensorSeries, b: GradedTensorSeries) -> dict:
+    # the literal product: every pair of terms, kept when both the left and
+    # the right weight stay within the bound; the oracle for the bucketed `*`
+    bound = min(a.bound, b.bound)
+    kernel = shuffle_words if a.left_kind == "shuffle" else stuffle_words
+    out: dict = {}
+    for (u1, v1), c1 in a.terms.items():
+        for (u2, v2), c2 in b.terms.items():
+            if u1.weight + u2.weight <= bound and v1.weight + v2.weight <= bound:
+                left = kernel(u1.letters, u2.letters)
+                add_into(out, [((Word(u), v1 * v2), n) for u, n in left], c1 * c2)
+    return out
+
+
+def test_product_matches_the_all_pairs_oracle_along_the_factorization():
+    for pair in PAIRS:
+        dual, primal, kind = bases.PAIRS[pair]
+        for n in range(1, 6):
+            acc = GradedTensorSeries.unit(n, kind)
+            for l in lyndon_decreasing(n):
+                values = (bases.basis_element(f, l).value for f in (dual, primal))
+                factor = _exp_factor(*values, n, kind)
+                expected = _all_pairs_product(acc, factor)
+                acc = acc * factor
+                assert acc.terms == expected, (pair, n, l)
+            assert acc == diagonal(n, kind)
+
+
+def test_product_matches_the_all_pairs_oracle_on_unequal_weights():
+    # terms whose left and right weights differ, so that some pairs are
+    # dropped by the left weight alone and others by the right weight alone
+    def series(terms, bound, kind):
+        return GradedTensorSeries(
+            {(Word(u), Word(v)): Fraction(c) for (u, v), c in terms.items()}, bound, kind
+        )
+
+    a_terms = {((), ()): 1, ((1,), (2, 1)): 2, ((3,), ()): -1, ((), (1, 1, 1)): "1/2", ((2,), (1,)): 3}
+    b_terms = {((1,), (2,)): "-2/3", ((2,), ()): 1, ((), (3,)): 5, ((1, 1), (1, 1)): -1}
+    for kind in ("shuffle", "stuffle"):
+        for bound in range(0, 7):
+            a, b = series(a_terms, bound, kind), series(b_terms, bound + 1, kind)
+            for x, y in ((a, b), (b, a), (a, a), (b, b)):
+                assert (x * y).terms == _all_pairs_product(x, y), (kind, bound)
+
 
 
 def test_graded_tensor_series_guards():

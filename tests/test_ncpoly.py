@@ -322,6 +322,26 @@ def test_text_and_json_round_trips(term_list):
     assert poly_from_json(poly_to_json(p)) == p
 
 
+# Raw characters of the grammar, and runs of whole tokens, which parse far
+# more often than raw characters do.
+poly_text = st.one_of(
+    st.text(alphabet="0123456789[] +-/·e,", max_size=20),
+    st.lists(
+        st.sampled_from(["[", "]", "1", "2", "0", " ", " + ", " - ", "-", "/", "·", "e", "[1 2]"]),
+        max_size=8,
+    ).map("".join),
+)
+
+
+@settings(max_examples=300)
+@given(poly_text)
+def test_parse_poly_raises_or_round_trips(s):
+    try:
+        p = parse_poly(s)
+    except ValueError:
+        return
+    assert parse_poly(poly_str(p)) == p
+
 def test_tensor_polynomial_basics():
     t = tensor(mono(1), mono(2)) + tensor(mono(2), mono(1))
     assert t.coeff((1,), (2,)) == 1

@@ -411,6 +411,31 @@ def test_element_text_round_trip(term_list, basis):
     assert parse_element(element_str(e), default_basis=basis) == e
 
 
+# Raw characters of the grammar, and runs of whole tokens, which parse far
+# more often than raw characters do.
+element_text = st.one_of(
+    st.text(alphabet="SMFRibL:()0123456789,·/ +-e", max_size=20),
+    st.lists(
+        st.sampled_from(
+            ["S:", "M:", "Rib:", "X:", ":", "(", ")", "(1,2)", "1", "2", "0", ",", " + ", " - ", "-", "/", "·", " "]
+        ),
+        max_size=8,
+    ).map("".join),
+)
+
+
+@settings(max_examples=300)
+@given(element_text, st.sampled_from((None, "S", "Psi", "M", "F")))
+def test_parse_element_raises_or_round_trips(s, default_basis):
+    try:
+        e = parse_element(s, default_basis=default_basis)
+    except ValueError:
+        return
+    # An element whose only term is the empty composition prints as a bare
+    # coefficient with no basis tag (see element_str), so the basis is
+    # passed back in when re-parsing.
+    assert parse_element(element_str(e), default_basis=e.basis) == e
+
 def test_element_json_form():
     e = convert(SymElement.single((2,), "Lambda"), "S")
     obj = element_to_json(e)

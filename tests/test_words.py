@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qshuffle.words import (
@@ -191,4 +191,38 @@ def test_comp_text_forms():
 def test_text_round_trips(comp):
     w = Word(comp)
     assert parse_word(word_str(w)) == w
+    assert parse_comp(comp_str(comp)) == comp
+
+
+# -- parser fuzzing: every string raises ValueError or round-trips ----------
+# Each text strategy mixes raw characters of the grammar with runs of whole
+# tokens, which parse far more often than raw characters do.
+
+word_text = st.one_of(
+    st.text(alphabet="0123456789 ,e-+x", max_size=16),
+    st.lists(st.sampled_from(["1", "2", "12", "0", " ", ",", "e", "-", "x"]), max_size=8).map("".join),
+)
+comp_text = st.one_of(
+    st.text(alphabet="()0123456789 ,e-+", max_size=16),
+    st.lists(st.sampled_from(["(", ")", "1", "2", "12", "0", " ", ",", "e", "-"]), max_size=8).map("".join),
+)
+
+
+@settings(max_examples=300)
+@given(word_text)
+def test_parse_word_raises_or_round_trips(s):
+    try:
+        w = parse_word(s)
+    except ValueError:
+        return
+    assert parse_word(word_str(w)) == w
+
+
+@settings(max_examples=300)
+@given(comp_text)
+def test_parse_comp_raises_or_round_trips(s):
+    try:
+        comp = parse_comp(s)
+    except ValueError:
+        return
     assert parse_comp(comp_str(comp)) == comp
