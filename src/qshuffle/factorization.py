@@ -10,13 +10,13 @@ Lyndon words, largest first, of exp(dual_l (x) primitive_l)."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
+from types import MappingProxyType
 
 from . import bases
 from .lyndon import lyndon_up_to
 from .ncpoly import (
     NCPolynomial,
-    TensorPolynomial,
     _as_coeff,
     add_into,
     bilinear,
@@ -25,86 +25,134 @@ from .ncpoly import (
     stuffle_words,
 )
 from .symqsym import encode_M, encode_S
-from .words import Composition, Word, sort_key, word_str, words_up_to
+from .words import Composition, Word, word_str, words_up_to
 
 PAIRS = tuple(bases.PAIRS)
+
+_LEFT_KERNELS = {"shuffle": shuffle_words, "stuffle": stuffle_words}
+
+
+def _concat(u: tuple, v: tuple) -> tuple:
+    return ((u + v, 1),)
+
+
+def _integral(items) -> tuple[dict, int]:
+    # (key, rational) pairs -> ({key: integer numerator}, common denominator);
+    # zero coefficients are dropped
+    items = [(key, c) for key, c in items if c]
+    den = lcm(*(c.denominator for _, c in items))
+    return {key: c.numerator * (den // c.denominator) for key, c in items}, den
 
 
 class GradedTensorSeries:
     """Finite (word, word) -> rational map truncated by weight on both sides;
     the left slot multiplies with `left_kind`, the right with concatenation.
 
-    Both products are graded, so `*` groups each operand's terms by (left
-    weight, right weight) and multiplies only the bucket pairs whose summed
-    weights stay within the bound; the kernels run on letter tuples and the
-    result is keyed by (Word, Word) again."""
+    The series is stored in one canonical integer form: buckets
+    {(left weight, right weight): {(left letters, right letters): numerator}}
+    over one positive common denominator, with no zero numerator, no empty
+    bucket, and gcd(denominator, numerators) = 1.  Both products are graded,
+    so `*` multiplies bucket pair (l1, r1), (l2, r2) into bucket
+    (l1 + l2, r1 + r2), skips the pairs above the bound, multiplies the
+    numerators as integers and reduces the product of the denominators once.
+    `==` compares the stored form; `.terms` is a read-only
+    (Word, Word) -> Fraction view, built on first read."""
 
-    __slots__ = ("terms", "bound", "left_kind")
+    __slots__ = ("_buckets", "_den", "_terms", "bound", "left_kind")
 
     def __init__(self, terms, bound: int, left_kind: str):
-        if left_kind not in ("shuffle", "stuffle"):
+        if left_kind not in _LEFT_KERNELS:
             raise ValueError(f"left_kind must be shuffle or stuffle, got {left_kind!r}")
-        self.bound = bound
-        self.left_kind = left_kind
-        items = (terms or {}).items()
-        self.terms: dict[tuple[Word, Word], Fraction] = add_into(
-            {}, (((u, v), _as_coeff(c)) for (u, v), c in items if max(u.weight, v.weight) <= bound)
+        nums, den = _integral(
+            ((u.letters, v.letters), _as_coeff(c))
+            for (u, v), c in (terms or {}).items()
+            if max(u.weight, v.weight) <= bound
         )
+        buckets: dict = {}
+        for (u, v), n in nums.items():
+            buckets.setdefault((sum(u), sum(v)), {})[(u, v)] = n
+        self._store(buckets, den, bound, left_kind)
+
+    @classmethod
+    def _make(cls, buckets: dict, den: int, bound: int, left_kind: str) -> "GradedTensorSeries":
+        # buckets hold no zero numerator but may be empty or share a factor
+        # with den; left_kind is already valid
+        s = cls.__new__(cls)
+        s._store(buckets, den, bound, left_kind)
+        return s
+
+    def _store(self, buckets: dict, den: int, bound: int, left_kind: str) -> None:
+        buckets = {b: t for b, t in buckets.items() if t}
+        g = den
+        for t in buckets.values():
+            if g == 1:
+                break
+            g = gcd(g, *t.values())
+        if g > 1:
+            buckets = {b: {k: n // g for k, n in t.items()} for b, t in buckets.items()}
+        self._buckets, self._den, self._terms = buckets, den // g, None
+        self.bound, self.left_kind = bound, left_kind
 
     @classmethod
     def unit(cls, bound: int, left_kind: str) -> "GradedTensorSeries":
-        return cls({(Word(), Word()): Fraction(1)}, bound, left_kind)
+        return cls({(Word(), Word()): 1}, bound, left_kind)
+
+    @property
+    def terms(self) -> MappingProxyType:
+        if self._terms is None:
+            raw, den = Word._raw, self._den
+            self._terms = MappingProxyType(
+                {(raw(u), raw(v)): Fraction(n, den) for (u, v), n in self._flat().items()}
+            )
+        return self._terms
+
+    def _flat(self) -> dict[tuple[tuple, tuple], int]:
+        return {key: n for t in self._buckets.values() for key, n in t.items()}
 
     def coeff(self, u: Word, v: Word) -> Fraction:
-        return self.terms.get((u, v), Fraction(0))
-
-    def _buckets(self) -> dict[tuple[int, int], dict[tuple[tuple, tuple], Fraction]]:
-        # (left weight, right weight) -> {(left letters, right letters): coeff}
-        out: dict = {}
-        for (u, v), c in self.terms.items():
-            u, v = u.letters, v.letters
-            out.setdefault((sum(u), sum(v)), {})[(u, v)] = c
-        return out
+        t = self._buckets.get((u.weight, v.weight), {})
+        return Fraction(t.get((u.letters, v.letters), 0), self._den)
 
     def __mul__(self, other: "GradedTensorSeries") -> "GradedTensorSeries":
         if self.left_kind != other.left_kind:
             raise ValueError("cannot multiply series with different left products")
         bound = min(self.bound, other.bound)
-        kernel = shuffle_words if self.left_kind == "shuffle" else stuffle_words
+        kernel = _LEFT_KERNELS[self.left_kind]
 
         def pair_kernel(a, b):
             v = a[1] + b[1]
             return [((u, v), n) for u, n in kernel(a[0], b[0])]
 
-        out: dict[tuple[tuple, tuple], Fraction] = {}
-        theirs = other._buckets()
-        for (l1, r1), p in self._buckets().items():
-            for (l2, r2), q in theirs.items():
+        out: dict[tuple[int, int], dict] = {}
+        for (l1, r1), p in self._buckets.items():
+            for (l2, r2), q in other._buckets.items():
                 if l1 + l2 <= bound and r1 + r2 <= bound:
-                    add_into(out, bilinear(p, q, pair_kernel).items())
-        raw = Word._raw
-        result = GradedTensorSeries.__new__(GradedTensorSeries)
-        result.terms = {(raw(u), raw(v)): c for (u, v), c in out.items()}
-        result.bound = bound
-        result.left_kind = self.left_kind
-        return result
+                    bucket = out.setdefault((l1 + l2, r1 + r2), {})
+                    add_into(bucket, bilinear(p, q, pair_kernel).items())
+        return GradedTensorSeries._make(out, self._den * other._den, bound, self.left_kind)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GradedTensorSeries)
             and self.left_kind == other.left_kind
-            and self.terms == other.terms
+            and self._den == other._den
+            and self._buckets == other._buckets
         )
 
     def discrepancies(self, other: "GradedTensorSeries", limit: int = 20) -> list[tuple]:
         """Sorted list of (u, v, this coefficient, other coefficient) where the
         two series differ, capped at `limit` entries."""
-        keys = set(self.terms) | set(other.terms)
+        mine, theirs = self._flat(), other._flat()
+        da, db = self._den, other._den
         diffs = []
-        for key in sorted(keys, key=lambda k: (sort_key(k[0]), sort_key(k[1]))):
-            a, b = self.terms.get(key, Fraction(0)), other.terms.get(key, Fraction(0))
-            if a != b:
-                diffs.append((key[0], key[1], a, b))
+        # (sort_key(u), sort_key(v)) on letter tuples
+        keys = sorted(
+            mine.keys() | theirs.keys(), key=lambda k: (sum(k[0]), k[0], sum(k[1]), k[1])
+        )
+        for u, v in keys:
+            a, b = mine.get((u, v), 0), theirs.get((u, v), 0)
+            if a * db != b * da:
+                diffs.append((Word._raw(u), Word._raw(v), Fraction(a, da), Fraction(b, db)))
                 if len(diffs) >= limit:
                     break
         return diffs
@@ -112,27 +160,44 @@ class GradedTensorSeries:
 
 def diagonal(max_weight: int, side: str) -> GradedTensorSeries:
     """sum over words of weight <= max_weight of w (x) w."""
-    terms = {(w, w): Fraction(1) for w in words_up_to(max_weight)}
-    return GradedTensorSeries(terms, max_weight, side)
+    return GradedTensorSeries({(w, w): 1 for w in words_up_to(max_weight)}, max_weight, side)
+
+
+def _homogeneous_weight(p: NCPolynomial) -> int | None:
+    weights = {w.weight for w in p.terms}
+    return weights.pop() if len(weights) == 1 else None
 
 
 def _exp_factor(
     dual: NCPolynomial, primal: NCPolynomial, bound: int, left_kind: str
 ) -> GradedTensorSeries:
-    # exp(dual (x) primal) = sum_k (dual^{*k} / k!) (x) primal^k; both inputs
-    # are weight-homogeneous of the same weight m, so k <= bound // m.
-    m = dual.max_weight()
-    terms: dict[tuple[Word, Word], Fraction] = {(Word(), Word()): Fraction(1)}
-    dual_pow = NCPolynomial.one()
-    primal_pow = NCPolynomial.one()
-    k = 0
-    while (k + 1) * m <= bound:
-        k += 1
-        dual_pow = product(dual_pow, dual, left_kind)
-        primal_pow = primal_pow * primal
-        pow_terms = TensorPolynomial.tensor(dual_pow, primal_pow).terms
-        add_into(terms, pow_terms.items(), Fraction(1, factorial(k)))
-    return GradedTensorSeries(terms, bound, left_kind)
+    """exp(dual (x) primal) = sum_k (dual^{*k} / k!) (x) primal^k, truncated at
+    `bound`; * is the `left_kind` product, primal^k a concatenation power.
+
+    dual and primal must be nonzero and homogeneous of one weight m >= 1, so
+    the k-th piece lands in bucket (k m, k m) and k <= K = bound // m.  Each
+    is turned into integer numerators over its own denominator (d, e) once;
+    the powers run on letter tuples, and the factor is built over the common
+    denominator K! (d e)^K, which `_make` reduces."""
+    m = _homogeneous_weight(dual)
+    if not m or _homogeneous_weight(primal) != m:
+        raise ValueError(
+            "exp factor needs dual and primal nonzero and homogeneous of one weight >= 1"
+        )
+    kernel = _LEFT_KERNELS[left_kind]
+    a, d = _integral((w.letters, c) for w, c in dual.terms.items())
+    b, e = _integral((w.letters, c) for w, c in primal.terms.items())
+    top = bound // m
+    den = factorial(top) * (d * e) ** top
+    buckets = {(0, 0): {((), ()): den}}
+    a_pow, b_pow = {(): 1}, {(): 1}
+    for k in range(1, top + 1):
+        a_pow, b_pow = bilinear(a_pow, a, kernel), bilinear(b_pow, b, _concat)
+        scale = factorial(top) // factorial(k) * (d * e) ** (top - k)
+        buckets[(k * m, k * m)] = {
+            (u, v): scale * x * y for u, x in a_pow.items() for v, y in b_pow.items()
+        }
+    return GradedTensorSeries._make(buckets, den, bound, left_kind)
 
 
 def lyndon_decreasing(max_weight: int) -> list[Word]:
@@ -234,8 +299,9 @@ def character_checks(max_weight: int) -> list[tuple[str, bool, str]]:
     )
 
     # (b) log of the generating series: log(1 + z) with z = diagonal - 1
-    z = diagonal(max_weight, "stuffle")
-    del z.terms[(Word(), Word())]
+    z = GradedTensorSeries(
+        {(w, w): 1 for w in words_up_to(max_weight, include_empty=False)}, max_weight, "stuffle"
+    )
     log_series: dict[tuple[Word, Word], Fraction] = {}
     power = GradedTensorSeries.unit(max_weight, "stuffle")
     for k in range(1, max_weight + 1):

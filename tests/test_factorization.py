@@ -1,8 +1,12 @@
 from fractions import Fraction
+from math import factorial, gcd
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qshuffle import bases
+from qshuffle import bases, cli
 from qshuffle.bases import pi_basis, sigma_basis
 from qshuffle.factorization import (
     PAIRS,
@@ -14,8 +18,18 @@ from qshuffle.factorization import (
     lyndon_decreasing,
     verify_factorization,
 )
-from qshuffle.ncpoly import NCPolynomial, add_into, shuffle_words, stuffle_words
-from qshuffle.words import Word
+from qshuffle.lyndon import lyndon_up_to
+from qshuffle.ncpoly import (
+    NCPolynomial,
+    TensorPolynomial,
+    add_into,
+    product,
+    shuffle_words,
+    stuffle_words,
+)
+from qshuffle.words import Word, sort_key, word_str
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_diagonal_small():
@@ -89,6 +103,10 @@ def test_ordered_product_regrouping():
     assert first * second == full
 
 
+def _series(terms: dict, bound: int, kind: str) -> GradedTensorSeries:
+    return GradedTensorSeries({(Word(u), Word(v)): c for (u, v), c in terms.items()}, bound, kind)
+
+
 def _all_pairs_product(a: GradedTensorSeries, b: GradedTensorSeries) -> dict:
     # the literal product: every pair of terms, kept when both the left and
     # the right weight stay within the bound; the oracle for the bucketed `*`
@@ -120,18 +138,141 @@ def test_product_matches_the_all_pairs_oracle_along_the_factorization():
 def test_product_matches_the_all_pairs_oracle_on_unequal_weights():
     # terms whose left and right weights differ, so that some pairs are
     # dropped by the left weight alone and others by the right weight alone
-    def series(terms, bound, kind):
-        return GradedTensorSeries(
-            {(Word(u), Word(v)): Fraction(c) for (u, v), c in terms.items()}, bound, kind
-        )
-
     a_terms = {((), ()): 1, ((1,), (2, 1)): 2, ((3,), ()): -1, ((), (1, 1, 1)): "1/2", ((2,), (1,)): 3}
     b_terms = {((1,), (2,)): "-2/3", ((2,), ()): 1, ((), (3,)): 5, ((1, 1), (1, 1)): -1}
     for kind in ("shuffle", "stuffle"):
         for bound in range(0, 7):
-            a, b = series(a_terms, bound, kind), series(b_terms, bound + 1, kind)
+            a, b = _series(a_terms, bound, kind), _series(b_terms, bound + 1, kind)
             for x, y in ((a, b), (b, a), (a, a), (b, b)):
                 assert (x * y).terms == _all_pairs_product(x, y), (kind, bound)
+
+
+def _assert_canonical(s: GradedTensorSeries) -> None:
+    # buckets of nonzero int numerators keyed by their weights, within the
+    # bound, over a positive denominator sharing no factor with all of them
+    assert type(s._den) is int and s._den > 0
+    numerators = []
+    for (l, r), bucket in s._buckets.items():
+        assert bucket
+        for (u, v), n in bucket.items():
+            assert (sum(u), sum(v)) == (l, r) and max(l, r) <= s.bound
+            assert type(n) is int and n != 0
+            numerators.append(n)
+    assert gcd(s._den, *numerators) == 1
+
+
+_short_words = st.lists(st.integers(1, 3), max_size=3).map(tuple)
+_coeffs = st.sampled_from(
+    [Fraction(c) for c in ("-2", "-1", "-1/2", "0", "1/3", "1/2", "1", "3/2", "2")]
+)
+_series_terms = st.dictionaries(st.tuples(_short_words, _short_words), _coeffs, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["shuffle", "stuffle"]),
+    a_terms=_series_terms,
+    b_terms=_series_terms,
+    bound=st.integers(0, 6),
+    extra=st.integers(0, 2),
+    cancel=st.tuples(_short_words, _short_words, _short_words, _coeffs, _coeffs),
+)
+def test_product_on_random_series_matches_the_oracle(kind, a_terms, b_terms, bound, extra, cancel):
+    a, b = _series(a_terms, bound, kind), _series(b_terms, bound + extra, kind)
+    # (A + B)(B - A) with one right word r: the cross terms AB and -BA cancel
+    u, w, r, c, d = cancel
+    p = _series({(u, r): c, (w, r): c}, bound + extra, kind)
+    q = _series({(w, r): d, (u, r): -d}, bound, kind)
+    for x in (a, b, p, q):
+        _assert_canonical(x)
+    for x, y in ((a, b), (b, a), (a, a), (p, q), (a, q)):
+        got = x * y
+        expected = _all_pairs_product(x, y)
+        assert got.terms == expected
+        _assert_canonical(got)
+        rebuilt = GradedTensorSeries(expected, got.bound, kind)
+        assert got == rebuilt
+        for other in (y * x, rebuilt):
+            assert (got == other) == (got.terms == other.terms)
+    assert (a == b) == (a.terms == b.terms)
+
+
+def _fraction_exp_factor(dual, primal, bound: int, left_kind: str) -> dict:
+    # the Fraction-valued exponential, sum_k (dual^{*k} / k!) (x) primal^k
+    # built from TensorPolynomial.tensor of the powers; the oracle for the
+    # integer `_exp_factor`
+    m = dual.max_weight()
+    terms = {(Word(), Word()): Fraction(1)}
+    dual_pow = primal_pow = NCPolynomial.one()
+    k = 0
+    while (k + 1) * m <= bound:
+        k += 1
+        dual_pow = product(dual_pow, dual, left_kind)
+        primal_pow = primal_pow * primal
+        pow_terms = TensorPolynomial.tensor(dual_pow, primal_pow).terms
+        add_into(terms, pow_terms.items(), Fraction(1, factorial(k)))
+    return terms
+
+
+def test_exp_factor_matches_the_fraction_oracle():
+    for pair in PAIRS:
+        dual, primal, kind = bases.PAIRS[pair]
+        for l in lyndon_up_to(5):
+            values = [bases.basis_element(f, l).value for f in (dual, primal)]
+            got = _exp_factor(*values, 5, kind)
+            assert got.terms == _fraction_exp_factor(*values, 5, kind), (pair, l)
+            _assert_canonical(got)
+
+
+@pytest.mark.parametrize(
+    "dual, primal",
+    [
+        (NCPolynomial.zero(), NCPolynomial.zero()),
+        (NCPolynomial({(1,): 1, (2,): 1}), NCPolynomial.word((1,))),
+        (NCPolynomial.word((1,)), NCPolynomial({(1,): 1, (2,): 1})),
+        (NCPolynomial.word((1,)), NCPolynomial.word((2,))),
+        (NCPolynomial.word((1,)), NCPolynomial.zero()),
+        (NCPolynomial.one(), NCPolynomial.one()),
+    ],
+    ids=["zero", "mixed dual", "mixed primal", "unequal weights", "zero primal", "weight 0"],
+)
+def test_exp_factor_rejects_inputs_that_are_not_homogeneous_of_one_weight(dual, primal):
+    # a zero or weight-0 input used to loop forever, a mixed-weight dual
+    # silently dropped its powers
+    with pytest.raises(ValueError):
+        _exp_factor(dual, primal, 3, "stuffle")
+
+
+def test_terms_are_read_only_and_built_once():
+    s = factorized_product(3, "stuffle")
+    key = (Word(), Word())
+    with pytest.raises(TypeError):
+        s.terms[key] = Fraction(2)
+    with pytest.raises(TypeError):
+        del s.terms[key]
+    assert s.terms is s.terms
+    assert s == diagonal(3, "stuffle") and s.coeff(Word(), Word()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["--max-weight", "3", "--pair", "stuffle"], "factorize_w3_stuffle_negative.txt"),
+        (["--max-weight", "4", "--pair", "L", "--format", "json"], "factorize_w4_L_negative.json"),
+    ],
+)
+def test_negative_control_output_is_pinned(capsys, argv, golden):
+    # the negative controls are the chain's only outputs with non-integral
+    # coefficients; the files were written before the integer product
+    assert cli.main(["factorize", *argv, "--negative-control"]) == 1
+    assert capsys.readouterr().out == (DATA / golden).read_text()
+
+
+def test_swapped_left_product_is_pinned():
+    got = factorized_product(3, "stuffle", left_kind="shuffle").terms
+    keys = sorted(got, key=lambda k: (sort_key(k[0]), sort_key(k[1])))
+    lines = [f"({word_str(u)}) (x) ({word_str(v)}): {got[(u, v)]}\n" for u, v in keys]
+    assert "".join(lines) == (DATA / "factorized_w3_stuffle_left_shuffle.txt").read_text()
 
 
 
