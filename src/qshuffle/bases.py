@@ -29,10 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from .lyndon import is_lyndon, lyndon_factorization, standard_factorization
-from .ncpoly import NCPolynomial, _word_coproduct, add_into
+from .ncpoly import NCPolynomial, _word_coproduct
 from .words import Word, compositions_of, stats, words_of_weight
 
 
@@ -57,19 +57,18 @@ def _iterated(letters: tuple, k: int, primitive: bool) -> NCPolynomial:
     f = _pi1_word if primitive else NCPolynomial.word
     if k == 1:
         return f(letters)
-    out: dict[Word, Fraction] = {}
-    for (u, v), n in _word_coproduct(letters, "stuffle"):
-        if u and v:
-            add_into(out, (f(u) * _iterated(v, k - 1, primitive)).terms.items(), n)
-    return NCPolynomial._raw(out)
+    return NCPolynomial._sum(
+        (f(u) * _iterated(v, k - 1, primitive), n)
+        for (u, v), n in _word_coproduct(letters, "stuffle")
+        if u and v
+    )
 
 
 def _sum_iterated(letters: tuple, primitive: bool, coeff) -> NCPolynomial:
     # sum_k coeff(k) _iterated(w, k, primitive); a k-tuple needs k <= weight
-    out: dict[Word, Fraction] = {}
-    for k in range(1, sum(letters) + 1):
-        add_into(out, _iterated(letters, k, primitive).terms.items(), coeff(k))
-    return NCPolynomial._raw(out)
+    return NCPolynomial._sum(
+        (_iterated(letters, k, primitive), coeff(k)) for k in range(1, sum(letters) + 1)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -85,10 +84,7 @@ def pi1(p: NCPolynomial | Word) -> NCPolynomial:
     extended linearly from words."""
     if isinstance(p, Word):
         return _pi1_word(p.letters)
-    out: dict[Word, Fraction] = {}
-    for w, c in p.terms.items():
-        add_into(out, _pi1_word(w.letters).terms.items(), c)
-    return NCPolynomial._raw(out)
+    return NCPolynomial._sum((_pi1_word(w), n) for w, n in p._nums.items()) / p._den
 
 
 def pi1_inverse_check(w: Word) -> bool:
@@ -108,10 +104,7 @@ def _x_list(n_max: int) -> tuple[NCPolynomial, ...]:
     # multiplicative inverse of 1 + sum y_n t^n.
     xs = [NCPolynomial.one()]
     for n in range(1, n_max + 1):
-        total = NCPolynomial.zero()
-        for i in range(1, n + 1):
-            total = total + _y(i) * xs[n - i]
-        xs.append(-total)
+        xs.append(NCPolynomial._sum((_y(i) * xs[n - i], -1) for i in range(1, n + 1)))
     return tuple(xs)
 
 
@@ -127,11 +120,11 @@ def _lr_list(n_max: int, side: str) -> tuple[NCPolynomial, ...]:
     xs = _x_list(n_max)
     out = []
     for n in range(1, n_max + 1):
-        total = NCPolynomial.zero()
+        pieces = []
         for i in range(n):
             y, x = _y(i + 1), xs[n - 1 - i]
-            total = total + (y * x if side == "L" else x * y) * (i + 1)
-        out.append(total)
+            pieces.append((y * x if side == "L" else x * y, i + 1))
+        out.append(NCPolynomial._sum(pieces))
     return tuple(out)
 
 
@@ -229,25 +222,29 @@ def _dual_table(n: int, family: str) -> dict[Word, NCPolynomial]:
     elements.  A primal row that breaks triangularity raises ArithmeticError.
     """
     (primal,) = (p for d, p, _ in PAIRS.values() if d == family)
-    listed = words_of_weight(n)
-    words = sorted(listed, key=lambda w: (len(w), w))
+    listed = [w.letters for w in words_of_weight(n)]
+    words = sorted(listed, key=lambda w: (len(w), Word._raw(w)))
     pos = {w: i for i, w in enumerate(words)}
-    inverse_rows: dict[Word, dict[Word, Fraction]] = {}
+    inverse_rows: dict[tuple, NCPolynomial] = {}
     for u in reversed(words):
-        row = _element(primal, u).terms
-        diag = row.get(u)
-        if not diag or any(pos.get(x, -1) < pos[u] for x in row):
-            raise ArithmeticError(f"{primal} is not triangular at {u} in the duality solve")
-        acc = {u: Fraction(1)}
-        for x, a in row.items():
-            if x != u:
-                add_into(acc, inverse_rows[x].items(), -a)
-        inverse_rows[u] = {v: c / diag for v, c in acc.items()}
-    columns: dict[Word, dict[Word, Fraction]] = {v: {} for v in listed}
+        # with A_ux = a_x / d: C_u = (d e_u - sum_{x > u} a_x C_x) / a_u
+        row = _element(primal, Word._raw(u))
+        diag = row._nums.get(u)
+        if not diag or any(pos.get(x, -1) < pos[u] for x in row._nums):
+            raise ArithmeticError(
+                f"{primal} is not triangular at {Word._raw(u)} in the duality solve"
+            )
+        pieces = [(inverse_rows[x], -a) for x, a in row._nums.items() if x != u]
+        pieces.append((NCPolynomial.word(u), row._den))
+        inverse_rows[u] = NCPolynomial._sum(pieces) / diag
+    # column v of C over the common denominator of its rows
+    den = lcm(*(c._den for c in inverse_rows.values()))
+    columns: dict[tuple, dict[tuple, int]] = {v: {} for v in listed}
     for u in listed:
-        for v, c in inverse_rows[u].items():
-            columns[v][u] = c
-    return {v: NCPolynomial._raw(terms) for v, terms in columns.items()}
+        c = inverse_rows[u]
+        for v, m in c._nums.items():
+            columns[v][u] = m * (den // c._den)
+    return {Word._raw(v): NCPolynomial._from(nums, den) for v, nums in columns.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -384,13 +381,12 @@ class TSeries:
         if not isinstance(other, TSeries):
             return TSeries({d: p * other for d, p in self.coeffs.items()}, self.bound)
         bound = min(self.bound, other.bound)
-        out: dict[int, NCPolynomial] = {}
+        pieces: dict[int, list] = {}
         for d1, p1 in self.coeffs.items():
             for d2, p2 in other.coeffs.items():
-                d = d1 + d2
-                if d <= bound:
-                    out[d] = out.get(d, NCPolynomial.zero()) + p1 * p2
-        return TSeries(out, bound)
+                if d1 + d2 <= bound:
+                    pieces.setdefault(d1 + d2, []).append((p1 * p2, 1))
+        return TSeries({d: NCPolynomial._sum(ps) for d, ps in pieces.items()}, bound)
 
     def __rmul__(self, scalar) -> "TSeries":
         return TSeries({d: p * scalar for d, p in self.coeffs.items()}, self.bound)

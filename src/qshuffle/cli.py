@@ -214,7 +214,7 @@ def _check_duality(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
             primals = [bases.basis_element(primal, u).value for u in ws]
             for family, values in ((primal, primals), (dual, duals)):
                 for w, value in zip(ws, values):
-                    if any(x.weight != n for x in value.terms):
+                    if not value.weights() <= {n}:
                         return False, f"{family} at {w} is not homogeneous of weight {n}"
             for u, pu in zip(ws, primals):
                 for v, dv in zip(ws, duals):
@@ -254,20 +254,14 @@ def _check_series(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
     xs = [NCPolynomial.one()] + bases.x_elements(d + 1)
     ys = [NCPolynomial.one()] + [NCPolynomial.word((n,)) for n in range(1, d + 2)]
     for n in range(1, d + 2):
-        left = NCPolynomial.zero()
-        right = NCPolynomial.zero()
-        for i in range(n + 1):
-            left = left + ys[i] * xs[n - i]
-            right = right + xs[i] * ys[n - i]
+        left = NCPolynomial._sum((ys[i] * xs[n - i], 1) for i in range(n + 1))
+        right = NCPolynomial._sum((xs[i] * ys[n - i], 1) for i in range(n + 1))
         if not left.is_zero() or not right.is_zero():
             return False, f"inverse-coefficient relation fails at n={n}"
     ls, rs = bases.l_elements(d + 1), bases.r_elements(d + 1)
     for n in range(1, d + 2):
-        s1 = NCPolynomial.zero()
-        s2 = NCPolynomial.zero()
-        for i in range(n):
-            s1 = s1 + ls[i] * ys[n - 1 - i]
-            s2 = s2 + ys[n - 1 - i] * rs[i]
+        s1 = NCPolynomial._sum((ls[i] * ys[n - 1 - i], 1) for i in range(n))
+        s2 = NCPolynomial._sum((ys[n - 1 - i] * rs[i], 1) for i in range(n))
         if s1 != ys[n] * n or s2 != ys[n] * n:
             return False, f"n y_n identity fails at n={n}"
     logy = bases.log_y_series(d)
@@ -523,7 +517,7 @@ def _within_cap(config: RunConfig, weight: int, what: str) -> None:
 
 
 def _element_within_cap(config: RunConfig, x, flag: str) -> None:
-    _within_cap(config, max(map(sum, x.terms), default=0), f"a composition in {flag}")
+    _within_cap(config, x.max_weight(), f"a composition in {flag}")
 
 
 def run_lyndon(config: RunConfig, out) -> int:

@@ -10,16 +10,20 @@ Lyndon words, largest first, of exp(dual_l (x) primitive_l)."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm
-from types import MappingProxyType
+from math import factorial
 
 from . import bases
 from .lyndon import lyndon_up_to
 from .ncpoly import (
     NCPolynomial,
-    _as_coeff,
+    TensorPolynomial,
+    _integral,
+    _letters,
+    _reduced,
     add_into,
     bilinear,
+    concat_words,
+    fraction_view,
     product,
     shuffle_words,
     stuffle_words,
@@ -32,31 +36,19 @@ PAIRS = tuple(bases.PAIRS)
 _LEFT_KERNELS = {"shuffle": shuffle_words, "stuffle": stuffle_words}
 
 
-def _concat(u: tuple, v: tuple) -> tuple:
-    return ((u + v, 1),)
-
-
-def _integral(items) -> tuple[dict, int]:
-    # (key, rational) pairs -> ({key: integer numerator}, common denominator);
-    # zero coefficients are dropped
-    items = [(key, c) for key, c in items if c]
-    den = lcm(*(c.denominator for _, c in items))
-    return {key: c.numerator * (den // c.denominator) for key, c in items}, den
-
-
 class GradedTensorSeries:
     """Finite (word, word) -> rational map truncated by weight on both sides;
     the left slot multiplies with `left_kind`, the right with concatenation.
 
-    The series is stored in one canonical integer form: buckets
-    {(left weight, right weight): {(left letters, right letters): numerator}}
-    over one positive common denominator, with no zero numerator, no empty
-    bucket, and gcd(denominator, numerators) = 1.  Both products are graded,
-    so `*` multiplies bucket pair (l1, r1), (l2, r2) into bucket
-    (l1 + l2, r1 + r2), skips the pairs above the bound, multiplies the
-    numerators as integers and reduces the product of the denominators once.
-    `==` compares the stored form; `.terms` is a read-only
-    (Word, Word) -> Fraction view, built on first read."""
+    The series holds the canonical form of the `ncpoly.Sparse` core, split
+    into buckets: {(left weight, right weight): {(left letters, right
+    letters): numerator}} over one positive common denominator, with no zero
+    numerator, no empty bucket, and gcd(denominator, numerators) = 1.  Both
+    products are graded, so `*` multiplies bucket pair (l1, r1), (l2, r2)
+    into bucket (l1 + l2, r1 + r2), skips the pairs above the bound,
+    multiplies the numerators as integers and reduces the product of the
+    denominators once.  `==` compares the stored form; `.terms` is a
+    read-only (Word, Word) -> Fraction view, built on first read."""
 
     __slots__ = ("_buckets", "_den", "_terms", "bound", "left_kind")
 
@@ -64,46 +56,32 @@ class GradedTensorSeries:
         if left_kind not in _LEFT_KERNELS:
             raise ValueError(f"left_kind must be shuffle or stuffle, got {left_kind!r}")
         nums, den = _integral(
-            ((u.letters, v.letters), _as_coeff(c))
+            ((_letters(u), _letters(v)), c)
             for (u, v), c in (terms or {}).items()
             if max(u.weight, v.weight) <= bound
         )
         buckets: dict = {}
         for (u, v), n in nums.items():
             buckets.setdefault((sum(u), sum(v)), {})[(u, v)] = n
-        self._store(buckets, den, bound, left_kind)
+        self._set(buckets, den, bound, left_kind)
 
-    @classmethod
-    def _make(cls, buckets: dict, den: int, bound: int, left_kind: str) -> "GradedTensorSeries":
+    def _set(self, buckets: dict, den: int, bound: int, left_kind: str) -> "GradedTensorSeries":
         # buckets hold no zero numerator but may be empty or share a factor
         # with den; left_kind is already valid
-        s = cls.__new__(cls)
-        s._store(buckets, den, bound, left_kind)
-        return s
-
-    def _store(self, buckets: dict, den: int, bound: int, left_kind: str) -> None:
-        buckets = {b: t for b, t in buckets.items() if t}
-        g = den
-        for t in buckets.values():
-            if g == 1:
-                break
-            g = gcd(g, *t.values())
-        if g > 1:
-            buckets = {b: {k: n // g for k, n in t.items()} for b, t in buckets.items()}
-        self._buckets, self._den, self._terms = buckets, den // g, None
+        keys = [b for b, t in buckets.items() if t]
+        parts, self._den = _reduced([buckets[b] for b in keys], den)
+        self._buckets, self._terms = dict(zip(keys, parts)), None
         self.bound, self.left_kind = bound, left_kind
+        return self
 
     @classmethod
     def unit(cls, bound: int, left_kind: str) -> "GradedTensorSeries":
         return cls({(Word(), Word()): 1}, bound, left_kind)
 
     @property
-    def terms(self) -> MappingProxyType:
+    def terms(self):
         if self._terms is None:
-            raw, den = Word._raw, self._den
-            self._terms = MappingProxyType(
-                {(raw(u), raw(v)): Fraction(n, den) for (u, v), n in self._flat().items()}
-            )
+            self._terms = fraction_view(self._flat().items(), self._den, TensorPolynomial._label)
         return self._terms
 
     def _flat(self) -> dict[tuple[tuple, tuple], int]:
@@ -129,7 +107,8 @@ class GradedTensorSeries:
                 if l1 + l2 <= bound and r1 + r2 <= bound:
                     bucket = out.setdefault((l1 + l2, r1 + r2), {})
                     add_into(bucket, bilinear(p, q, pair_kernel).items())
-        return GradedTensorSeries._make(out, self._den * other._den, bound, self.left_kind)
+        blank = GradedTensorSeries.__new__(GradedTensorSeries)
+        return blank._set(out, self._den * other._den, bound, self.left_kind)
 
     def __eq__(self, other) -> bool:
         return (
@@ -164,7 +143,7 @@ def diagonal(max_weight: int, side: str) -> GradedTensorSeries:
 
 
 def _homogeneous_weight(p: NCPolynomial) -> int | None:
-    weights = {w.weight for w in p.terms}
+    weights = p.weights()
     return weights.pop() if len(weights) == 1 else None
 
 
@@ -175,29 +154,29 @@ def _exp_factor(
     `bound`; * is the `left_kind` product, primal^k a concatenation power.
 
     dual and primal must be nonzero and homogeneous of one weight m >= 1, so
-    the k-th piece lands in bucket (k m, k m) and k <= K = bound // m.  Each
-    is turned into integer numerators over its own denominator (d, e) once;
-    the powers run on letter tuples, and the factor is built over the common
-    denominator K! (d e)^K, which `_make` reduces."""
+    the k-th piece lands in bucket (k m, k m) and k <= K = bound // m.  The
+    powers run on their stored integer numerators (over d and e) and letter
+    tuples, and the factor is built over the common denominator K! (d e)^K,
+    reduced once."""
     m = _homogeneous_weight(dual)
     if not m or _homogeneous_weight(primal) != m:
         raise ValueError(
             "exp factor needs dual and primal nonzero and homogeneous of one weight >= 1"
         )
     kernel = _LEFT_KERNELS[left_kind]
-    a, d = _integral((w.letters, c) for w, c in dual.terms.items())
-    b, e = _integral((w.letters, c) for w, c in primal.terms.items())
+    a, d = dual._nums, dual._den
+    b, e = primal._nums, primal._den
     top = bound // m
     den = factorial(top) * (d * e) ** top
     buckets = {(0, 0): {((), ()): den}}
     a_pow, b_pow = {(): 1}, {(): 1}
     for k in range(1, top + 1):
-        a_pow, b_pow = bilinear(a_pow, a, kernel), bilinear(b_pow, b, _concat)
+        a_pow, b_pow = bilinear(a_pow, a, kernel), bilinear(b_pow, b, concat_words)
         scale = factorial(top) // factorial(k) * (d * e) ** (top - k)
         buckets[(k * m, k * m)] = {
             (u, v): scale * x * y for u, x in a_pow.items() for v, y in b_pow.items()
         }
-    return GradedTensorSeries._make(buckets, den, bound, left_kind)
+    return GradedTensorSeries.__new__(GradedTensorSeries)._set(buckets, den, bound, left_kind)
 
 
 def lyndon_decreasing(max_weight: int) -> list[Word]:

@@ -4,27 +4,29 @@ coefficients.
 Carries the three products (concatenation, shuffle, quasi-shuffle), the four
 coproducts (deconcatenation, shuffle, quasi-shuffle, and the letterwise
 contraction coproduct), the counit, the word pairing, and weight-truncated
-exp/log.  Coefficients are `fractions.Fraction`, so everything is exact.
+exp/log.
+
+Every sparse container of the package stands on `Sparse`, the one
+coefficient core: tuple keys map to integer numerators over one positive
+denominator, reduced so that no numerator is zero and the gcd of the
+denominator and all numerators is 1.  The structure constants of all three
+products are nonnegative integers, so products, coproducts, sums and
+pairings run on ints.  `fractions.Fraction` values appear only where a
+value is read through `.terms`, `coeff` or a pairing; everything is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .words import Word, parse_coeff, sort_key, word_str
+from .words import Word, parse_coeff, signed_str, signed_terms, sort_key, word_str
 
 PRODUCT_KINDS = ("concat", "shuffle", "stuffle")
 COPRODUCT_KINDS = ("concat", "shuffle", "stuffle", "plus")
-
-
-def _as_word(w) -> Word:
-    return w if isinstance(w, Word) else Word(w)
-
-
-def _as_coeff(c) -> Fraction:
-    return c if isinstance(c, Fraction) else Fraction(c)
 
 
 def add_into(out: dict, items: Iterable, scale: Fraction | None = None) -> dict:
@@ -60,88 +62,187 @@ def bilinear(p: Mapping, q: Mapping, kernel) -> dict:
     return out
 
 
-def dot(a: Mapping, b: Mapping) -> Fraction:
-    """Sum over shared keys of the coefficient products."""
-    small, large = (a, b) if len(a) <= len(b) else (b, a)
-    total = Fraction(0)
-    for k, c in small.items():
-        d = large.get(k)
-        if d:
-            total += c * d
-    return total
+# ---------------------------------------------------------------------------
+# the coefficient core
+# ---------------------------------------------------------------------------
+
+def _coeff(c) -> int | Fraction:
+    # the one coefficient coercion: exact values only
+    if isinstance(c, (int, Fraction)):
+        return c
+    if isinstance(c, str):
+        return parse_coeff(c)
+    raise TypeError(f"coefficients must be int or Fraction, got {type(c).__name__}")
 
 
-class NCPolynomial:
-    """Finite word -> rational map; zero coefficients are never stored."""
+def _letters(w) -> tuple:
+    # a word or a composition as its validated tuple of parts >= 1
+    return w.letters if type(w) is Word else Word(w).letters
 
-    __slots__ = ("terms",)
+
+def _integral(items) -> tuple[dict, int]:
+    """(key, coefficient) pairs -> ({key: integer numerator}, common
+    denominator); repeated keys add up and zero totals are dropped.  The
+    result is not reduced."""
+    pairs = [(k, _coeff(c)) for k, c in items]
+    den = lcm(*(c.denominator for _, c in pairs))
+    return add_into({}, ((k, c.numerator * (den // c.denominator)) for k, c in pairs)), den
+
+
+def _reduced(maps: list[dict], den: int) -> tuple[list[dict], int]:
+    """Divides den and every numerator of the maps by their gcd."""
+    g = den
+    for m in maps:
+        if g == 1:
+            return maps, den
+        g = gcd(g, *m.values())
+    if g == 1:
+        return maps, den
+    return [{k: n // g for k, n in m.items()} for m in maps], den // g
+
+
+def _lincomb(pairs) -> tuple[dict, int]:
+    """The sum of c·x over (x, c) pairs, with x a core value and c an int or
+    Fraction, as (numerators, denominator); not reduced."""
+    pairs = [(x, c) for x, c in pairs if x._nums and c]
+    den = lcm(*(x._den * c.denominator for x, c in pairs))
+    out: dict = {}
+    for x, c in pairs:
+        f = c.numerator * (den // (x._den * c.denominator))
+        if out:
+            add_into(out, x._nums.items(), f)
+        else:
+            out = dict(x._nums) if f == 1 else {k: n * f for k, n in x._nums.items()}
+    return out, den
+
+
+def fraction_view(items, den: int, label=lambda k: k) -> MappingProxyType:
+    """Read-only label(key) -> Fraction(numerator, den) map of the items."""
+    return MappingProxyType({label(k): Fraction(n, den) for k, n in items})
+
+
+class Sparse:
+    """The coefficient core: tuple key -> integer numerator over one positive
+    denominator, in reduced form.  Values never change after construction;
+    `.terms` is a read-only view of key -> Fraction, built on first read.
+
+    A subclass sets `_key` (an outside key -> the stored tuple, validating
+    it) and `_label` (a stored tuple -> the key shown in `.terms`), and
+    overrides `_like` when it carries more than its terms."""
+
+    __slots__ = ("_nums", "_den", "_terms")
+    _key = staticmethod(_letters)
+    _label = staticmethod(lambda k: k)
 
     def __init__(self, terms: Mapping | Iterable | None = None):
         items = terms.items() if isinstance(terms, Mapping) else terms or ()
-        self.terms = add_into({}, ((_as_word(w), _as_coeff(c)) for w, c in items))
+        key = self._key
+        self._set(*_integral((key(k), c) for k, c in items))
+
+    def _set(self, nums: dict, den: int) -> None:
+        # nums holds no zero numerator; den > 0 may share a factor with it
+        (self._nums,), self._den = _reduced([nums], den)
+        self._terms = None
 
     @classmethod
-    def _raw(cls, terms: dict) -> "NCPolynomial":
-        # terms must already be clean: Word keys, nonzero Fraction values
-        p = cls.__new__(cls)
-        p.terms = terms
-        return p
+    def _from(cls, nums: dict, den: int = 1):
+        out = cls.__new__(cls)
+        out._set(nums, den)
+        return out
+
+    @classmethod
+    def _sum(cls, pairs):
+        """sum c·x over (x, c) pairs of values of this class."""
+        return cls._from(*_lincomb(pairs))
+
+    def _like(self, nums: dict, den: int):
+        # a value of this type and with this value's other attributes
+        return self._from(nums, den)
+
+    @property
+    def terms(self) -> MappingProxyType:
+        if self._terms is None:
+            self._terms = fraction_view(self._nums.items(), self._den, self._label)
+        return self._terms
+
+    def coeff(self, key) -> Fraction:
+        return Fraction(self._nums.get(self._key(key), 0), self._den)
+
+    def is_zero(self) -> bool:
+        return not self._nums
+
+    def max_weight(self) -> int:
+        return max(map(sum, self._nums), default=0)
+
+    def _sorted_keys(self) -> list[tuple]:
+        # by (weight, parts)
+        return sorted(self._nums, key=lambda k: (sum(k), k))
+
+    def __add__(self, other):
+        return self._like(*_lincomb(((self, 1), (other, 1))))
+
+    def __sub__(self, other):
+        return self._like(*_lincomb(((self, 1), (other, -1))))
+
+    def __neg__(self):
+        return self._like({k: -n for k, n in self._nums.items()}, self._den)
+
+    def _scaled(self, c):
+        c = _coeff(c)
+        a = c.numerator
+        return self._like({k: n * a for k, n in self._nums.items()} if a else {}, self._den * c.denominator)
+
+    def __mul__(self, c):
+        return self._scaled(c)
+
+    def __rmul__(self, c):
+        return self._scaled(c)
+
+    def __truediv__(self, c):
+        return self._scaled(1 / Fraction(_coeff(c)))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, type(self)) and self._den == other._den and self._nums == other._nums
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({str(self)!r})"
+
+
+class NCPolynomial(Sparse):
+    """Finite word -> rational map; `.terms` is keyed by `Word`."""
+
+    __slots__ = ()
+    _label = staticmethod(Word._raw)
 
     @classmethod
     def zero(cls) -> "NCPolynomial":
-        return cls()
+        return cls._from({})
 
     @classmethod
     def one(cls) -> "NCPolynomial":
-        return cls({Word(): 1})
+        return cls._from({(): 1})
 
     @classmethod
     def word(cls, w, coeff=1) -> "NCPolynomial":
-        return cls({_as_word(w): coeff})
-
-    def coeff(self, w) -> Fraction:
-        return self.terms.get(_as_word(w), Fraction(0))
+        c = _coeff(coeff)
+        return cls._from({_letters(w): c.numerator} if c else {}, c.denominator)
 
     def counit(self) -> Fraction:
-        return self.terms.get(Word(), Fraction(0))
+        return self.coeff(())
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def max_weight(self) -> int:
-        return max((w.weight for w in self.terms), default=0)
+    def weights(self) -> set[int]:
+        return set(map(sum, self._nums))
 
     def support(self) -> list[Word]:
-        return sorted(self.terms, key=sort_key)
+        return [Word._raw(k) for k in self._sorted_keys()]
 
     def truncate(self, max_weight: int) -> "NCPolynomial":
-        return NCPolynomial({w: c for w, c in self.terms.items() if w.weight <= max_weight})
-
-    def __add__(self, other: "NCPolynomial") -> "NCPolynomial":
-        return NCPolynomial._raw(add_into(dict(self.terms), other.terms.items()))
-
-    def __sub__(self, other: "NCPolynomial") -> "NCPolynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "NCPolynomial":
-        return NCPolynomial._raw({w: -c for w, c in self.terms.items()})
+        return self._from({k: n for k, n in self._nums.items() if sum(k) <= max_weight}, self._den)
 
     def __mul__(self, other):
         if isinstance(other, NCPolynomial):
             return product(self, other, "concat")
         return self._scaled(other)
-
-    def __rmul__(self, scalar):
-        return self._scaled(scalar)
-
-    def __truediv__(self, scalar):
-        return self._scaled(Fraction(1, 1) / _as_coeff(scalar))
-
-    def _scaled(self, scalar) -> "NCPolynomial":
-        scalar = _as_coeff(scalar)
-        if not scalar:
-            return NCPolynomial()
-        return NCPolynomial._raw({w: c * scalar for w, c in self.terms.items()})
 
     def shuffle(self, other: "NCPolynomial") -> "NCPolynomial":
         return product(self, other, "shuffle")
@@ -149,19 +250,24 @@ class NCPolynomial:
     def stuffle(self, other: "NCPolynomial") -> "NCPolynomial":
         return product(self, other, "stuffle")
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, NCPolynomial) and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        return f"NCPolynomial({poly_str(self)!r})"
-
     def __str__(self) -> str:
         return poly_str(self)
+
+
+def dot(a: Sparse, b: Sparse) -> Fraction:
+    """Sum over shared keys of the coefficient products."""
+    small, large = (a._nums, b._nums) if len(a._nums) <= len(b._nums) else (b._nums, a._nums)
+    get = large.get
+    return Fraction(sum(n * get(k, 0) for k, n in small.items()), a._den * b._den)
 
 
 # ---------------------------------------------------------------------------
 # word-level product kernels (cached; coefficients are plain ints)
 # ---------------------------------------------------------------------------
+
+def concat_words(u: tuple, v: tuple) -> tuple:
+    return ((u + v, 1),)
+
 
 @lru_cache(maxsize=None)
 def shuffle_words(u: tuple, v: tuple) -> tuple:
@@ -193,83 +299,44 @@ def stuffle_words(u: tuple, v: tuple) -> tuple:
     return tuple(out.items())
 
 
-def _on_words(kernel):
-    # kernel outputs are concatenations of valid words, so skip re-validation
-    raw = Word._raw
-    return lambda u, v: [(raw(w), n) for w, n in kernel(u.letters, v.letters)]
-
-
-_PRODUCT_KERNELS = {
-    "concat": lambda u, v: ((u * v, 1),),
-    "shuffle": _on_words(shuffle_words),
-    "stuffle": _on_words(stuffle_words),
-}
+_PRODUCT_KERNELS = {"concat": concat_words, "shuffle": shuffle_words, "stuffle": stuffle_words}
 
 
 def product(p: NCPolynomial, q: NCPolynomial, kind: str) -> NCPolynomial:
     """Bilinear extension of the word-level product of the given kind."""
     if kind not in PRODUCT_KINDS:
         raise ValueError(f"unknown product kind {kind!r}")
-    return NCPolynomial._raw(bilinear(p.terms, q.terms, _PRODUCT_KERNELS[kind]))
+    return NCPolynomial._from(bilinear(p._nums, q._nums, _PRODUCT_KERNELS[kind]), p._den * q._den)
 
 
 # ---------------------------------------------------------------------------
 # tensors and coproducts
 # ---------------------------------------------------------------------------
 
-class TensorPolynomial:
-    """Finite (word, word) -> rational map."""
+def _word_pair(k) -> tuple[tuple, tuple]:
+    return _letters(k[0]), _letters(k[1])
 
-    __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping | Iterable | None = None):
-        items = terms.items() if isinstance(terms, Mapping) else terms or ()
-        self.terms = add_into(
-            {}, (((_as_word(u), _as_word(v)), _as_coeff(c)) for (u, v), c in items)
-        )
+class TensorPolynomial(Sparse):
+    """Finite (word, word) -> rational map; `.terms` is keyed by
+    (Word, Word)."""
 
-    @classmethod
-    def _raw(cls, terms: dict) -> "TensorPolynomial":
-        # terms must already be clean: (Word, Word) keys, nonzero Fraction values
-        t = cls.__new__(cls)
-        t.terms = terms
-        return t
+    __slots__ = ()
+    _key = staticmethod(_word_pair)
+    _label = staticmethod(lambda k: (Word._raw(k[0]), Word._raw(k[1])))
 
     @classmethod
     def tensor(cls, p: NCPolynomial, q: NCPolynomial) -> "TensorPolynomial":
-        return cls._raw(bilinear(p.terms, q.terms, lambda u, v: (((u, v), 1),)))
+        return cls._from(bilinear(p._nums, q._nums, lambda u, v: (((u, v), 1),)), p._den * q._den)
 
     def coeff(self, u, v) -> Fraction:
-        return self.terms.get((_as_word(u), _as_word(v)), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "TensorPolynomial") -> "TensorPolynomial":
-        return TensorPolynomial._raw(add_into(dict(self.terms), other.terms.items()))
-
-    def __sub__(self, other: "TensorPolynomial") -> "TensorPolynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "TensorPolynomial":
-        return TensorPolynomial._raw({k: -c for k, c in self.terms.items()})
-
-    def __rmul__(self, scalar) -> "TensorPolynomial":
-        scalar = _as_coeff(scalar)
-        return TensorPolynomial._raw(
-            {k: c * scalar for k, c in self.terms.items()} if scalar else {}
-        )
+        return super().coeff((u, v))
 
     def __mul__(self, other):
         # componentwise concatenation; the product of the tensor-square algebra
         if not isinstance(other, TensorPolynomial):
-            return self.__rmul__(other)
-        return TensorPolynomial._raw(
-            bilinear(self.terms, other.terms, lambda a, b: (((a[0] * b[0], a[1] * b[1]), 1),))
-        )
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TensorPolynomial) and self.terms == other.terms
+            return self._scaled(other)
+        return self._from(bilinear(self._nums, other._nums, concat_pairs), self._den * other._den)
 
     def __repr__(self) -> str:
         items = sorted(self.terms.items(), key=lambda kv: (sort_key(kv[0][0]), sort_key(kv[0][1])))
@@ -312,31 +379,25 @@ def coproduct(p: NCPolynomial, kind: str) -> TensorPolynomial:
     """
     if kind not in COPRODUCT_KINDS:
         raise ValueError(f"unknown coproduct kind {kind!r}")
-    raw = Word._raw
-    out: dict[tuple[Word, Word], Fraction] = {}
-    for w, c in p.terms.items():
-        ls = w.letters
+    out: dict[tuple[tuple, tuple], int] = {}
+    for ls, n in p._nums.items():
         if kind == "concat":
-            items = [((raw(ls[:i]), raw(ls[i:])), 1) for i in range(len(ls) + 1)]
+            items = [((ls[:i], ls[i:]), 1) for i in range(len(ls) + 1)]
         elif kind == "plus":
             if len(ls) != 1:
                 raise ValueError(
-                    f"the contraction coproduct is only defined on letters, got {word_str(w)!r}"
+                    f"the contraction coproduct is only defined on letters, got {word_str(ls)!r}"
                 )
-            items = [((raw((i,)), raw((ls[0] - i,))), 1) for i in range(1, ls[0])]
+            items = [(((i,), (ls[0] - i,)), 1) for i in range(1, ls[0])]
         else:
-            items = [((raw(u), raw(v)), n) for (u, v), n in _word_coproduct(ls, kind)]
-        add_into(out, items, c)
-    return TensorPolynomial._raw(out)
+            items = _word_coproduct(ls, kind)
+        add_into(out, items, n)
+    return TensorPolynomial._from(out, p._den)
 
 
 def pairing(p: NCPolynomial, q: NCPolynomial) -> Fraction:
     """Word-basis bilinear form: sum over words of the coefficient products."""
-    return dot(p.terms, q.terms)
-
-
-def pairing_tensor(s: TensorPolynomial, t: TensorPolynomial) -> Fraction:
-    return dot(s.terms, t.terms)
+    return dot(p, q)
 
 
 def is_primitive(p: NCPolynomial, kind: str) -> bool:
@@ -395,49 +456,19 @@ def log_trunc(q: NCPolynomial, max_weight: int) -> NCPolynomial:
 def poly_str(p: NCPolynomial) -> str:
     """Canonical text form, terms sorted by (weight, parts),
     e.g. "1 + 2·[1 1] + 1/2·[2]"."""
-    if p.is_zero():
-        return "0"
-    pieces = []
-    for w in p.support():
-        c = p.terms[w]
-        mag = -c if c < 0 else c
-        if len(w) == 0:
-            body = str(mag)
-        elif mag == 1:
-            body = f"[{' '.join(str(a) for a in w.letters)}]"
-        else:
-            body = f"{mag}·[{' '.join(str(a) for a in w.letters)}]"
-        if not pieces:
-            pieces.append(("-" if c < 0 else "") + body)
-        else:
-            pieces.append((" - " if c < 0 else " + ") + body)
-    return "".join(pieces)
+    return signed_str(
+        (p.terms[w], f"[{' '.join(map(str, w.letters))}]" if len(w) else "") for w in p.support()
+    )
 
 
 def parse_poly(s: str) -> NCPolynomial:
-    s = s.strip()
-    if not s or s == "0":
-        return NCPolynomial.zero()
-    tokens = s.replace(" - ", " + -").split(" + ")
     terms: list[tuple[Word, Fraction]] = []
-    for tok in tokens:
-        tok = tok.strip()
-        sign = 1
-        if tok.startswith("-"):
-            sign = -1
-            tok = tok[1:].strip()
-        if "·" in tok:
-            cs, ws = tok.split("·", 1)
-            coeff = parse_coeff(cs)
-        elif tok.startswith("["):
-            coeff, ws = Fraction(1), tok
-        else:
-            coeff, ws = parse_coeff(tok), None
-        if ws is None:
-            w = Word()
-        else:
-            inner = ws.strip().strip("[]").strip()
-            w = Word() if inner in ("", "e") else Word(int(x) for x in inner.split())
+    for sign, cs, ws in signed_terms(s):
+        coeff = Fraction(1) if cs is None else parse_coeff(cs)
+        if cs is None and not ws.startswith("["):
+            coeff, ws = parse_coeff(ws), ""
+        inner = ws.strip("[]").strip()
+        w = Word() if inner in ("", "e") else Word(int(x) for x in inner.split())
         terms.append((w, sign * coeff))
     return NCPolynomial(terms)
 

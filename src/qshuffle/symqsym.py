@@ -15,9 +15,22 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Mapping
 
-from .ncpoly import NCPolynomial, _as_coeff, add_into, bilinear, concat_pairs, dot, stuffle_words
+from .ncpoly import (
+    NCPolynomial,
+    Sparse,
+    _integral,
+    _lincomb,
+    add_into,
+    bilinear,
+    concat_pairs,
+    concat_words,
+    dot,
+    fraction_view,
+    stuffle_words,
+)
 from .words import (
     Composition,
     Word,
@@ -28,6 +41,8 @@ from .words import (
     parse_comp,
     refinements,
     relative_stats,
+    signed_str,
+    signed_terms,
     stats,
 )
 
@@ -35,20 +50,27 @@ SYM_BASES = ("S", "Lambda", "Psi", "Phi", "Rib")
 QSYM_BASES = ("M", "F")
 
 
-def _clean(terms) -> dict[Composition, Fraction]:
-    items = terms.items() if isinstance(terms, Mapping) else terms or ()
-    return add_into({}, ((tuple(int(p) for p in comp), _as_coeff(c)) for comp, c in items))
+class _CompositionIndexed(Sparse):
+    """Composition -> rational map in one basis; `.terms` is keyed by
+    composition tuples, whose parts must be >= 1."""
 
-
-class _CompositionIndexed:
-    __slots__ = ("terms", "basis")
+    __slots__ = ("basis",)
     _VALID: tuple[str, ...] = ()
 
     def __init__(self, terms=None, basis: str = ""):
         if basis not in self._VALID:
             raise ValueError(f"unknown basis {basis!r}; expected one of {self._VALID}")
-        self.terms = _clean(terms)
+        super().__init__(terms)
         self.basis = basis
+
+    @classmethod
+    def _in(cls, basis: str, nums: dict, den: int = 1):
+        out = cls._from(nums, den)
+        out.basis = basis
+        return out
+
+    def _like(self, nums: dict, den: int):
+        return self._in(self.basis, nums, den)
 
     @classmethod
     def single(cls, comp: Composition, basis: str, coeff=1):
@@ -62,120 +84,66 @@ class _CompositionIndexed:
     def zero(cls, basis: str):
         return cls({}, basis)
 
-    def coeff(self, comp: Composition) -> Fraction:
-        return self.terms.get(tuple(comp), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def max_weight(self) -> int:
-        return max((sum(c) for c in self.terms), default=0)
-
     def _check_same_basis(self, other):
         if self.basis != other.basis:
             raise ValueError(f"basis mismatch: {self.basis} vs {other.basis}")
 
     def __add__(self, other):
         self._check_same_basis(other)
-        return type(self)(add_into(dict(self.terms), other.terms.items()), self.basis)
+        return super().__add__(other)
 
     def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return type(self)({c: -v for c, v in self.terms.items()}, self.basis)
-
-    def __rmul__(self, scalar):
-        scalar = _as_coeff(scalar)
-        return type(self)({c: v * scalar for c, v in self.terms.items()} if scalar else {}, self.basis)
-
-    def __truediv__(self, scalar):
-        return self.__rmul__(Fraction(1, 1) / _as_coeff(scalar))
+        self._check_same_basis(other)
+        return super().__sub__(other)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, type(self))
-            and self.basis == other.basis
-            and self.terms == other.terms
-        )
+        return super().__eq__(other) and self.basis == other.basis
 
     def support(self) -> list[Composition]:
-        return sorted(self.terms, key=lambda c: (sum(c), c))
+        return self._sorted_keys()
 
     def __str__(self) -> str:
         return element_str(self)
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({element_str(self)!r})"
-
 
 class SymElement(_CompositionIndexed):
+    __slots__ = ()
     _VALID = SYM_BASES
 
     def __mul__(self, other):
         if not isinstance(other, SymElement):
-            return self.__rmul__(other)
+            return self._scaled(other)
         self._check_same_basis(other)
         if self.basis == "Rib":
             # ribbons are not multiplicative; route through the complete basis
             prod_s = convert(self, "S") * convert(other, "S")
             return convert(prod_s, "Rib")
-        concat = lambda a, b: ((a + b, 1),)
-        return SymElement(bilinear(self.terms, other.terms, concat), self.basis)
+        return self._like(bilinear(self._nums, other._nums, concat_words), self._den * other._den)
 
 
 class QSymElement(_CompositionIndexed):
+    __slots__ = ()
     _VALID = QSYM_BASES
 
     def __mul__(self, other):
         if not isinstance(other, QSymElement):
-            return self.__rmul__(other)
+            return self._scaled(other)
         return qsym_product(self, other)
 
 
 def element_str(x: _CompositionIndexed) -> str:
     """Canonical text form, e.g. "S:(1,1) - S:(2)"; the empty-composition
     term prints as a bare coefficient."""
-    if x.is_zero():
-        return "0"
-    pieces = []
-    for comp in x.support():
-        c = x.terms[comp]
-        mag = -c if c < 0 else c
-        if not comp:
-            body = str(mag)
-        elif mag == 1:
-            body = f"{x.basis}:{comp_str(comp)}"
-        else:
-            body = f"{mag}·{x.basis}:{comp_str(comp)}"
-        if not pieces:
-            pieces.append(("-" if c < 0 else "") + body)
-        else:
-            pieces.append((" - " if c < 0 else " + ") + body)
-    return "".join(pieces)
+    return signed_str((x.terms[c], f"{x.basis}:{comp_str(c)}" if c else "") for c in x.support())
 
 
 def parse_element(s: str, default_basis: str | None = None):
     """Parses "S:(1,2)", "2·M:(1) - 1/2·M:(2)", or untagged compositions
     like "(1,2)" when default_basis is given."""
-    s = s.strip()
     basis: str | None = None
     terms: list[tuple[Composition, Fraction]] = []
-    if not s or s == "0":
-        tokens = []
-    else:
-        tokens = s.replace(" - ", " + -").split(" + ")
-    for tok in tokens:
-        tok = tok.strip()
-        sign = 1
-        if tok.startswith("-"):
-            sign = -1
-            tok = tok[1:].strip()
-        coeff = Fraction(1)
-        if "·" in tok:
-            cs, tok = tok.split("·", 1)
-            coeff = parse_coeff(cs)
-            tok = tok.strip()
+    for sign, cs, tok in signed_terms(s):
+        coeff = Fraction(1) if cs is None else parse_coeff(cs)
         if ":" in tok:
             tag, comp_part = tok.split(":", 1)
             tag = tag.strip()
@@ -211,100 +179,78 @@ def element_to_json(x: _CompositionIndexed) -> dict:
 # mirror-statistics variants kept as oracles)
 # ---------------------------------------------------------------------------
 
-# Rows are ((target, coeff), ...).  refinements() and coarsenings() list each
-# composition once, so a row never repeats a target.
+# Rows are (((target, numerator), ...), denominator), for the change from a
+# basis to the hub basis (S or M) or back.  refinements() and coarsenings()
+# list each composition once, so a row never repeats a target.
 
-@lru_cache(maxsize=None)
-def _to_s_row(basis: str, comp: Composition) -> tuple:
-    if basis == "S":
-        return ((comp, Fraction(1)),)
-    if basis == "Rib":
-        # Rib_I = sum over coarser-or-equal J of (-1)^(l(I)-l(J)) S^J
-        return tuple((j, Fraction((-1) ** (len(comp) - len(j)))) for j in coarsenings(comp))
-    row = []
-    for j, _blocks in refinements(comp):
-        rel = relative_stats(j, comp)
-        if basis == "Lambda":
-            c = Fraction((-1) ** (len(j) - sum(comp)))
-        elif basis == "Psi":
-            c = Fraction((-1) ** (len(j) - len(comp))) * rel.lp
-        elif basis == "Phi":
-            c = Fraction((-1) ** (len(j) - len(comp))) * Fraction(stats(comp).pi, rel.l)
-        else:
-            raise ValueError(f"unknown basis {basis!r}")
-        row.append((j, c))
-    return tuple(row)
+def _row(items) -> tuple[tuple, int]:
+    nums, den = _integral(items)
+    return tuple(nums.items()), den
+
+
+# basis -> (coefficient of S^J in basis_I, of basis_J in S^I), J finer than I
+_REFINED = {
+    "Lambda": (lambda i, j, rel: (-1) ** (sum(i) - len(j)),) * 2,
+    "Psi": (
+        lambda i, j, rel: (-1) ** (len(j) - len(i)) * rel.lp,
+        lambda i, j, rel: Fraction(1, rel.pi_u),
+    ),
+    "Phi": (
+        lambda i, j, rel: (-1) ** (len(j) - len(i)) * Fraction(stats(i).pi, rel.l),
+        lambda i, j, rel: Fraction(1, rel.sp),
+    ),
+}
 
 
 @lru_cache(maxsize=None)
-def _from_s_row(basis: str, comp: Composition) -> tuple:
+def _s_row(basis: str, comp: Composition, to_hub: bool) -> tuple:
     if basis == "S":
-        return ((comp, Fraction(1)),)
+        return ((comp, 1),), 1
     if basis == "Rib":
+        # Rib_I = sum over coarser-or-equal J of (-1)^(l(I)-l(J)) S^J and
         # S^I = sum over coarser-or-equal J of Rib_J
-        return tuple((j, Fraction(1)) for j in coarsenings(comp))
-    row = []
-    for j, _blocks in refinements(comp):
-        rel = relative_stats(j, comp)
-        if basis == "Lambda":
-            c = Fraction((-1) ** (len(j) - sum(comp)))
-        elif basis == "Psi":
-            c = Fraction(1, rel.pi_u)
-        elif basis == "Phi":
-            c = Fraction(1, rel.sp)
-        else:
-            raise ValueError(f"unknown basis {basis!r}")
-        row.append((j, c))
-    return tuple(row)
+        return _row((j, (-1) ** (len(comp) - len(j)) if to_hub else 1) for j in coarsenings(comp))
+    if basis not in _REFINED:
+        raise ValueError(f"unknown basis {basis!r}")
+    coeff = _REFINED[basis][0 if to_hub else 1]
+    return _row((j, coeff(comp, j, relative_stats(j, comp))) for j, _ in refinements(comp))
 
 
 @lru_cache(maxsize=None)
-def _qsym_to_m_row(basis: str, comp: Composition) -> tuple:
+def _m_row(basis: str, comp: Composition, to_hub: bool) -> tuple:
     if basis == "M":
-        return ((comp, Fraction(1)),)
-    # F_J = sum over finer-or-equal I of M_I
-    return tuple((j, Fraction(1)) for j, _ in refinements(comp))
-
-
-@lru_cache(maxsize=None)
-def _qsym_from_m_row(basis: str, comp: Composition) -> tuple:
-    if basis == "M":
-        return ((comp, Fraction(1)),)
+        return ((comp, 1),), 1
+    # F_J = sum over finer-or-equal I of M_I and
     # M_I = sum over finer-or-equal J of (-1)^(l(J)-l(I)) F_J
-    return tuple(
-        (j, Fraction((-1) ** (len(j) - len(comp)))) for j, _ in refinements(comp)
-    )
+    return tuple((j, 1 if to_hub else (-1) ** (len(j) - len(comp))) for j, _ in refinements(comp)), 1
 
 
-def _apply_rows(terms: dict[Composition, Fraction], row_fn, basis: str):
-    out: dict[Composition, Fraction] = {}
-    for comp, c in terms.items():
-        add_into(out, row_fn(basis, comp), c)
-    return out
+def _apply_rows(x: _CompositionIndexed, row_fn, basis: str, to_hub: bool, target: str):
+    # sum over the terms n/d·I of x of n/d times row(I), over one denominator
+    rows = [(n, row_fn(basis, comp, to_hub)) for comp, n in x._nums.items()]
+    den = lcm(*(d for _, (_, d) in rows))
+    out: dict[Composition, int] = {}
+    for n, (row, d) in rows:
+        add_into(out, row, n * (den // d))
+    return type(x)._in(target, out, x._den * den)
+
+
+# element type -> (name, bases, hub basis, row function)
+_ROUTES = {SymElement: ("Sym", SYM_BASES, "S", _s_row), QSymElement: ("QSym", QSYM_BASES, "M", _m_row)}
 
 
 def convert(x: SymElement | QSymElement, target: str):
     """Exact basis change; non-S to non-S (and F/M) conversions route through
     the S (resp. M) basis."""
-    if isinstance(x, SymElement):
-        if target not in SYM_BASES:
-            raise ValueError(f"{target!r} is not a Sym basis")
-        if x.basis == target:
-            return x
-        in_s = x.terms if x.basis == "S" else _apply_rows(x.terms, _to_s_row, x.basis)
-        if target == "S":
-            return SymElement(in_s, "S")
-        return SymElement(_apply_rows(in_s, _from_s_row, target), target)
-    if isinstance(x, QSymElement):
-        if target not in QSYM_BASES:
-            raise ValueError(f"{target!r} is not a QSym basis")
-        if x.basis == target:
-            return x
-        in_m = x.terms if x.basis == "M" else _apply_rows(x.terms, _qsym_to_m_row, x.basis)
-        if target == "M":
-            return QSymElement(in_m, "M")
-        return QSymElement(_apply_rows(in_m, _qsym_from_m_row, target), target)
-    raise TypeError(f"cannot convert {type(x).__name__}")
+    if type(x) not in _ROUTES:
+        raise TypeError(f"cannot convert {type(x).__name__}")
+    name, valid, hub, row_fn = _ROUTES[type(x)]
+    if target not in valid:
+        raise ValueError(f"{target!r} is not a {name} basis")
+    if x.basis == target:
+        return x
+    in_hub = x if x.basis == hub else _apply_rows(x, row_fn, x.basis, True, hub)
+    return in_hub if target == hub else _apply_rows(in_hub, row_fn, target, False, target)
 
 
 # ---------------------------------------------------------------------------
@@ -358,15 +304,16 @@ def qsym_product(a: QSymElement, b: QSymElement) -> QSymElement:
     """Commutative quasi-shuffle product; inputs are converted to the
     monomial basis first, where M_I * M_J is the quasi-shuffle of I and J."""
     am, bm = convert(a, "M"), convert(b, "M")
-    return QSymElement(bilinear(am.terms, bm.terms, stuffle_words), "M")
+    return QSymElement._in("M", bilinear(am._nums, bm._nums, stuffle_words), am._den * bm._den)
 
 
-def sym_coproduct(x: SymElement) -> dict[tuple[Composition, Composition], Fraction]:
+def sym_coproduct(x: SymElement) -> Mapping[tuple[Composition, Composition], Fraction]:
     """Coproduct splitting each complete function S_n into sum S_i (x) S_{n-i},
-    extended multiplicatively.  Returned as an (S basis x S basis) tensor map."""
+    extended multiplicatively.  Returned as a read-only (S basis x S basis)
+    tensor map."""
     xs = convert(x, "S")
-    out: dict[tuple[Composition, Composition], Fraction] = {}
-    for comp, c in xs.terms.items():
+    out: dict[tuple[Composition, Composition], int] = {}
+    for comp, n in xs._nums.items():
         pairs: dict[tuple[Composition, Composition], int] = {((), ()): 1}
         for part in comp:
             # S_part -> sum_i S_i (x) S_{part-i}, where S_0 = 1 has the empty index
@@ -374,22 +321,23 @@ def sym_coproduct(x: SymElement) -> dict[tuple[Composition, Composition], Fracti
                 ((i,) if i else (), (part - i,) if i < part else ()): 1 for i in range(part + 1)
             }
             pairs = bilinear(pairs, split, concat_pairs)
-        add_into(out, pairs.items(), c)
-    return out
+        add_into(out, pairs.items(), n)
+    return fraction_view(out.items(), xs._den)
 
 
-def qsym_coproduct(x: QSymElement) -> dict[tuple[Composition, Composition], Fraction]:
-    """Deconcatenation of monomial indices, as an (M x M) tensor map."""
+def qsym_coproduct(x: QSymElement) -> Mapping[tuple[Composition, Composition], Fraction]:
+    """Deconcatenation of monomial indices, as a read-only (M x M) tensor
+    map."""
     xm = convert(x, "M")
-    out: dict[tuple[Composition, Composition], Fraction] = {}
-    for comp, c in xm.terms.items():
-        add_into(out, (((comp[:i], comp[i:]), c) for i in range(len(comp) + 1)))
-    return out
+    out: dict[tuple[Composition, Composition], int] = {}
+    for comp, n in xm._nums.items():
+        add_into(out, (((comp[:i], comp[i:]), n) for i in range(len(comp) + 1)))
+    return fraction_view(out.items(), xm._den)
 
 
 def pairing_ext(x: SymElement, y: QSymElement) -> Fraction:
     """<S^I, M_J> = delta, extended bilinearly after conversion."""
-    return dot(convert(x, "S").terms, convert(y, "M").terms)
+    return dot(convert(x, "S"), convert(y, "M"))
 
 
 # ---------------------------------------------------------------------------
@@ -400,56 +348,65 @@ def encode_S(p: NCPolynomial | Word) -> SymElement:
     """y_{i_1}...y_{i_k} -> S^(i_1,...,i_k), extended linearly."""
     if isinstance(p, Word):
         return SymElement.single(p.letters, "S")
-    return SymElement({w.letters: c for w, c in p.terms.items()}, "S")
+    return SymElement._in("S", p._nums, p._den)
 
 
 def encode_M(p: NCPolynomial | Word) -> QSymElement:
     """y_{i_1}...y_{i_k} -> M_(i_1,...,i_k), extended linearly."""
     if isinstance(p, Word):
         return QSymElement.single(p.letters, "M")
-    return QSymElement({w.letters: c for w, c in p.terms.items()}, "M")
+    return QSymElement._in("M", p._nums, p._den)
 
 
 def decode_S(x: SymElement) -> NCPolynomial:
     xs = convert(x, "S")
-    return NCPolynomial({Word(comp): c for comp, c in xs.terms.items()})
+    return NCPolynomial._from(xs._nums, xs._den)
 
 
 def decode_M(x: QSymElement) -> NCPolynomial:
     xm = convert(x, "M")
-    return NCPolynomial({Word(comp): c for comp, c in xm.terms.items()})
+    return NCPolynomial._from(xm._nums, xm._den)
 
 
 # ---------------------------------------------------------------------------
 # q-specialization on the geometric alphabet {q^n : n >= 0}
 # ---------------------------------------------------------------------------
 
-class QSeries:
-    """Truncated q-series with rational coefficients; exponents < bound."""
+class QSeries(Sparse):
+    """Truncated q-series with rational coefficients; exponents < bound.
+    `.terms` (also `.coeffs`) is keyed by exponent."""
 
-    __slots__ = ("coeffs", "bound")
+    __slots__ = ("bound",)
+    _key = staticmethod(int)
 
-    def __init__(self, coeffs: Mapping[int, Fraction] | None, bound: int):
+    def __init__(self, coeffs: Mapping | None, bound: int):
+        super().__init__((e, c) for e, c in (coeffs or {}).items() if 0 <= e < bound)
         self.bound = bound
-        self.coeffs: dict[int, Fraction] = add_into(
-            {}, ((e, _as_coeff(c)) for e, c in (coeffs or {}).items() if 0 <= e < bound)
-        )
+
+    @classmethod
+    def _in(cls, bound: int, nums: dict, den: int = 1) -> "QSeries":
+        out = cls._from({e: n for e, n in nums.items() if e < bound}, den)
+        out.bound = bound
+        return out
+
+    def _like(self, nums: dict, den: int) -> "QSeries":
+        return self._in(self.bound, nums, den)
+
+    @property
+    def coeffs(self) -> Mapping:
+        return self.terms
 
     @classmethod
     def one(cls, bound: int) -> "QSeries":
         return cls({0: Fraction(1)}, bound)
 
     def __add__(self, other: "QSeries") -> "QSeries":
-        bound = min(self.bound, other.bound)
-        return QSeries(add_into(dict(self.coeffs), other.coeffs.items()), bound)
+        return self._in(min(self.bound, other.bound), *_lincomb(((self, 1), (other, 1))))
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         bound = min(self.bound, other.bound)
         kernel = lambda e1, e2: ((e1 + e2, 1),) if e1 + e2 < bound else ()
-        return QSeries(bilinear(self.coeffs, other.coeffs, kernel), bound)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QSeries) and self.coeffs == other.coeffs
+        return self._in(bound, bilinear(self._nums, other._nums, kernel), self._den * other._den)
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -496,9 +453,9 @@ def hl_product(max_weight: int, q_bound: int) -> dict[Composition, QSeries]:
     (sum_i S_i q^(n i)), the factor with the largest exponent leftmost;
     factors beyond n >= q_bound only contribute 1 below the truncation.
     Returns the S^I coefficients as q-series."""
-    acc: dict[Composition, dict[int, Fraction]] = {(): {0: Fraction(1)}}
+    acc: dict[Composition, dict[int, int]] = {(): {0: 1}}
     for n in range(q_bound - 1, -1, -1):
-        nxt: dict[Composition, dict[int, Fraction]] = {}
+        nxt: dict[Composition, dict[int, int]] = {}
         for comp, qs in acc.items():
             w = sum(comp)
             for i in range(0, max_weight - w + 1):
@@ -531,9 +488,9 @@ def cauchy_check(max_weight: int) -> bool:
     """sum_I M_I (x) S^I = sum_J F_J (x) Rib_J after expanding F in M and Rib
     in S, truncated by weight."""
     comps = compositions_up_to(max_weight)
-    lhs = {(i, i): Fraction(1) for i in comps}
-    rhs: dict[tuple[Composition, Composition], Fraction] = {}
+    pair = lambda i, k: (((i, k), 1),)
+    terms = []
     for j in comps:
-        f_in_m, rib_in_s = dict(_qsym_to_m_row("F", j)), dict(_to_s_row("Rib", j))
-        add_into(rhs, bilinear(f_in_m, rib_in_s, lambda i, k: (((i, k), 1),)).items())
-    return lhs == rhs
+        (f_in_m, df), (rib_in_s, dr) = _m_row("F", j, True), _s_row("Rib", j, True)
+        terms.append((Sparse._from(bilinear(dict(f_in_m), dict(rib_in_s), pair), df * dr), 1))
+    return Sparse._from({(i, i): 1 for i in comps}) == Sparse._sum(terms)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 from typing import Iterable, Iterator
 
 Composition = tuple[int, ...]
@@ -140,6 +140,35 @@ def parse_coeff(s: str) -> Fraction:
         raise ValueError(f"zero denominator in coefficient {s.strip()!r}") from None
 
 
+def signed_str(items) -> str:
+    """"a + b - c" from (coefficient, label) pairs: a coefficient of
+    magnitude 1 prints its label alone, an empty label the bare
+    coefficient; "0" when there are no pairs."""
+    pieces = []
+    for c, label in items:
+        mag = -c if c < 0 else c
+        body = label if mag == 1 and label else f"{mag}·{label}" if label else str(mag)
+        pieces.append(((" - " if c < 0 else " + ") if pieces else ("-" if c < 0 else "")) + body)
+    return "".join(pieces) or "0"
+
+
+def signed_terms(s: str) -> list[tuple[int, str | None, str]]:
+    """Splits the text of a sum such as "2·[1] - [2]" into one (sign,
+    coefficient text or None, rest) triple per term; "" and "0" have none."""
+    s = s.strip()
+    if not s or s == "0":
+        return []
+    out = []
+    for tok in s.replace(" - ", " + -").split(" + "):
+        tok = tok.strip()
+        sign = -1 if tok.startswith("-") else 1
+        if sign < 0:
+            tok = tok[1:].strip()
+        cs, tok = tok.split("·", 1) if "·" in tok else (None, tok)
+        out.append((sign, cs, tok.strip()))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # composition statistics
 # ---------------------------------------------------------------------------
@@ -173,13 +202,6 @@ def last_part(parts: Composition) -> int:
     return parts[-1]
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
 def stats(parts: Composition) -> CompositionStats:
     """Length, weight, last part, part product, partial-sum product and
     sp = pi * l!, together with the mirror image.  Empty-product conventions
@@ -196,7 +218,7 @@ def stats(parts: Composition) -> CompositionStats:
         lp=parts[-1] if parts else None,
         pi=pi,
         pi_u=pi_u,
-        sp=pi * _factorial(len(parts)),
+        sp=pi * factorial(len(parts)),
         mirror=mirror(parts),
     )
 

@@ -1,0 +1,162 @@
+"""Test oracles for the integer coefficient core: the products, coproducts,
+weight-truncated exp/log, Sym/QSym basis changes and the Sym/QSym pairing
+written directly on {Word or composition: Fraction} dicts, the way the
+package computed them before its containers stored integer numerators over
+one denominator."""
+
+from fractions import Fraction
+from math import gcd
+
+from qshuffle.ncpoly import shuffle_words, stuffle_words
+from qshuffle.words import Word, coarsenings, refinements, relative_stats, stats
+
+
+def assert_canonical(x) -> None:
+    # integer numerators over a positive denominator, no zero numerator,
+    # gcd(denominator, numerators) = 1
+    assert type(x._den) is int and x._den >= 1
+    assert all(type(n) is int and n != 0 for n in x._nums.values())
+    assert gcd(x._den, *x._nums.values()) == 1
+
+
+def accumulate(items) -> dict:
+    out: dict = {}
+    for key, c in items:
+        out[key] = out.get(key, Fraction(0)) + c
+    return {key: c for key, c in out.items() if c}
+
+
+# -- words ---------------------------------------------------------------------
+
+def _word_product(u: Word, v: Word, kind: str) -> list:
+    if kind == "concat":
+        return [(u * v, 1)]
+    kernel = shuffle_words if kind == "shuffle" else stuffle_words
+    return [(Word(w), n) for w, n in kernel(u.letters, v.letters)]
+
+
+def product(p: dict, q: dict, kind: str) -> dict:
+    return accumulate(
+        (w, a * b * n) for u, a in p.items() for v, b in q.items() for w, n in _word_product(u, v, kind)
+    )
+
+
+def _letter_coproduct(a: int, kind: str) -> list:
+    pairs = [((Word((a,)), Word()), 1), ((Word(), Word((a,))), 1)]
+    if kind == "stuffle":
+        pairs += [((Word((i,)), Word((a - i,))), 1) for i in range(1, a)]
+    return pairs
+
+
+def _word_coproduct(w: Word, kind: str) -> dict:
+    if kind == "concat":
+        return accumulate(((w[:i], w[i:]), Fraction(1)) for i in range(len(w) + 1))
+    if kind == "plus":
+        if len(w) != 1:
+            raise ValueError("the contraction coproduct is only defined on letters")
+        return accumulate(((Word((i,)), Word((w[0] - i,))), Fraction(1)) for i in range(1, w[0]))
+    # a morphism for concatenation, letter by letter
+    pairs = {(Word(), Word()): Fraction(1)}
+    for a in w:
+        pairs = accumulate(
+            ((u * x, v * y), c * n)
+            for (u, v), c in pairs.items()
+            for (x, y), n in _letter_coproduct(a, kind)
+        )
+    return pairs
+
+
+def coproduct(p: dict, kind: str) -> dict:
+    return accumulate(
+        (key, c * d) for w, c in p.items() for key, d in _word_coproduct(w, kind).items()
+    )
+
+
+def truncate(p: dict, max_weight: int) -> dict:
+    return {w: c for w, c in p.items() if w.weight <= max_weight}
+
+
+def exp_trunc(p: dict, max_weight: int) -> dict:
+    base = truncate(p, max_weight)
+    out = term = {Word(): Fraction(1)}
+    for k in range(1, max_weight + 1):
+        term = {w: c / k for w, c in truncate(product(term, base, "concat"), max_weight).items()}
+        out = accumulate([*out.items(), *term.items()])
+    return out
+
+
+def log_trunc(q: dict, max_weight: int) -> dict:
+    z = truncate(accumulate([*q.items(), (Word(), Fraction(-1))]), max_weight)
+    out: dict = {}
+    power = {Word(): Fraction(1)}
+    for k in range(1, max_weight + 1):
+        power = truncate(product(power, z, "concat"), max_weight)
+        out = accumulate([*out.items(), *((w, c * Fraction((-1) ** (k - 1), k)) for w, c in power.items())])
+    return out
+
+
+# -- Sym / QSym ------------------------------------------------------------------
+
+def _sign(e: int) -> int:
+    return -1 if e % 2 else 1
+
+
+def _to_s_row(basis: str, comp: tuple) -> list:
+    if basis == "S":
+        return [(comp, Fraction(1))]
+    if basis == "Rib":
+        return [(j, Fraction(_sign(len(comp) - len(j)))) for j in coarsenings(comp)]
+    row = []
+    for j, _ in refinements(comp):
+        rel = relative_stats(j, comp)
+        c = {
+            "Lambda": Fraction(_sign(len(j) - sum(comp))),
+            "Psi": Fraction(_sign(len(j) - len(comp))) * rel.lp,
+            "Phi": Fraction(_sign(len(j) - len(comp))) * Fraction(stats(comp).pi, rel.l),
+        }[basis]
+        row.append((j, c))
+    return row
+
+
+def _from_s_row(basis: str, comp: tuple) -> list:
+    if basis == "S":
+        return [(comp, Fraction(1))]
+    if basis == "Rib":
+        return [(j, Fraction(1)) for j in coarsenings(comp)]
+    row = []
+    for j, _ in refinements(comp):
+        rel = relative_stats(j, comp)
+        c = {
+            "Lambda": Fraction(_sign(len(j) - sum(comp))),
+            "Psi": Fraction(1, rel.pi_u),
+            "Phi": Fraction(1, rel.sp),
+        }[basis]
+        row.append((j, c))
+    return row
+
+
+def _to_m_row(basis: str, comp: tuple) -> list:
+    if basis == "M":
+        return [(comp, Fraction(1))]
+    return [(j, Fraction(1)) for j, _ in refinements(comp)]
+
+
+def _from_m_row(basis: str, comp: tuple) -> list:
+    if basis == "M":
+        return [(comp, Fraction(1))]
+    return [(j, Fraction(_sign(len(j) - len(comp)))) for j, _ in refinements(comp)]
+
+
+def _apply(terms: dict, row, basis: str) -> dict:
+    return accumulate((j, c * d) for comp, c in terms.items() for j, d in row(basis, comp))
+
+
+def convert(terms: dict, source: str, target: str) -> dict:
+    if source in ("M", "F"):
+        return _apply(_apply(terms, _to_m_row, source), _from_m_row, target)
+    return _apply(_apply(terms, _to_s_row, source), _from_s_row, target)
+
+
+def pairing_ext(x: dict, x_basis: str, y: dict, y_basis: str) -> Fraction:
+    xs, ym = convert(x, x_basis, "S"), convert(y, y_basis, "M")
+    return sum((c * ym.get(comp, 0) for comp, c in xs.items()), Fraction(0))

@@ -322,6 +322,38 @@ def test_basis_element_dispatch():
         basis_element("q", Word((1,)))
 
 
+def _assert_read_only(value, key) -> None:
+    before = dict(value.terms)
+    with pytest.raises(TypeError):
+        value.terms[key] = Fraction(5)
+    with pytest.raises(TypeError):
+        del value.terms[key]
+    with pytest.raises(AttributeError):
+        value.terms.clear()
+    with pytest.raises(AttributeError):
+        value.terms = {}
+    assert dict(value.terms) == before
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_cached_basis_values_cannot_be_corrupted(family):
+    # each value is cached (lru_cache or a basis cache), so an edit through
+    # .terms would change every later answer
+    for w in (Word((2,)), Word((2, 1, 1))):
+        value = basis_element(family, w).value
+        printed = poly_str(value)
+        _assert_read_only(value, next(iter(value.terms)))
+        assert basis_element(family, w).value is value
+        assert poly_str(basis_element(family, w).value) == printed
+
+
+def test_cached_pi1_values_cannot_be_corrupted():
+    value = pi1(Word((3,)))
+    _assert_read_only(value, Word((3,)))
+    assert pi1(Word((3,))) is value
+    assert pi1(Word((3,))) == mono(3) - mono(1, 2) / 2 - mono(2, 1) / 2 + mono(1, 1, 1) / 3
+
+
 # -- truncated series ------------------------------------------------------------------
 
 def test_y_is_grouplike_for_the_quasi_shuffle_coproduct():

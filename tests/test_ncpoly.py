@@ -382,3 +382,115 @@ def test_sparse_core_drops_zeros_and_is_bilinear(kind, a, b, c):
         assert all(isinstance(coeff, Fraction) and coeff != 0 for coeff in v.terms.values())
     assert (x - x).terms == {}
     assert prod(x + y, z) == prod(x, z) + prod(y, z)
+
+
+# -- the integer core against the Fraction oracle ---------------------------------
+
+import fraction_oracle as oracle  # noqa: E402
+from qshuffle.bases import pi1  # noqa: E402
+
+
+def _words_up_to(n, include_empty=True):
+    return st.sampled_from([w.letters for w in words_up_to(n, include_empty)])
+
+
+@st.composite
+def rational_terms(draw, keys=_words_up_to(4)):
+    """A term list with negative coefficients and mixed denominators, in
+    which some terms recur with the opposite sign, so that sums cancel."""
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+    terms = draw(st.lists(st.tuples(keys, coeffs), max_size=5))
+    cancelled = draw(st.lists(st.sampled_from(terms), max_size=len(terms))) if terms else []
+    return terms + [(key, -c) for key, c in cancelled]
+
+
+def _poly_and_oracle(terms):
+    return (
+        NCPolynomial([(Word(w), c) for w, c in terms]),
+        oracle.accumulate((Word(w), Fraction(c)) for w, c in terms),
+    )
+
+
+def _assert_equality_follows_terms(*values):
+    for x in values:
+        oracle.assert_canonical(x)
+        for y in values:
+            assert (x == y) == (x.terms == y.terms)
+
+
+@pytest.mark.parametrize("kind", ["concat", "shuffle", "stuffle"])
+@settings(max_examples=40, deadline=None)
+@given(a=rational_terms(), b=rational_terms())
+def test_products_match_the_fraction_oracle(kind, a, b):
+    (p, pd), (q, qd) = _poly_and_oracle(a), _poly_and_oracle(b)
+    assert p.terms == pd and q.terms == qd
+    got = product(p, q, kind)
+    assert got.terms == oracle.product(pd, qd, kind)
+    assert (p + q).terms == oracle.accumulate([*pd.items(), *qd.items()])
+    assert (p - q).terms == oracle.accumulate([*pd.items(), *((w, -c) for w, c in qd.items())])
+    _assert_equality_follows_terms(p, q, got, product(q, p, kind), p - p, p + q - q)
+
+
+@pytest.mark.parametrize("kind", ["concat", "shuffle", "stuffle", "plus"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_coproducts_match_the_fraction_oracle(kind, data):
+    letters_only = st.tuples(st.integers(1, 5)) if kind == "plus" else _words_up_to(4)
+    p, pd = _poly_and_oracle(data.draw(rational_terms(keys=letters_only)))
+    got = coproduct(p, kind)
+    assert got.terms == oracle.coproduct(pd, kind)
+    _assert_equality_follows_terms(got, coproduct(p + p, kind), got - got)
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=rational_terms(keys=_words_up_to(3, include_empty=False)))
+def test_exp_and_log_match_the_fraction_oracle(a):
+    p, pd = _poly_and_oracle(a)
+    e = exp_trunc(p, 4)
+    assert e.terms == oracle.exp_trunc(pd, 4)
+    l = log_trunc(one + p, 4)
+    assert l.terms == oracle.log_trunc(oracle.accumulate([*pd.items(), (Word(), Fraction(1))]), 4)
+    _assert_equality_follows_terms(e, l, p)
+
+
+def test_pairing_is_one_integer_dot_returning_a_fraction():
+    p = mono(1) / 3 - mono(2) / 4
+    q = mono(1) * Fraction(3, 5) + mono(2) * 2
+    got = pairing(p, q)
+    assert type(got) is Fraction and got == Fraction(1, 5) - Fraction(1, 2)
+
+
+# -- one coefficient coercion, read-only terms ------------------------------------
+
+def test_coefficients_must_be_exact():
+    with pytest.raises(TypeError):
+        NCPolynomial({Word((1,)): 0.1})
+    with pytest.raises(TypeError):
+        NCPolynomial.word((1,), 0.5)
+    with pytest.raises(TypeError):
+        TensorPolynomial({(Word((1,)), Word()): 0.5})
+    with pytest.raises(TypeError):
+        mono(1) * 0.5
+    with pytest.raises(TypeError):
+        mono(1) / 2.0
+    with pytest.raises(TypeError):
+        SymElement({(1,): 0.5}, "S")
+    # exact text is read as a rational
+    assert NCPolynomial({Word((1,)): "1/10"}) == mono(1) / 10
+
+
+def test_terms_are_read_only_views():
+    p = 2 * mono(1) - mono(2) / 3
+    t = coproduct(p, "stuffle")
+    for value, key in ((p, Word((1,))), (t, (Word((1,)), Word())), (pi1(Word((3,))), Word((3,)))):
+        before = dict(value.terms)
+        with pytest.raises(TypeError):
+            value.terms[key] = Fraction(5)
+        with pytest.raises(TypeError):
+            del value.terms[key]
+        with pytest.raises(AttributeError):
+            value.terms.clear()
+        with pytest.raises(AttributeError):
+            value.terms = {}
+        assert value.terms is value.terms and dict(value.terms) == before
+    assert str(pi1(Word((3,)))) == "1/3·[1 1 1] - 1/2·[1 2] - 1/2·[2 1] + [3]"

@@ -444,3 +444,77 @@ def test_element_json_form():
         {"composition": [1, 1], "coeff": "1"},
         {"composition": [2], "coeff": "-1"},
     ]
+
+
+# -- the integer core against the Fraction oracle ---------------------------------
+
+import fraction_oracle as oracle  # noqa: E402
+
+rational_coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+element_terms = st.lists(st.tuples(compositions, rational_coeffs), max_size=4)
+
+
+def _element_and_oracle(cls, basis, terms):
+    return cls(terms, basis), oracle.accumulate((comp, Fraction(c)) for comp, c in terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    terms=element_terms,
+    cancelled=st.lists(st.integers(0, 3), max_size=2),
+    source=st.sampled_from(("S", "Lambda", "Psi", "Phi", "Rib", "M", "F")),
+)
+def test_convert_matches_the_fraction_oracle(terms, cancelled, source):
+    # some terms recur with the opposite sign, so that sums cancel
+    terms = terms + [(terms[i][0], -terms[i][1]) for i in cancelled if i < len(terms)]
+    cls, targets = (QSymElement, ("M", "F")) if source in ("M", "F") else (SymElement, ("S", "Lambda", "Psi", "Phi", "Rib"))
+    x, xd = _element_and_oracle(cls, source, terms)
+    assert x.terms == xd
+    oracle.assert_canonical(x)
+    for target in targets:
+        got = convert(x, target)
+        assert got.terms == oracle.convert(xd, source, target), target
+        oracle.assert_canonical(got)
+        assert (got == x) == (got.basis == x.basis and got.terms == x.terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    x_terms=element_terms,
+    y_terms=element_terms,
+    x_basis=st.sampled_from(("S", "Lambda", "Psi", "Phi", "Rib")),
+    y_basis=st.sampled_from(("M", "F")),
+)
+def test_pairing_ext_matches_the_fraction_oracle(x_terms, y_terms, x_basis, y_basis):
+    (x, xd), (y, yd) = _element_and_oracle(SymElement, x_basis, x_terms), _element_and_oracle(QSymElement, y_basis, y_terms)
+    got = pairing_ext(x, y)
+    assert type(got) is Fraction
+    assert got == oracle.pairing_ext(xd, x_basis, yd, y_basis)
+
+
+def test_convert_rejects_a_negative_part():
+    # used to return 0
+    with pytest.raises(ValueError):
+        convert(SymElement.single((-1,), "Psi"), "S")
+
+
+def test_convert_rejects_a_zero_part():
+    # used to raise a TypeError from inside the conversion
+    with pytest.raises(ValueError):
+        convert(SymElement.single((0, 2), "Lambda"), "S")
+
+
+def test_qsym_product_rejects_a_zero_part():
+    # used to return a product
+    with pytest.raises(ValueError):
+        QSymElement.single((2, 0), "F") * QSymElement.single((1,), "M")
+
+
+def test_converted_values_are_read_only():
+    got = convert(SymElement.single((2, 1), "Psi"), "S")
+    printed = element_str(got)
+    with pytest.raises(TypeError):
+        got.terms[(2, 1)] = Fraction(5)
+    with pytest.raises(AttributeError):
+        got.terms.clear()
+    assert element_str(convert(SymElement.single((2, 1), "Psi"), "S")) == printed == element_str(got)
