@@ -3,9 +3,10 @@ composition-indexed algebras.
 
 Sym carries five bases: complete (S), elementary (Lambda), power sums of the
 first (Psi) and second (Phi) kind, and ribbons (Rib).  QSym carries the
-monomial (M) and fundamental (F) bases.  Every conversion is an explicit
-refinement/coarsening sum; conversions between two non-S bases route through
-S.  The two sides pair by <S^I, M_J> = delta, the M side multiplies through
+monomial (M) and fundamental (F) bases.  Every conversion routes through the
+hub basis of its side, S or M.  The Lambda, Psi, Phi and F rows are
+concatenation products of one-part rows; the Rib rows are coarsening sums.
+The two sides pair by <S^I, M_J> = delta, the M side multiplies through
 `ncpoly.stuffle_words` (composition tuples are its letter tuples, so it is the
 one quasi-shuffle kernel of the package), and both are word-encoded Hopf
 algebras through the maps defined at the bottom.
@@ -34,8 +35,10 @@ from .ncpoly import (
 from .words import (
     Composition,
     Word,
+    as_int,
     coarsenings,
     comp_str,
+    compositions_of,
     compositions_up_to,
     parse_coeff,
     parse_comp,
@@ -175,59 +178,46 @@ def element_to_json(x: _CompositionIndexed) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# basis changes (all explicit refinement/coarsening sums; see tests for the
-# mirror-statistics variants kept as oracles)
+# basis changes (products of one-part rows, ribbon coarsening sums; see
+# tests for the per-refinement and mirror-statistics formulas kept as oracles)
 # ---------------------------------------------------------------------------
 
 # Rows are (((target, numerator), ...), denominator), for the change from a
-# basis to the hub basis (S or M) or back.  refinements() and coarsenings()
-# list each composition once, so a row never repeats a target.
+# basis to its hub basis (S or M) or back.  Each key is listed once: the keys
+# of a product row are the concatenations j + k, one per pair of factor keys.
 
-def _row(items) -> tuple[tuple, int]:
-    nums, den = _integral(items)
-    return tuple(nums.items()), den
-
-
-# basis -> (coefficient of S^J in basis_I, of basis_J in S^I), J finer than I
-_REFINED = {
-    "Lambda": (lambda i, j, rel: (-1) ** (sum(i) - len(j)),) * 2,
-    "Psi": (
-        lambda i, j, rel: (-1) ** (len(j) - len(i)) * rel.lp,
-        lambda i, j, rel: Fraction(1, rel.pi_u),
-    ),
-    "Phi": (
-        lambda i, j, rel: (-1) ** (len(j) - len(i)) * Fraction(stats(i).pi, rel.l),
-        lambda i, j, rel: Fraction(1, rel.sp),
-    ),
+# basis -> (coefficient of hub_J in basis_(n), of basis_J in hub_(n)), s = stats(J)
+_ONE_PART = {
+    "Lambda": (lambda n, s: (-1) ** (n - s.l),) * 2,
+    "Psi": (lambda n, s: (-1) ** (s.l - 1) * s.lp, lambda n, s: Fraction(1, s.pi_u)),
+    "Phi": (lambda n, s: (-1) ** (s.l - 1) * Fraction(n, s.l), lambda n, s: Fraction(1, s.sp)),
+    "F": (lambda n, s: 1, lambda n, s: (-1) ** (s.l - 1)),
 }
 
 
 @lru_cache(maxsize=None)
-def _s_row(basis: str, comp: Composition, to_hub: bool) -> tuple:
-    if basis == "S":
+def _hub_row(basis: str, comp: Composition, to_hub: bool) -> tuple:
+    if basis in ("S", "M") or not comp:
         return ((comp, 1),), 1
     if basis == "Rib":
         # Rib_I = sum over coarser-or-equal J of (-1)^(l(I)-l(J)) S^J and
         # S^I = sum over coarser-or-equal J of Rib_J
-        return _row((j, (-1) ** (len(comp) - len(j)) if to_hub else 1) for j in coarsenings(comp))
-    if basis not in _REFINED:
-        raise ValueError(f"unknown basis {basis!r}")
-    coeff = _REFINED[basis][0 if to_hub else 1]
-    return _row((j, coeff(comp, j, relative_stats(j, comp))) for j, _ in refinements(comp))
+        return tuple((j, (-1) ** (len(comp) - len(j)) if to_hub else 1) for j in coarsenings(comp)), 1
+    if len(comp) == 1:
+        coeff = _ONE_PART[basis][0 if to_hub else 1]
+        nums, den = _integral((j, coeff(comp[0], stats(j))) for j in compositions_of(comp[0]))
+        return tuple(nums.items()), den
+    # Lambda, Psi and Phi are multiplicative and the F/M coefficients are
+    # products over the blocks of J: the row of I is the concatenation product
+    # of the rows of its halves (halves keep the recursion depth log l(I))
+    half = len(comp) // 2
+    (left, a), (right, b) = _hub_row(basis, comp[:half], to_hub), _hub_row(basis, comp[half:], to_hub)
+    return tuple((j + k, x * y) for j, x in left for k, y in right), a * b
 
 
-@lru_cache(maxsize=None)
-def _m_row(basis: str, comp: Composition, to_hub: bool) -> tuple:
-    if basis == "M":
-        return ((comp, 1),), 1
-    # F_J = sum over finer-or-equal I of M_I and
-    # M_I = sum over finer-or-equal J of (-1)^(l(J)-l(I)) F_J
-    return tuple((j, 1 if to_hub else (-1) ** (len(j) - len(comp))) for j, _ in refinements(comp)), 1
-
-
-def _apply_rows(x: _CompositionIndexed, row_fn, basis: str, to_hub: bool, target: str):
+def _apply_rows(x: _CompositionIndexed, basis: str, to_hub: bool, target: str):
     # sum over the terms n/d·I of x of n/d times row(I), over one denominator
-    rows = [(n, row_fn(basis, comp, to_hub)) for comp, n in x._nums.items()]
+    rows = [(n, _hub_row(basis, comp, to_hub)) for comp, n in x._nums.items()]
     den = lcm(*(d for _, (_, d) in rows))
     out: dict[Composition, int] = {}
     for n, (row, d) in rows:
@@ -235,8 +225,8 @@ def _apply_rows(x: _CompositionIndexed, row_fn, basis: str, to_hub: bool, target
     return type(x)._in(target, out, x._den * den)
 
 
-# element type -> (name, bases, hub basis, row function)
-_ROUTES = {SymElement: ("Sym", SYM_BASES, "S", _s_row), QSymElement: ("QSym", QSYM_BASES, "M", _m_row)}
+# element type -> (name, bases, hub basis)
+_ROUTES = {SymElement: ("Sym", SYM_BASES, "S"), QSymElement: ("QSym", QSYM_BASES, "M")}
 
 
 def convert(x: SymElement | QSymElement, target: str):
@@ -244,13 +234,13 @@ def convert(x: SymElement | QSymElement, target: str):
     the S (resp. M) basis."""
     if type(x) not in _ROUTES:
         raise TypeError(f"cannot convert {type(x).__name__}")
-    name, valid, hub, row_fn = _ROUTES[type(x)]
+    name, valid, hub = _ROUTES[type(x)]
     if target not in valid:
         raise ValueError(f"{target!r} is not a {name} basis")
     if x.basis == target:
         return x
-    in_hub = x if x.basis == hub else _apply_rows(x, row_fn, x.basis, True, hub)
-    return in_hub if target == hub else _apply_rows(in_hub, row_fn, target, False, target)
+    in_hub = x if x.basis == hub else _apply_rows(x, x.basis, True, hub)
+    return in_hub if target == hub else _apply_rows(in_hub, target, False, target)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +367,7 @@ class QSeries(Sparse):
     `.terms` (also `.coeffs`) is keyed by exponent."""
 
     __slots__ = ("bound",)
-    _key = staticmethod(int)
+    _key = staticmethod(as_int)
 
     def __init__(self, coeffs: Mapping | None, bound: int):
         super().__init__((e, c) for e, c in (coeffs or {}).items() if 0 <= e < bound)
@@ -491,6 +481,6 @@ def cauchy_check(max_weight: int) -> bool:
     pair = lambda i, k: (((i, k), 1),)
     terms = []
     for j in comps:
-        (f_in_m, df), (rib_in_s, dr) = _m_row("F", j, True), _s_row("Rib", j, True)
+        (f_in_m, df), (rib_in_s, dr) = _hub_row("F", j, True), _hub_row("Rib", j, True)
         terms.append((Sparse._from(bilinear(dict(f_in_m), dict(rib_in_s), pair), df * dr), 1))
     return Sparse._from({(i, i): 1 for i in comps}) == Sparse._sum(terms)

@@ -11,6 +11,7 @@ extension of that order, with a proper prefix preceding its extensions.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
@@ -25,7 +26,7 @@ class Word:
     __slots__ = ("letters",)
 
     def __init__(self, letters: Iterable[int] = ()):
-        ls = tuple(int(a) for a in letters)
+        ls = tuple(map(as_int, letters))
         if any(a < 1 for a in ls):
             raise ValueError(f"letter indices must be >= 1: {ls!r}")
         self.letters = ls
@@ -82,6 +83,14 @@ class Word:
 
     def __str__(self) -> str:
         return word_str(self)
+
+
+def as_int(a) -> int:
+    """a itself if it is an integer; ValueError for a float, Fraction or text."""
+    try:
+        return operator.index(a)
+    except TypeError:
+        raise ValueError(f"expected an integer, got {a!r}") from None
 
 
 def sort_key(w: Word) -> tuple[int, Composition]:

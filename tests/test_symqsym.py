@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from qshuffle.bases import pi1, r_elements
 from qshuffle.ncpoly import NCPolynomial, coproduct, product
 from qshuffle.symqsym import (
+    QSYM_BASES,
+    SYM_BASES,
     QSeries,
     QSymElement,
     SymElement,
@@ -31,6 +33,7 @@ from qshuffle.symqsym import (
     qsym_product,
     specialize_Mq,
     sym_coproduct,
+    _hub_row,
 )
 from qshuffle.words import Word, compositions_up_to, stats
 
@@ -490,6 +493,34 @@ def test_pairing_ext_matches_the_fraction_oracle(x_terms, y_terms, x_basis, y_ba
     got = pairing_ext(x, y)
     assert type(got) is Fraction
     assert got == oracle.pairing_ext(xd, x_basis, yd, y_basis)
+
+
+@pytest.mark.parametrize("basis", SYM_BASES + QSYM_BASES)
+def test_product_rows_match_the_per_refinement_rows(basis):
+    # every row, in both directions, against the per-refinement and
+    # coarsening formulas, exhaustively up to weight 7
+    to_hub, from_hub = (
+        (oracle._to_s_row, oracle._from_s_row) if basis in SYM_BASES else (oracle._to_m_row, oracle._from_m_row)
+    )
+    for comp in compositions_up_to(7):
+        for direction, expected in ((True, to_hub), (False, from_hub)):
+            row, den = _hub_row(basis, comp, direction)
+            got = {j: Fraction(n, den) for j, n in row}
+            assert len(got) == len(row), (basis, comp, direction)
+            assert got == dict(expected(basis, comp)), (basis, comp, direction)
+
+
+def test_non_integral_keys_are_rejected():
+    # each was silently truncated or parsed: [1], the composition (2,), the
+    # word 2 and the series q
+    with pytest.raises(ValueError):
+        NCPolynomial({(1.5,): 1})
+    with pytest.raises(ValueError):
+        convert(SymElement({(2.7,): 1}, "Psi"), "S")
+    with pytest.raises(ValueError):
+        Word(("2",))
+    with pytest.raises(ValueError):
+        QSeries({1.5: 1}, 5)
 
 
 def test_convert_rejects_a_negative_part():
