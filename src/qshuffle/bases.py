@@ -5,15 +5,22 @@ Four dual systems are built here, all indexed by words through their
 decreasing Lyndon factorizations.  `PAIRS` is the one table of them (dual
 family, primal family, commutative product on the dual side):
 
-* (p_w, s_w): the classical shuffle-side pair.  p brackets letters along
-  standard factorizations; s follows the divided-power shuffle recursion.
-* (Pi_w, Sigma_w): the quasi-shuffle pair.  Letters are sent to their
-  primitive projections pi1(y_n); the dual family Sigma is *defined* by
-  solving the graded duality system <Pi_u, Sigma_v> = delta on each weight
-  component.
-* (Pi^L, Sigma^L) and (Pi^R, Sigma^R): same construction seeded with the
-  primitive elements L_n and R_n coming from the logarithmic derivatives of
-  the letter generating series.
+* (p_w, s_w): the classical shuffle pair, p seeded by the letters y_n.
+* (Pi_w, Sigma_w): the quasi-shuffle pair, Pi seeded by the primitive
+  projections pi1(y_n).
+* (Pi^L, Sigma^L) and (Pi^R, Sigma^R): seeded by the primitive elements L_n
+  and R_n coming from the logarithmic derivatives of the letter generating
+  series.
+
+One construction, `_value`, builds all eight families.  A primal family
+sends a letter to its seed, a Lyndon word to the bracket over its standard
+factorization, and any other word to the concatenation product over its
+decreasing Lyndon factorization.  A dual family is solved from the graded
+duality system <primal_u, dual_v> = delta only at Lyndon words, one column
+each; at any other word it is the normalized product of its Lyndon factors
+under the pair's commutative product, because the Lyndon duals generate the
+dual algebra freely (Reutenauer, Free Lie Algebras, 1993, ch. 5; Hoffman,
+"Quasi-shuffle products", J. Algebraic Combin. 11, 2000).
 
 pi1 and its inverse expansion run on the iterated stuffle coproduct: by
 <coproduct(w), u (x) v> = <w, u st v> their sums over word tuples need only
@@ -29,10 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, gcd, prod
 
-from .lyndon import is_lyndon, lyndon_factorization, standard_factorization
-from .ncpoly import NCPolynomial, _word_coproduct
+from .lyndon import lyndon_factorization, standard_factorization
+from .ncpoly import NCPolynomial, _word_coproduct, product
 from .words import Word, compositions_of, stats, words_of_weight
 
 
@@ -73,9 +80,8 @@ def _sum_iterated(letters: tuple, primitive: bool, coeff) -> NCPolynomial:
 
 @lru_cache(maxsize=None)
 def _pi1_word(letters: tuple) -> NCPolynomial:
-    # pi1(w) = sum_k ((-1)^(k-1)/k) sum <w | u_1 st ... st u_k> u_1...u_k
-    if not letters:
-        return NCPolynomial.one()
+    # pi1(w) = sum_k ((-1)^(k-1)/k) sum <w | u_1 st ... st u_k> u_1...u_k;
+    # the sum runs over tuples of nonempty words, so pi1 of the empty word is 0
     return _sum_iterated(letters, False, lambda k: Fraction((-1) ** (k - 1), k))
 
 
@@ -159,96 +165,7 @@ def y_in_r_expansion(n: int, use_partial_sums: bool = True) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the four PBW families
-# ---------------------------------------------------------------------------
-
-def _pbw(letters: tuple, letter_image, cache: dict) -> NCPolynomial:
-    # letters -> image; Lyndon -> bracket over the standard factorization;
-    # otherwise the concatenation product over the decreasing factorization.
-    got = cache.get(letters)
-    if got is not None:
-        return got
-    w = Word(letters)
-    if len(letters) == 0:
-        out = NCPolynomial.one()
-    elif len(letters) == 1:
-        out = letter_image(letters[0])
-    elif is_lyndon(w):
-        s, r = standard_factorization(w)
-        out = _bracket(_pbw(s.letters, letter_image, cache), _pbw(r.letters, letter_image, cache))
-    else:
-        out = NCPolynomial.one()
-        for l, mult in lyndon_factorization(w).factors:
-            piece = _pbw(l.letters, letter_image, cache)
-            for _ in range(mult):
-                out = out * piece
-    cache[letters] = out
-    return out
-
-
-@lru_cache(maxsize=None)
-def _s_cached(letters: tuple) -> NCPolynomial:
-    if len(letters) == 0:
-        return NCPolynomial.one()
-    if len(letters) == 1:
-        return NCPolynomial.word(Word(letters))
-    w = Word(letters)
-    if is_lyndon(w):
-        return NCPolynomial.word(Word(letters[:1])) * _s_cached(letters[1:])
-    out = NCPolynomial.one()
-    denom = 1
-    for l, mult in lyndon_factorization(w).factors:
-        piece = _s_cached(l.letters)
-        for _ in range(mult):
-            out = out.shuffle(piece)
-        denom *= factorial(mult)
-    return out / denom
-
-
-# ---------------------------------------------------------------------------
-# duality solve for the Sigma-type families
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _dual_table(n: int, family: str) -> dict[Word, NCPolynomial]:
-    """Solves <primal_u, dual_v> = delta_{u,v} on the weight-n component.
-
-    In (length, word) order the primal coefficient matrix A over the 2^(n-1)
-    words of weight n is upper triangular with a nonzero diagonal: primal_u
-    is a nonzero multiple of u plus words that come later.  Its inverse C is
-    then upper triangular too, and back-substitution gives its rows from the
-    last word to the first, C_u = (e_u - sum_{x > u} A_ux C_x) / A_uu, each a
-    sparse combination of rows already solved.  The columns of C are the dual
-    elements.  A primal row that breaks triangularity raises ArithmeticError.
-    """
-    (primal,) = (p for d, p, _ in PAIRS.values() if d == family)
-    listed = [w.letters for w in words_of_weight(n)]
-    words = sorted(listed, key=lambda w: (len(w), Word._raw(w)))
-    pos = {w: i for i, w in enumerate(words)}
-    inverse_rows: dict[tuple, NCPolynomial] = {}
-    for u in reversed(words):
-        # with A_ux = a_x / d: C_u = (d e_u - sum_{x > u} a_x C_x) / a_u
-        row = _element(primal, Word._raw(u))
-        diag = row._nums.get(u)
-        if not diag or any(pos.get(x, -1) < pos[u] for x in row._nums):
-            raise ArithmeticError(
-                f"{primal} is not triangular at {Word._raw(u)} in the duality solve"
-            )
-        pieces = [(inverse_rows[x], -a) for x, a in row._nums.items() if x != u]
-        pieces.append((NCPolynomial.word(u), row._den))
-        inverse_rows[u] = NCPolynomial._sum(pieces) / diag
-    # column v of C over the common denominator of its rows
-    den = lcm(*(c._den for c in inverse_rows.values()))
-    columns: dict[tuple, dict[tuple, int]] = {v: {} for v in listed}
-    for u in listed:
-        c = inverse_rows[u]
-        for v, m in c._nums.items():
-            columns[v][u] = m * (den // c._den)
-    return {Word._raw(v): NCPolynomial._from(nums, den) for v, nums in columns.items()}
-
-
-# ---------------------------------------------------------------------------
-# the dual-pair table and the one family dispatcher
+# the dual-pair table and the one construction of all eight families
 # ---------------------------------------------------------------------------
 
 # pair -> (dual family, primal family, commutative product on the dual side)
@@ -260,29 +177,95 @@ PAIRS = {
 }
 FAMILIES = tuple(f for dual, primal, _ in PAIRS.values() for f in (primal, dual))
 
-_P_CACHE: dict[tuple, NCPolynomial] = {}
-_PI_CACHE: dict[tuple, NCPolynomial] = {}
-_PIL_CACHE: dict[tuple, NCPolynomial] = {}
-_PIR_CACHE: dict[tuple, NCPolynomial] = {}
-
-# primal family -> (letter image, cache)
-_PRIMAL = {
-    "p": (_y, _P_CACHE),
-    "Pi": (lambda n: _pi1_word((n,)), _PI_CACHE),
-    "PiL": (lambda n: _lr_list(n, "L")[n - 1], _PIL_CACHE),
-    "PiR": (lambda n: _lr_list(n, "R")[n - 1], _PIR_CACHE),
+# primal family -> image of the letter y_n
+_LETTER = {
+    "p": _y,
+    "Pi": lambda n: _pi1_word((n,)),
+    "PiL": lambda n: _lr_list(n, "L")[n - 1],
+    "PiR": lambda n: _lr_list(n, "R")[n - 1],
 }
+# dual family -> (primal family, commutative product)
+_DUAL = {dual: (primal, kind) for dual, primal, kind in PAIRS.values()}
+
+
+@lru_cache(maxsize=None)
+def _value(family: str, letters: tuple) -> NCPolynomial:
+    """The element of the family at a word (the construction is in the
+    module docstring)."""
+    if not letters:
+        return NCPolynomial.one()
+    w = Word._raw(letters)
+    factors = lyndon_factorization(w).factors
+    if factors == ((w, 1),):
+        if family in _DUAL:
+            return _lyndon_column(family, letters)
+        if len(letters) == 1:
+            return _LETTER[family](letters[0])
+        s, r = standard_factorization(w)
+        return _bracket(_value(family, s.letters), _value(family, r.letters))
+    if family in _DUAL:
+        kind, den = _DUAL[family][1], prod(factorial(mult) for _, mult in factors)
+    else:
+        kind, den = "concat", 1
+    out = NCPolynomial.one()
+    for l, mult in factors:
+        piece = _value(family, l.letters)
+        for _ in range(mult):
+            out = product(out, piece, kind)
+    return out / den
+
+
+@lru_cache(maxsize=None)
+def _triangular(primal: str, n: int) -> tuple[tuple, ...]:
+    """The words of weight n in (length, word) order, after checking that the
+    primal matrix is upper triangular with a nonzero diagonal in that order:
+    primal_u is a nonzero multiple of u plus words that come later.  Every
+    row is checked, also those after the last Lyndon word, which no column
+    solve reads.  A row that breaks it raises ArithmeticError."""
+    order = sorted((w.letters for w in words_of_weight(n)), key=lambda w: (len(w), Word._raw(w)))
+    pos = {w: i for i, w in enumerate(order)}
+    for u in order:
+        row = _value(primal, u)._nums
+        if not row.get(u) or any(pos.get(x, -1) < pos[u] for x in row):
+            raise ArithmeticError(
+                f"{primal} is not triangular at {Word._raw(u)} in the duality solve"
+            )
+    return tuple(order)
+
+
+def _lyndon_column(dual: str, l: tuple) -> NCPolynomial:
+    """Column l of C, the inverse of the primal matrix A of weight |l|: the
+    solution of A c = e_l, which is the dual value at l.
+
+    A is upper triangular (`_triangular`), so c_x = 0 for every word x after
+    l, and back-substitution from l down to the first word gives c_l = 1/A_ll
+    and c_u = -(sum_{x > u} A_ux c_x) / A_uu.  A row is A_ux = a_x / d, and
+    the column is kept as c_x = n_x / den, so this stays in integers:
+    c_l = d / a_l and c_u = -(sum_x a_x n_x) / (a_u den).
+    """
+    primal = _DUAL[dual][0]
+    order = _triangular(primal, sum(l))
+    nums: dict[tuple, int] = {}
+    den = 1
+    for u in reversed(order[: order.index(l) + 1]):
+        row = _value(primal, u)
+        t = row._den if u == l else -sum(a * nums[x] for x, a in row._nums.items() if x in nums)
+        if t:
+            # c_u = t / (a_u den); rescale so that den stays common and > 0
+            diag = row._nums[u]
+            g = gcd(t, diag) if diag > 0 else -gcd(t, diag)
+            t, m = t // g, diag // g
+            if m != 1:
+                nums = {x: c * m for x, c in nums.items()}
+                den *= m
+            nums[u] = t
+    return NCPolynomial._from(nums, den)
 
 
 def _element(family: str, w: Word) -> NCPolynomial:
-    if family in _PRIMAL:
-        return _pbw(w.letters, *_PRIMAL[family])
-    if family == "s":
-        return _s_cached(w.letters)
     if family not in FAMILIES:
         raise ValueError(f"unknown basis family {family!r}; expected one of {FAMILIES}")
-    # the remaining duals are solved from the pairing
-    return NCPolynomial.one() if w.weight == 0 else _dual_table(w.weight, family)[w]
+    return _value(family, w.letters)
 
 
 def _sided(family: str, side: str) -> str:

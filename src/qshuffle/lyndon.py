@@ -5,7 +5,6 @@ factorization of arbitrary words."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .words import Word, compositions_of
 
@@ -82,28 +81,22 @@ class LyndonFactorization:
         return out
 
 
-@lru_cache(maxsize=None)
-def _longest_lyndon_prefix(letters: tuple) -> int:
-    w = Word(letters)
-    for i in range(len(letters), 0, -1):
-        if is_lyndon(w[:i]):
-            return i
-    raise AssertionError("unreachable: a single letter is Lyndon")
-
-
 def lyndon_factorization(w: Word) -> LyndonFactorization:
+    """Duval's algorithm (J. Algorithms 4, 1983), in linear time.  On letters
+    a < b in the word order iff a > b as integers."""
     if len(w) == 0:
         raise ValueError("the empty word has no Lyndon factorization")
-    raw: list[Word] = []
-    rest = w
-    while len(rest):
-        cut = _longest_lyndon_prefix(rest.letters)
-        raw.append(rest[:cut])
-        rest = rest[cut:]
-    grouped: list[tuple[Word, int]] = []
-    for factor in raw:
-        if grouped and grouped[-1][0] == factor:
-            grouped[-1] = (factor, grouped[-1][1] + 1)
-        else:
-            grouped.append((factor, 1))
-    return LyndonFactorization(tuple(grouped))
+    s, n, i = w.letters, len(w), 0
+    factors: list[tuple[Word, int]] = []
+    while i < n:
+        # s[i:j] is a power of the Lyndon word s[i:i + j - k], then a prefix
+        # of it; it stops at the first letter that makes it smaller
+        j, k = i + 1, i
+        while j < n and s[k] >= s[j]:
+            k = i if s[k] > s[j] else k + 1
+            j += 1
+        period = j - k
+        mult = (k - i) // period + 1
+        factors.append((Word._raw(s[i : i + period]), mult))
+        i += mult * period
+    return LyndonFactorization(tuple(factors))

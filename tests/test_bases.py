@@ -88,8 +88,11 @@ def test_pi1_extends_linearly():
 
 
 def test_pi1_outputs_are_primitive():
-    for w in words_up_to(5, include_empty=False):
+    # the empty word included: pi1 sums over tuples of nonempty words, so
+    # pi1(e) = 0 and a constant term adds nothing
+    for w in words_up_to(5):
         assert is_primitive(pi1(w), "stuffle"), w
+    assert pi1(one + mono(2)) == pi1(Word((2,)))
 
 
 def _pi1_by_tuples(w: Word) -> NCPolynomial:
@@ -149,8 +152,8 @@ def test_pi_sigma_duality_weight_4():
 
 
 def _gauss_jordan_inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    # dense exact Gauss-Jordan with row pivoting: the oracle for the
-    # triangular back-substitution in bases._dual_table
+    # dense exact Gauss-Jordan with row pivoting: the oracle for the dual
+    # values, Lyndon columns by back-substitution and normalized products
     m = len(rows)
     aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(m)]
            for i, row in enumerate(rows)]
@@ -168,32 +171,31 @@ def _gauss_jordan_inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:
 
 def test_dual_tables_match_the_dense_inverse_to_weight_6():
     for dual, primal, _ in PAIRS.values():
-        if dual == "s":
-            continue
         for n in range(1, 7):
             ws = words_of_weight(n)
             c = _gauss_jordan_inverse([[basis_element(primal, u).value.coeff(x) for x in ws] for u in ws])
-            table = bases._dual_table(n, dual)
             for j, v in enumerate(ws):
-                assert table[v] == NCPolynomial({u: c[i][j] for i, u in enumerate(ws)}), (dual, v)
+                expected = NCPolynomial({u: c[i][j] for i, u in enumerate(ws)})
+                assert basis_element(dual, v).value == expected, (dual, v)
 
 
 @pytest.mark.parametrize("defect", ["entry below the diagonal", "zero diagonal"])
 def test_dual_solve_rejects_a_non_triangular_primal(monkeypatch, defect):
     # In (length, word) order the weight-2 words are (2), (1 1), and
-    # Pi_(1 1) = [1 1]; either defect breaks the solve's precondition.
-    element = bases._element
+    # Pi_(1 1) = [1 1]; either defect breaks the solve's precondition.  The
+    # row (1 1) comes after (2), the only Lyndon column of weight 2, so no
+    # column solve reads it: the per-weight check still must.
+    value = bases._value
 
-    def broken(family, w):
-        value = element(family, w)
-        if family == "Pi" and w == Word((1, 1)):
-            return value + mono(2) if defect == "entry below the diagonal" else value - mono(1, 1)
-        return value
+    def broken(family, letters):
+        got = value(family, letters)
+        if family == "Pi" and letters == (1, 1):
+            return got + mono(2) if defect == "entry below the diagonal" else got - mono(1, 1)
+        return got
 
-    monkeypatch.setattr(bases, "_element", broken)
+    monkeypatch.setattr(bases, "_value", broken)
     with pytest.raises(ArithmeticError):
-        bases._dual_table.__wrapped__(2, "Sigma")
-
+        bases._triangular.__wrapped__("Pi", 2)
 
 
 def test_pi_triangularity_and_homogeneity():
@@ -337,8 +339,8 @@ def _assert_read_only(value, key) -> None:
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_cached_basis_values_cannot_be_corrupted(family):
-    # each value is cached (lru_cache or a basis cache), so an edit through
-    # .terms would change every later answer
+    # each value is cached, so an edit through .terms would change every
+    # later answer
     for w in (Word((2,)), Word((2, 1, 1))):
         value = basis_element(family, w).value
         printed = poly_str(value)
