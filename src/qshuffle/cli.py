@@ -13,7 +13,6 @@ import csv
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bases, factorization, lyndon, ncpoly, symqsym, words
@@ -23,16 +22,6 @@ from .words import Word
 WEIGHT_CAP = 8  # 2^(n-1) words per weight; beyond this the sweeps stop being desk-scale
 Q_DEGREE_CAP = 64  # hl-check --max-weight 8: about 3 s at q-degree 64 on a 2-core x86 host
 FORMATS = ("text", "json", "csv")
-
-
-@dataclass
-class RunConfig:
-    command: str
-    max_weight: int = 5
-    q_degree: int = 8
-    fmt: str = "text"
-    seed: int = 0
-    unsafe_weight: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -156,14 +145,13 @@ def _check_coproducts(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
                 add_into(rhs, (((u, a, b), d) for (a, b), d in right), c)
             if lhs != rhs:
                 return False, f"{kind} coproduct not coassociative at {w}"
-    for kind in ("shuffle", "stuffle"):
-        ws = words.words_up_to(cap)
-        for u in ws:
-            for v in ws:
-                if u.weight + v.weight > cap:
-                    continue
-                pu, pv = NCPolynomial.word(u), NCPolynomial.word(v)
-                if ncpoly.coproduct(pu * pv, kind) != ncpoly.coproduct(pu, kind) * ncpoly.coproduct(pv, kind):
+    for n in range(cap + 1):
+        for u, v in words.pairs_of_weight(n, words.words_of_weight):
+            pu, pv = NCPolynomial.word(u), NCPolynomial.word(v)
+            uv = pu * pv
+            for kind in ("shuffle", "stuffle"):
+                split = ncpoly.coproduct(pu, kind) * ncpoly.coproduct(pv, kind)
+                if ncpoly.coproduct(uv, kind) != split:
                     return False, f"{kind} coproduct not a concat morphism at {u}, {v}"
     try:
         ncpoly.coproduct(NCPolynomial.word((1, 1)), "plus")
@@ -175,19 +163,14 @@ def _check_coproducts(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
 
 def _check_adjunction(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
     cap = min(w_max, 4)
-    ws = words.words_up_to(cap)
     for kind in ("shuffle", "stuffle"):
-        for w in ws:
-            t = ncpoly.coproduct(NCPolynomial.word(w), kind)
-            for u in ws:
-                for v in ws:
-                    if u.weight + v.weight != w.weight:
-                        continue
-                    lhs = t.coeff(u, v)
-                    rhs = ncpoly.product(
-                        NCPolynomial.word(u), NCPolynomial.word(v), kind
-                    ).coeff(w)
-                    if lhs != rhs:
+        for n in range(cap + 1):
+            ws = words.words_of_weight(n)
+            ts = [(w, ncpoly.coproduct(NCPolynomial.word(w), kind)) for w in ws]
+            for u, v in words.pairs_of_weight(n, words.words_of_weight):
+                uv = ncpoly.product(NCPolynomial.word(u), NCPolynomial.word(v), kind)
+                for w, t in ts:
+                    if t.coeff(u, v) != uv.coeff(w):
                         return False, f"adjunction fails for {kind} at {w}; {u}, {v}"
     return True, f"<coproduct(w), u (x) v> = <w, u * v> exhaustively up to weight {cap}"
 
@@ -330,16 +313,16 @@ def _check_sym_hopf(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
             if got != expected:
                 return False, f"{basis}_{n} not primitive for the Sym coproduct"
     cap = min(w_max, 4)
-    comps = words.compositions_up_to(cap)
-    for k in comps:
-        t = symqsym.sym_coproduct(symqsym.SymElement.single(k, "S"))
-        for i in comps:
-            for j in comps:
-                if sum(i) + sum(j) != sum(k):
-                    continue
-                star = symqsym.qsym_product(
-                    symqsym.QSymElement.single(i, "M"), symqsym.QSymElement.single(j, "M")
-                )
+    for n in range(cap + 1):
+        ts = [
+            (k, symqsym.sym_coproduct(symqsym.SymElement.single(k, "S")))
+            for k in words.compositions_of(n)
+        ]
+        for i, j in words.pairs_of_weight(n):
+            star = symqsym.qsym_product(
+                symqsym.QSymElement.single(i, "M"), symqsym.QSymElement.single(j, "M")
+            )
+            for k, t in ts:
                 if t.get((i, j), Fraction(0)) != star.coeff(k):
                     return False, f"Sym/QSym adjunction fails at {k}; {i}, {j}"
     return True, f"power sums primitive to {w_max}; adjunction exhaustive to {cap}"
@@ -360,18 +343,15 @@ def _check_ribbon_duality(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
 
 def _check_encodings(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
     cap = min(w_max, 4)
-    ws = words.words_up_to(cap)
-    for u in ws:
-        for v in ws:
-            if u.weight + v.weight > cap:
-                continue
+    for n in range(cap + 1):
+        for u, v in words.pairs_of_weight(n, words.words_of_weight):
             pu, pv = NCPolynomial.word(u), NCPolynomial.word(v)
             if symqsym.encode_S(pu * pv) != symqsym.encode_S(pu) * symqsym.encode_S(pv):
                 return False, f"S encoding not multiplicative at {u}, {v}"
             lhs = symqsym.encode_M(ncpoly.product(pu, pv, "stuffle"))
             if lhs != symqsym.encode_M(pu) * symqsym.encode_M(pv):
                 return False, f"M encoding not a quasi-shuffle morphism at {u}, {v}"
-    for u in ws:
+    for u in words.words_up_to(cap):
         got = symqsym.sym_coproduct(symqsym.encode_S(NCPolynomial.word(u)))
         pairs = ncpoly.coproduct(NCPolynomial.word(u), "stuffle").terms.items()
         expected = add_into({}, (((a.letters, b.letters), c) for (a, b), c in pairs))
@@ -471,185 +451,186 @@ CHECKS = (
 )
 
 
-def run_verify(config: RunConfig, out) -> int:
-    rng = random.Random(config.seed)
+# ---------------------------------------------------------------------------
+# subcommands
+# ---------------------------------------------------------------------------
+
+def _emit(args, out, text: str, payload, indent: int | None = None, table=()) -> None:
+    """Writes one result in the form --format names: its text, its JSON
+    payload, or its CSV table (a header row, then the data rows)."""
+    if args.format == "json":
+        out.write(json.dumps(payload, indent=indent) + "\n")
+    elif args.format == "csv":
+        csv.writer(out).writerows(table)
+    else:
+        out.write(text)
+
+
+def run_verify(args, out) -> int:
+    rng = random.Random(args.seed)
     rows = []
     for name, fn in CHECKS:
-        ok, detail = fn(config.max_weight, config.q_degree, rng)
+        ok, detail = fn(args.max_weight, args.q_degree, rng)
         rows.append({"check": name, "status": "pass" if ok else "fail", "detail": detail})
-    failed = [r for r in rows if r["status"] == "fail"]
-    if config.fmt == "json":
-        out.write(json.dumps(rows, indent=2) + "\n")
-    elif config.fmt == "csv":
-        writer = csv.writer(out)
-        writer.writerow(["check", "status", "detail"])
-        for r in rows:
-            writer.writerow([r["check"], r["status"], r["detail"]])
-    else:
-        width = max(len(r["check"]) for r in rows)
-        for r in rows:
-            out.write(f"{r['status'].upper():4}  {r['check']:<{width}}  {r['detail']}\n")
-        out.write(
-            f"RESULT: {len(rows) - len(failed)}/{len(rows)} checks passed "
-            f"(max weight {config.max_weight}, q degree {config.q_degree}, seed {config.seed})\n"
-        )
-    return 1 if failed else 0
+    passed = sum(r["status"] == "pass" for r in rows)
+    width = max(len(r["check"]) for r in rows)
+    text = "".join(f"{r['status'].upper():4}  {r['check']:<{width}}  {r['detail']}\n" for r in rows)
+    text += (
+        f"RESULT: {passed}/{len(rows)} checks passed "
+        f"(max weight {args.max_weight}, q degree {args.q_degree}, seed {args.seed})\n"
+    )
+    table = [("check", "status", "detail"), *(r.values() for r in rows)]
+    _emit(args, out, text, rows, indent=2, table=table)
+    return 0 if passed == len(rows) else 1
 
 
-# ---------------------------------------------------------------------------
-# other subcommands
-# ---------------------------------------------------------------------------
-
-def _emit_poly(p: NCPolynomial, fmt: str, out) -> None:
-    if fmt == "json":
-        out.write(json.dumps(ncpoly.poly_to_json(p)) + "\n")
-    elif fmt == "csv":
-        writer = csv.writer(out)
-        writer.writerow(["word", "coeff"])
-        for w in p.support():
-            writer.writerow([words.word_str(w), str(p.terms[w])])
-    else:
-        out.write(ncpoly.poly_str(p) + "\n")
-
-
-def _within_cap(config: RunConfig, weight: int, what: str) -> None:
-    if weight > WEIGHT_CAP and not config.unsafe_weight:
+def _within_cap(args, weight: int, what: str) -> None:
+    if weight > WEIGHT_CAP and not args.unsafe_weight:
         raise ValueError(
             f"{what} has weight {weight}, above the cap of {WEIGHT_CAP}; "
             "pass --unsafe-weight to override"
         )
 
 
-def _element_within_cap(config: RunConfig, x, flag: str) -> None:
-    _within_cap(config, x.max_weight(), f"a composition in {flag}")
+def _element_within_cap(args, x, flag: str) -> None:
+    _within_cap(args, x.max_weight(), f"a composition in {flag}")
 
 
-def run_lyndon(config: RunConfig, out) -> int:
-    ws = lyndon.lyndon_up_to(config.max_weight)
-    if config.fmt == "json":
-        out.write(json.dumps([words.word_str(w) for w in ws]) + "\n")
-    elif config.fmt == "csv":
-        writer = csv.writer(out)
-        writer.writerow(["weight", "word"])
-        for w in ws:
-            writer.writerow([w.weight, words.word_str(w)])
-    else:
-        for w in ws:
-            out.write(words.word_str(w) + "\n")
+def _emit_poly(args, out, p: NCPolynomial) -> None:
+    table = [("word", "coeff"), *((words.word_str(w), str(p.terms[w])) for w in p.support())]
+    _emit(args, out, ncpoly.poly_str(p) + "\n", ncpoly.poly_to_json(p), table=table)
+
+
+def run_lyndon(args, out) -> int:
+    ws = lyndon.lyndon_up_to(args.max_weight)
+    texts = [words.word_str(w) for w in ws]
+    table = [("weight", "word"), *((w.weight, t) for w, t in zip(ws, texts))]
+    _emit(args, out, "".join(t + "\n" for t in texts), texts, table=table)
     return 0
 
 
-def run_basis(config: RunConfig, family: str, word_text: str, out) -> int:
-    w = words.parse_word(word_text)
-    _within_cap(config, w.weight, "--word")
-    elem = bases.basis_element(family, w)
-    _emit_poly(elem.value, config.fmt, out)
+def run_basis(args, out) -> int:
+    w = words.parse_word(args.word)
+    _within_cap(args, w.weight, "--word")
+    _emit_poly(args, out, bases.basis_element(args.family, w).value)
     return 0
 
 
-def run_product(config: RunConfig, kind: str, word_texts: list[str], out) -> int:
-    if len(word_texts) != 2:
+def run_product(args, out) -> int:
+    if len(args.word) != 2:
         raise ValueError("product needs exactly two --word arguments")
-    u, v = (words.parse_word(t) for t in word_texts)
-    _within_cap(config, u.weight + v.weight, "the two --word arguments")
-    p, q = NCPolynomial.word(u), NCPolynomial.word(v)
-    _emit_poly(ncpoly.product(p, q, kind), config.fmt, out)
+    u, v = (words.parse_word(t) for t in args.word)
+    _within_cap(args, u.weight + v.weight, "the two --word arguments")
+    _emit_poly(args, out, ncpoly.product(NCPolynomial.word(u), NCPolynomial.word(v), args.kind))
     return 0
 
 
-def run_convert(config: RunConfig, source: str, target: str, element_text: str, out) -> int:
-    x = symqsym.parse_element(element_text, default_basis=source)
-    if x.basis != source:
-        raise ValueError(f"element tagged {x.basis} but --from says {source}")
-    _element_within_cap(config, x, "--element")
-    y = symqsym.convert(x, target)
-    if config.fmt == "json":
-        out.write(json.dumps(symqsym.element_to_json(y)) + "\n")
-    elif config.fmt == "csv":
-        writer = csv.writer(out)
-        writer.writerow(["basis", "composition", "coeff"])
-        for comp in y.support():
-            writer.writerow([y.basis, words.comp_str(comp), str(y.terms[comp])])
-    else:
-        out.write(symqsym.element_str(y) + "\n")
+def run_convert(args, out) -> int:
+    x = symqsym.parse_element(args.element, default_basis=args.source)
+    if x.basis != args.source:
+        raise ValueError(f"element tagged {x.basis} but --from says {args.source}")
+    _element_within_cap(args, x, "--element")
+    y = symqsym.convert(x, args.target)
+    table = [
+        ("basis", "composition", "coeff"),
+        *((y.basis, words.comp_str(c), str(y.terms[c])) for c in y.support()),
+    ]
+    _emit(args, out, symqsym.element_str(y) + "\n", symqsym.element_to_json(y), table=table)
     return 0
 
 
-def run_pair(config: RunConfig, sym_text: str, qsym_text: str, out) -> int:
-    x = symqsym.parse_element(sym_text)
-    y = symqsym.parse_element(qsym_text)
+def run_pair(args, out) -> int:
+    x = symqsym.parse_element(args.sym)
+    y = symqsym.parse_element(args.qsym)
     if not isinstance(x, symqsym.SymElement) or not isinstance(y, symqsym.QSymElement):
         raise ValueError("--sym must use an S/Lambda/Psi/Phi/Rib basis and --qsym an M/F basis")
-    _element_within_cap(config, x, "--sym")
-    _element_within_cap(config, y, "--qsym")
-    value = symqsym.pairing_ext(x, y)
-    if config.fmt == "json":
-        out.write(json.dumps({"value": str(value)}) + "\n")
-    else:
-        out.write(str(value) + "\n")
+    _element_within_cap(args, x, "--sym")
+    _element_within_cap(args, y, "--qsym")
+    value = str(symqsym.pairing_ext(x, y))
+    _emit(args, out, value + "\n", {"value": value})
     return 0
 
 
-def run_factorize(config: RunConfig, pair: str, negative_control: bool, out) -> int:
+def run_factorize(args, out) -> int:
     ok, report = factorization.verify_factorization(
-        config.max_weight, pair, negative_control=negative_control
+        args.max_weight, args.pair, negative_control=args.negative_control
     )
-    if config.fmt == "json":
-        payload = {
-            "pair": pair,
-            "max_weight": config.max_weight,
-            "negative_control": negative_control,
-            "equal": ok,
-            "discrepancies": [
-                {
-                    "left": words.word_str(u),
-                    "right": words.word_str(v),
-                    "diagonal": str(a),
-                    "product": str(b),
-                }
-                for u, v, a, b in report
-            ],
-        }
-        out.write(json.dumps(payload, indent=2) + "\n")
+    rows = [(words.word_str(u), words.word_str(v), str(a), str(b)) for u, v, a, b in report]
+    if ok:
+        text = (
+            f"OK: pair {args.pair} reproduces the diagonal series up to weight {args.max_weight}\n"
+        )
     else:
-        if ok:
-            out.write(
-                f"OK: pair {pair} reproduces the diagonal series up to weight {config.max_weight}\n"
-            )
-        else:
-            out.write(
-                f"MISMATCH: pair {pair} differs from the diagonal series "
-                f"(showing up to {len(report)} terms)\n"
-            )
-            for u, v, a, b in report:
-                out.write(
-                    f"  ({words.word_str(u)}) (x) ({words.word_str(v)}): "
-                    f"diagonal {a}, product {b}\n"
-                )
+        text = (
+            f"MISMATCH: pair {args.pair} differs from the diagonal series "
+            f"(showing up to {len(report)} terms)\n"
+        )
+        text += "".join(f"  ({u}) (x) ({v}): diagonal {a}, product {b}\n" for u, v, a, b in rows)
+    payload = {
+        "pair": args.pair,
+        "max_weight": args.max_weight,
+        "negative_control": args.negative_control,
+        "equal": ok,
+        "discrepancies": [
+            dict(zip(("left", "right", "diagonal", "product"), row)) for row in rows
+        ],
+    }
+    _emit(args, out, text, payload, indent=2)
     return 0 if ok else 1
 
 
-def run_hl_check(config: RunConfig, out) -> int:
-    ok = symqsym.hall_littlewood_check(config.max_weight, config.q_degree)
-    if config.fmt == "json":
-        out.write(
-            json.dumps(
-                {"max_weight": config.max_weight, "q_degree": config.q_degree, "equal": ok}
-            )
-            + "\n"
-        )
-    else:
-        verdict = "OK" if ok else "MISMATCH"
-        out.write(
-            f"{verdict}: ordered-product coefficients vs geometric specialization, "
-            f"weight <= {config.max_weight}, mod q^{config.q_degree}\n"
-        )
+def run_hl_check(args, out) -> int:
+    ok = symqsym.hall_littlewood_check(args.max_weight, args.q_degree)
+    text = (
+        f"{'OK' if ok else 'MISMATCH'}: ordered-product coefficients vs geometric "
+        f"specialization, weight <= {args.max_weight}, mod q^{args.q_degree}\n"
+    )
+    payload = {"max_weight": args.max_weight, "q_degree": args.q_degree, "equal": ok}
+    _emit(args, out, text, payload)
     return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
+
+_MAX_WEIGHT = ("--max-weight", {"type": int, "default": 5})
+_Q_DEGREE = ("--q-degree", {"type": int, "default": 8})
+_SEED = ("--seed", {"type": int, "default": 0})
+_BASES = symqsym.SYM_BASES + symqsym.QSYM_BASES
+
+# One row per subcommand: its name, help, runner, the formats it writes and
+# the flags its runner reads.  Every subcommand also takes --format and
+# --unsafe-weight; an unlisted flag is a usage error.
+COMMANDS = (
+    ("lyndon", "list Lyndon words by weight", run_lyndon, FORMATS, [_MAX_WEIGHT]),
+    ("basis", "print one dual-basis element", run_basis, FORMATS, [
+        ("--family", {"required": True, "choices": bases.FAMILIES}),
+        ("--word", {"required": True}),
+    ]),
+    ("product", "multiply two words", run_product, FORMATS, [
+        ("--kind", {"choices": ncpoly.PRODUCT_KINDS, "default": "stuffle"}),
+        ("--word", {"action": "append", "required": True}),
+    ]),
+    ("convert", "change the basis of an element", run_convert, FORMATS, [
+        ("--from", {"dest": "source", "required": True, "choices": _BASES}),
+        ("--to", {"dest": "target", "required": True, "choices": _BASES}),
+        ("--element", {"required": True}),
+    ]),
+    ("pair", "pair a Sym element with a QSym element", run_pair, ("text", "json"), [
+        ("--sym", {"required": True}),
+        ("--qsym", {"required": True}),
+    ]),
+    ("verify", "run the full identity suite", run_verify, FORMATS, [_MAX_WEIGHT, _Q_DEGREE, _SEED]),
+    ("factorize", "check a diagonal-series factorization", run_factorize, ("text", "json"), [
+        _MAX_WEIGHT,
+        ("--pair", {"choices": factorization.PAIRS, "default": "stuffle"}),
+        ("--negative-control", {"action": "store_true"}),
+    ]),
+    ("hl-check", "check the q-specialization identity", run_hl_check, ("text", "json"),
+     [_MAX_WEIGHT, _Q_DEGREE]),
+)
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -658,12 +639,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "Lyndon dual bases, Sym/QSym, and factorization checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--max-weight", type=int, default=5)
-        p.add_argument("--q-degree", type=int, default=8)
-        p.add_argument("--format", choices=FORMATS, default="text")
-        p.add_argument("--seed", type=int, default=0)
+    for name, help_text, run, formats, flags in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument(
             "--unsafe-weight",
             action="store_true",
@@ -671,94 +652,35 @@ def _build_parser() -> argparse.ArgumentParser:
             f"--word, compositions in --element/--sym/--qsym) and --q-degree above "
             f"{Q_DEGREE_CAP}",
         )
-
-    add_common(sub.add_parser("lyndon", help="list Lyndon words by weight"))
-
-    p_basis_cmd = sub.add_parser("basis", help="print one dual-basis element")
-    add_common(p_basis_cmd)
-    p_basis_cmd.add_argument("--family", required=True, choices=bases.FAMILIES)
-    p_basis_cmd.add_argument("--word", required=True)
-
-    p_product = sub.add_parser("product", help="multiply two words")
-    add_common(p_product)
-    p_product.add_argument("--kind", choices=ncpoly.PRODUCT_KINDS, default="stuffle")
-    p_product.add_argument("--word", action="append", required=True)
-
-    p_convert = sub.add_parser("convert", help="change the basis of an element")
-    add_common(p_convert)
-    p_convert.add_argument("--from", dest="source", required=True,
-                           choices=symqsym.SYM_BASES + symqsym.QSYM_BASES)
-    p_convert.add_argument("--to", dest="target", required=True,
-                           choices=symqsym.SYM_BASES + symqsym.QSYM_BASES)
-    p_convert.add_argument("--element", required=True)
-
-    p_pair = sub.add_parser("pair", help="pair a Sym element with a QSym element")
-    add_common(p_pair)
-    p_pair.add_argument("--sym", required=True)
-    p_pair.add_argument("--qsym", required=True)
-
-    add_common(sub.add_parser("verify", help="run the full identity suite"))
-
-    p_fact = sub.add_parser("factorize", help="check a diagonal-series factorization")
-    add_common(p_fact)
-    p_fact.add_argument("--pair", choices=factorization.PAIRS, default="stuffle")
-    p_fact.add_argument("--negative-control", action="store_true")
-
-    add_common(sub.add_parser("hl-check", help="check the q-specialization identity"))
-
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.max_weight < 0:
-        parser.error("--max-weight must be nonnegative")
-    if args.max_weight > WEIGHT_CAP and not args.unsafe_weight:
-        parser.error(
-            f"--max-weight {args.max_weight} exceeds the cap of {WEIGHT_CAP}; "
-            "pass --unsafe-weight to override"
-        )
-    if args.command == "verify" and args.max_weight < 1:
-        parser.error("verify needs --max-weight >= 1")
-    if args.q_degree < 1:
-        parser.error("--q-degree must be >= 1")
-    if args.q_degree > Q_DEGREE_CAP and not args.unsafe_weight:
-        parser.error(
-            f"--q-degree {args.q_degree} exceeds the cap of {Q_DEGREE_CAP}; "
-            "pass --unsafe-weight to override"
-        )
-
-    config = RunConfig(
-        command=args.command,
-        max_weight=args.max_weight,
-        q_degree=args.q_degree,
-        fmt=args.format,
-        seed=args.seed,
-        unsafe_weight=args.unsafe_weight,
-    )
-    out = sys.stdout
+    if "max_weight" in args:
+        if args.max_weight < 0:
+            parser.error("--max-weight must be nonnegative")
+        if args.max_weight > WEIGHT_CAP and not args.unsafe_weight:
+            parser.error(
+                f"--max-weight {args.max_weight} exceeds the cap of {WEIGHT_CAP}; "
+                "pass --unsafe-weight to override"
+            )
+        if args.command == "verify" and args.max_weight < 1:
+            parser.error("verify needs --max-weight >= 1")
+    if "q_degree" in args:
+        if args.q_degree < 1:
+            parser.error("--q-degree must be >= 1")
+        if args.q_degree > Q_DEGREE_CAP and not args.unsafe_weight:
+            parser.error(
+                f"--q-degree {args.q_degree} exceeds the cap of {Q_DEGREE_CAP}; "
+                "pass --unsafe-weight to override"
+            )
     try:
-        if args.command == "lyndon":
-            return run_lyndon(config, out)
-        if args.command == "basis":
-            return run_basis(config, args.family, args.word, out)
-        if args.command == "product":
-            return run_product(config, args.kind, args.word, out)
-        if args.command == "convert":
-            return run_convert(config, args.source, args.target, args.element, out)
-        if args.command == "pair":
-            return run_pair(config, args.sym, args.qsym, out)
-        if args.command == "verify":
-            return run_verify(config, out)
-        if args.command == "factorize":
-            return run_factorize(config, args.pair, args.negative_control, out)
-        if args.command == "hl-check":
-            return run_hl_check(config, out)
+        return args.run(args, sys.stdout)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

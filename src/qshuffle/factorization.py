@@ -29,7 +29,7 @@ from .ncpoly import (
     stuffle_words,
 )
 from .symqsym import encode_M, encode_S
-from .words import Composition, Word, word_str, words_up_to
+from .words import Composition, Word, pairs_of_weight, word_str, words_of_weight, words_up_to
 
 PAIRS = tuple(bases.PAIRS)
 
@@ -254,19 +254,16 @@ def character_checks(max_weight: int) -> list[tuple[str, bool, str]]:
     results: list[tuple[str, bool, str]] = []
 
     # (a) character property
-    bad = None
-    all_words = words_up_to(max_weight)
-    for u in all_words:
-        for v in all_words:
-            if u.weight + v.weight > max_weight:
-                continue
-            lhs = encode_M(product(NCPolynomial.word(u), NCPolynomial.word(v), "stuffle"))
-            rhs = encode_M(u) * encode_M(v)
-            if lhs != rhs:
-                bad = (u, v)
-                break
-        if bad:
-            break
+    bad = next(
+        (
+            (u, v)
+            for n in range(max_weight + 1)
+            for u, v in pairs_of_weight(n, words_of_weight)
+            if encode_M(product(NCPolynomial.word(u), NCPolynomial.word(v), "stuffle"))
+            != encode_M(u) * encode_M(v)
+        ),
+        None,
+    )
     results.append(
         (
             "character-morphism",

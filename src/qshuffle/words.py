@@ -108,11 +108,20 @@ def word_str(w: Word | Composition) -> str:
     return " ".join(str(a) for a in parts) if parts else "e"
 
 
+def _parts(s: str) -> list[int]:
+    """The integers of "1 2", "1,2" or "1, 2"; ValueError on an empty part,
+    as in "1,,2", "1,2," or ","."""
+    chunks = s.split(",")
+    if any(not chunk.strip() for chunk in chunks):
+        raise ValueError(f"empty part in {s!r}")
+    return [int(tok) for chunk in chunks for tok in chunk.split()]
+
+
 def parse_word(s: str) -> Word:
     s = s.strip()
     if s in ("", "e"):
         return Word()
-    return Word(int(tok) for tok in s.replace(",", " ").split())
+    return Word(_parts(s))
 
 
 def comp_str(parts: Composition) -> str:
@@ -123,7 +132,8 @@ def comp_str(parts: Composition) -> str:
 def parse_comp(s: str) -> Composition:
     """Accepts "(1,2)", "1 2", "e", "()" and "" (the last three are empty).
 
-    Raises ValueError on unbalanced parentheses and on parts below 1."""
+    Raises ValueError on unbalanced parentheses, on an empty part and on
+    parts below 1."""
     s = s.strip()
     if s.startswith("(") or s.endswith(")"):
         if len(s) < 2 or not (s.startswith("(") and s.endswith(")")):
@@ -131,7 +141,7 @@ def parse_comp(s: str) -> Composition:
         s = s[1:-1].strip()
     if s in ("", "e"):
         return ()
-    parts = tuple(int(tok) for tok in s.replace(",", " ").split())
+    parts = tuple(_parts(s))
     if any(p < 1 for p in parts):
         raise ValueError(f"composition parts must be >= 1: {parts!r}")
     return parts
@@ -269,6 +279,13 @@ def words_of_weight(n: int) -> list[Word]:
 
 def words_up_to(n: int, include_empty: bool = True) -> list[Word]:
     return [Word(c) for c in compositions_up_to(n, include_empty)]
+
+
+def pairs_of_weight(n: int, of_weight=compositions_of) -> list[tuple]:
+    """Every pair (u, v) with u in of_weight(i) and v in of_weight(n - i),
+    i = 0..n: the compositions (or, with words_of_weight, the words) whose
+    weights sum to n, so that a check over pairs loops by weight block."""
+    return [(u, v) for i in range(n + 1) for u in of_weight(i) for v in of_weight(n - i)]
 
 
 def refinements(parts: Composition) -> list[tuple[Composition, list[Composition]]]:

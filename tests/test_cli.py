@@ -164,7 +164,7 @@ def test_bad_element_text_exits_2(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("element", ["1/0·S:(1)", "S:(0)", "S:(-1,2)", "S:(1"])
+@pytest.mark.parametrize("element", ["1/0·S:(1)", "S:(0)", "S:(-1,2)", "S:(1", "S:(1,,2)"])
 def test_malformed_element_is_a_usage_error(capsys, element):
     code = main(["convert", "--from", "S", "--to", "Lambda", "--element", element])
     err = capsys.readouterr().err
@@ -226,3 +226,35 @@ def test_duality_check_rejects_an_inhomogeneous_element(monkeypatch):
     ok, detail = cli._check_duality(3, 8, random.Random(0))
     assert not ok
     assert detail == "Sigma at 2 is not homogeneous of weight 2"
+
+
+def test_word_with_an_empty_part_is_a_usage_error(capsys):
+    code = main(["basis", "--family", "Pi", "--word", "1,,2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: empty part in '1,,2'\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["basis", "--family", "Pi", "--word", "2", "--seed", "1"],
+        ["product", "--word", "1", "--word", "2", "--max-weight", "3"],
+        ["convert", "--from", "Lambda", "--to", "S", "--element", "(2)", "--q-degree", "4"],
+        ["pair", "--sym", "S:(1)", "--qsym", "M:(1)", "--max-weight", "2"],
+        ["factorize", "--max-weight", "2", "--seed", "1"],
+        ["hl-check", "--max-weight", "2", "--seed", "2"],
+        ["pair", "--sym", "S:(1)", "--qsym", "M:(1)", "--format", "csv"],
+        ["factorize", "--max-weight", "2", "--format", "csv"],
+        ["hl-check", "--max-weight", "2", "--format", "csv"],
+    ],
+)
+def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    error = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(error) == 1 and argv[-2] in error[0]

@@ -12,6 +12,7 @@ from qshuffle.words import (
     is_finer,
     last_part,
     mirror,
+    pairs_of_weight,
     parse_comp,
     parse_word,
     refinement_count,
@@ -176,6 +177,10 @@ def test_word_text_forms():
     assert parse_word("1 2 2") == Word((1, 2, 2))
     assert parse_word("e") == Word()
     assert parse_word("") == Word()
+    assert parse_word(" 1 , 2 2") == Word((1, 2, 2))
+    for text in ("1,,2", ",", "1,2,", ",1"):
+        with pytest.raises(ValueError, match="empty part"):
+            parse_word(text)
 
 
 def test_comp_text_forms():
@@ -185,6 +190,20 @@ def test_comp_text_forms():
     assert parse_comp("()") == ()
     assert parse_comp("e") == ()
     assert parse_comp("1 2") == (1, 2)
+    assert parse_comp("(1, 2)") == (1, 2)
+    for text in ("1,,2", ",", "(,1)", "1,2,", "(1,2,)"):
+        with pytest.raises(ValueError, match="empty part"):
+            parse_comp(text)
+
+
+def test_pairs_of_weight():
+    pairs = pairs_of_weight(3)
+    assert len(pairs) == len(set(pairs)) == sum(
+        len(compositions_of(i)) * len(compositions_of(3 - i)) for i in range(4)
+    )
+    assert all(sum(i) + sum(j) == 3 for i, j in pairs)
+    assert pairs_of_weight(0) == [((), ())]
+    assert pairs_of_weight(2, words_of_weight)[:2] == [(Word(), Word((2,))), (Word(), Word((1, 1)))]
 
 
 @given(compositions)
