@@ -15,12 +15,14 @@ family, primal family, commutative product on the dual side):
 One construction, `_value`, builds all eight families.  A primal family
 sends a letter to its seed, a Lyndon word to the bracket over its standard
 factorization, and any other word to the concatenation product over its
-decreasing Lyndon factorization.  A dual family is solved from the graded
-duality system <primal_u, dual_v> = delta only at Lyndon words, one column
-each; at any other word it is the normalized product of its Lyndon factors
-under the pair's commutative product, because the Lyndon duals generate the
-dual algebra freely (Reutenauer, Free Lie Algebras, 1993, ch. 5; Hoffman,
-"Quasi-shuffle products", J. Algebraic Combin. 11, 2000).
+decreasing Lyndon factorization.  A dual family at a Lyndon word is one
+column of the graded duality system <primal_u, dual_v> = delta, except s,
+which follows s_l = y_a·s_u for l = a·u and reads no primal row (the column
+solve stays its test oracle); at any other word a dual is the normalized
+product of its Lyndon factors under the pair's commutative product, because
+the Lyndon duals generate the dual algebra freely (Reutenauer, Free Lie
+Algebras, 1993, ch. 5; Hoffman, "Quasi-shuffle products", J. Algebraic
+Combin. 11, 2000).
 
 pi1 and its inverse expansion run on the iterated stuffle coproduct: by
 <coproduct(w), u (x) v> = <w, u st v> their sums over word tuples need only
@@ -197,6 +199,9 @@ def _value(family: str, letters: tuple) -> NCPolynomial:
     w = Word._raw(letters)
     factors = lyndon_factorization(w).factors
     if factors == ((w, 1),):
+        if family == "s":
+            # s_l = y_a·s_u for l = a·u (Reutenauer, Free Lie Algebras, ch. 5)
+            return _y(letters[0]) * _value("s", letters[1:])
         if family in _DUAL:
             return _lyndon_column(family, letters)
         if len(letters) == 1:

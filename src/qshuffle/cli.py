@@ -188,12 +188,14 @@ def _check_exp_log(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
 
 
 def _check_duality(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
-    # The duals are solved only at Lyndon words; every other dual is the
-    # normalized commutative product of its Lyndon factors.  So the identity
-    # pairing matrices check the paper's claim that those products are dual
-    # to the primal PBW bases, not a solve against its own system.  Every
-    # element is homogeneous of its word's weight, so pairings across
-    # weights vanish and only the diagonal weight blocks need computing.
+    # The duals are built only at Lyndon words (s by s_l = y_a·s_u, the
+    # others by a column solve); every other dual is the normalized
+    # commutative product of its Lyndon factors.  So the identity pairing
+    # matrices check the paper's claim that those products (and the s
+    # recursion) are dual to the primal PBW bases, not a solve against its
+    # own system.  Every element is homogeneous of its word's weight, so
+    # pairings across weights vanish and only the diagonal weight blocks
+    # need computing.
     for dual, primal, _ in bases.PAIRS.values():
         for n in range(1, w_max + 1):
             ws = words.words_of_weight(n)

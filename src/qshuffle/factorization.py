@@ -10,7 +10,7 @@ Lyndon words, largest first, of exp(dual_l (x) primitive_l)."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 from . import bases
 from .lyndon import lyndon_up_to
@@ -110,6 +110,76 @@ class GradedTensorSeries:
         blank = GradedTensorSeries.__new__(GradedTensorSeries)
         return blank._set(out, self._den * other._den, bound, self.left_kind)
 
+    def times_exp(self, dual: NCPolynomial, primal: NCPolynomial) -> "GradedTensorSeries":
+        """self · exp(dual (x) primal), where exp(dual (x) primal) = sum_k
+        (dual^{*k} / k!) (x) primal^k, * is the `left_kind` product and
+        primal^k a concatenation power.
+
+        dual and primal must be nonzero and homogeneous of one weight m >= 1,
+        so k <= K = bound // m.  Each piece is one tensor product, so a left
+        word u with right part sum_v n_v v contributes (u * dual^{*k}) (x)
+        sum_v n_v v·primal^k: the left product is computed once per u and k
+        and crossed with the concatenations, accumulating straight into the
+        output buckets.  The numerators run over the common denominator
+        den · K! (d e)^K, with d and e those of dual and primal, and are
+        reduced once."""
+        m = _homogeneous_weight(dual)
+        if not m or _homogeneous_weight(primal) != m:
+            raise ValueError(
+                "exp factor needs dual and primal nonzero and homogeneous of one weight >= 1"
+            )
+        kernel, bound = _LEFT_KERNELS[self.left_kind], self.bound
+        de, top = dual._den * primal._den, bound // m
+        s0 = factorial(top) * de**top
+        # the buckets that some piece k >= 1 reaches, as left word -> its
+        # (right word, numerator) list
+        groups: dict[tuple[int, int], dict] = {}
+        for key, p in self._buckets.items():
+            if max(key) + m <= bound:
+                rights = groups[key] = {}
+                for (u, v), n in p.items():
+                    rights.setdefault(u, []).append((v, n))
+        # pieces k >= 1, over the common denominator den · s0
+        adds: dict[tuple[int, int], dict] = {}
+        a_pow, b_pow = {(): 1}, {(): 1}
+        for k in range(1, top + 1):
+            a_pow = bilinear(a_pow, dual._nums, kernel)
+            b_pow = bilinear(b_pow, primal._nums, concat_words)
+            scale = factorial(top) // factorial(k) * de ** (top - k)
+            b_items = list(b_pow.items())
+            lefts: dict[tuple, list] = {}
+            for (lw, rw), rights in groups.items():
+                key = (lw + k * m, rw + k * m)
+                if max(key) > bound:
+                    continue
+                bucket = adds.setdefault(key, {})
+                get = bucket.get
+                for u, vs in rights.items():
+                    left = lefts.get(u)
+                    if left is None:
+                        left = lefts[u] = [
+                            (w, c * scale) for w, c in bilinear({u: 1}, a_pow, kernel).items()
+                        ]
+                    for v, n in vs:
+                        for b, y in b_items:
+                            vb, ny = v + b, n * y
+                            for w, c in left:
+                                t = (w, vb)
+                                bucket[t] = get(t, 0) + c * ny
+        # k = 0 is self times s0, so g = gcd(s0, pieces k >= 1) divides
+        # every numerator of the sum: self's buckets are scaled by s0 // g
+        # (and shared when that is 1), the other pieces divided by g
+        g = gcd(s0, *(x for p in adds.values() for x in p.values()))
+        f = s0 // g
+        out = {
+            key: p if f == 1 else {t: n * f for t, n in p.items()}
+            for key, p in self._buckets.items()
+        }
+        for key, p in adds.items():
+            out[key] = add_into(dict(out.get(key, ())), ((t, x // g) for t, x in p.items()))
+        blank = GradedTensorSeries.__new__(GradedTensorSeries)
+        return blank._set(out, self._den * f, bound, self.left_kind)
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GradedTensorSeries)
@@ -147,38 +217,6 @@ def _homogeneous_weight(p: NCPolynomial) -> int | None:
     return weights.pop() if len(weights) == 1 else None
 
 
-def _exp_factor(
-    dual: NCPolynomial, primal: NCPolynomial, bound: int, left_kind: str
-) -> GradedTensorSeries:
-    """exp(dual (x) primal) = sum_k (dual^{*k} / k!) (x) primal^k, truncated at
-    `bound`; * is the `left_kind` product, primal^k a concatenation power.
-
-    dual and primal must be nonzero and homogeneous of one weight m >= 1, so
-    the k-th piece lands in bucket (k m, k m) and k <= K = bound // m.  The
-    powers run on their stored integer numerators (over d and e) and letter
-    tuples, and the factor is built over the common denominator K! (d e)^K,
-    reduced once."""
-    m = _homogeneous_weight(dual)
-    if not m or _homogeneous_weight(primal) != m:
-        raise ValueError(
-            "exp factor needs dual and primal nonzero and homogeneous of one weight >= 1"
-        )
-    kernel = _LEFT_KERNELS[left_kind]
-    a, d = dual._nums, dual._den
-    b, e = primal._nums, primal._den
-    top = bound // m
-    den = factorial(top) * (d * e) ** top
-    buckets = {(0, 0): {((), ()): den}}
-    a_pow, b_pow = {(): 1}, {(): 1}
-    for k in range(1, top + 1):
-        a_pow, b_pow = bilinear(a_pow, a, kernel), bilinear(b_pow, b, concat_words)
-        scale = factorial(top) // factorial(k) * (d * e) ** (top - k)
-        buckets[(k * m, k * m)] = {
-            (u, v): scale * x * y for u, x in a_pow.items() for v, y in b_pow.items()
-        }
-    return GradedTensorSeries.__new__(GradedTensorSeries)._set(buckets, den, bound, left_kind)
-
-
 def lyndon_decreasing(max_weight: int) -> list[Word]:
     """Lyndon words of weight <= max_weight, largest first in the word order."""
     return sorted(lyndon_up_to(max_weight), reverse=True)
@@ -205,7 +243,7 @@ def factorized_product(
     acc = GradedTensorSeries.unit(max_weight, kind)
     for l in lyndon_decreasing(max_weight):
         dual_l, primal_l = (bases.basis_element(f, l).value for f in (dual, primal))
-        acc = acc * _exp_factor(dual_l, primal_l, max_weight, kind)
+        acc = acc.times_exp(dual_l, primal_l)
     return acc
 
 

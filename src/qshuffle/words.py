@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
@@ -108,13 +109,23 @@ def word_str(w: Word | Composition) -> str:
     return " ".join(str(a) for a in parts) if parts else "e"
 
 
+_INT = re.compile(r"-?[0-9]+")
+
+
+def _int(tok: str) -> int:
+    if not _INT.fullmatch(tok):
+        raise ValueError(f"invalid literal for int() with base 10: {tok!r}")
+    return int(tok)
+
+
 def _parts(s: str) -> list[int]:
     """The integers of "1 2", "1,2" or "1, 2"; ValueError on an empty part,
-    as in "1,,2", "1,2," or ","."""
+    as in "1,,2", "1,2," or ",", and on a token that is not an ASCII digit
+    run with an optional minus, as in "1_0", "+2" or "٣"."""
     chunks = s.split(",")
     if any(not chunk.strip() for chunk in chunks):
         raise ValueError(f"empty part in {s!r}")
-    return [int(tok) for chunk in chunks for tok in chunk.split()]
+    return [_int(tok) for chunk in chunks for tok in chunk.split()]
 
 
 def parse_word(s: str) -> Word:

@@ -59,6 +59,12 @@ def test_s_examples():
     assert s_basis(Word((1,))) == mono(1)
 
 
+def test_s_recursion_matches_the_column_solve_to_weight_9():
+    # s_l = y_a·s_u for l = a·u; the column solve reads every p row of |l|
+    for l in lyndon_up_to(9):
+        assert s_basis(l) == bases._lyndon_column("s", l.letters), l
+
+
 def test_p_s_duality_weight_4():
     ws = words_up_to(4, include_empty=False)
     for u in ws:

@@ -236,6 +236,15 @@ def test_word_with_an_empty_part_is_a_usage_error(capsys):
     assert captured.err == "error: empty part in '1,,2'\n"
 
 
+def test_word_with_a_non_ascii_or_underscore_integer_is_a_usage_error(capsys):
+    # int() reads "1_2" as 12, so this used to answer for the letter 12
+    code = main(["basis", "--family", "Pi", "--word", "1_2", "--unsafe-weight"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: invalid literal for int() with base 10: '1_2'\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

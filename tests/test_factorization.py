@@ -11,7 +11,6 @@ from qshuffle.bases import pi_basis, sigma_basis
 from qshuffle.factorization import (
     PAIRS,
     GradedTensorSeries,
-    _exp_factor,
     character_checks,
     diagonal,
     factorized_product,
@@ -27,7 +26,7 @@ from qshuffle.ncpoly import (
     shuffle_words,
     stuffle_words,
 )
-from qshuffle.words import Word, sort_key, word_str
+from qshuffle.words import Word, sort_key, word_str, words_of_weight
 
 DATA = Path(__file__).parent / "data"
 
@@ -96,10 +95,10 @@ def test_ordered_product_regrouping():
     cut = len(ls) // 2
     first = GradedTensorSeries.unit(n, "stuffle")
     for l in ls[:cut]:
-        first = first * _exp_factor(sigma_basis(l), pi_basis(l), n, "stuffle")
+        first = first.times_exp(sigma_basis(l), pi_basis(l))
     second = GradedTensorSeries.unit(n, "stuffle")
     for l in ls[cut:]:
-        second = second * _exp_factor(sigma_basis(l), pi_basis(l), n, "stuffle")
+        second = second.times_exp(sigma_basis(l), pi_basis(l))
     assert first * second == full
 
 
@@ -127,11 +126,12 @@ def test_product_matches_the_all_pairs_oracle_along_the_factorization():
         for n in range(1, 6):
             acc = GradedTensorSeries.unit(n, kind)
             for l in lyndon_decreasing(n):
-                values = (bases.basis_element(f, l).value for f in (dual, primal))
-                factor = _exp_factor(*values, n, kind)
+                values = [bases.basis_element(f, l).value for f in (dual, primal)]
+                factor = GradedTensorSeries(_fraction_exp_factor(*values, n, kind), n, kind)
                 expected = _all_pairs_product(acc, factor)
-                acc = acc * factor
+                acc = acc.times_exp(*values)
                 assert acc.terms == expected, (pair, n, l)
+                _assert_canonical(acc)
             assert acc == diagonal(n, kind)
 
 
@@ -199,8 +199,8 @@ def test_product_on_random_series_matches_the_oracle(kind, a_terms, b_terms, bou
 
 def _fraction_exp_factor(dual, primal, bound: int, left_kind: str) -> dict:
     # the Fraction-valued exponential, sum_k (dual^{*k} / k!) (x) primal^k
-    # built from TensorPolynomial.tensor of the powers; the oracle for the
-    # integer `_exp_factor`
+    # built from TensorPolynomial.tensor of the powers; the oracle for
+    # `times_exp`
     m = dual.max_weight()
     terms = {(Word(), Word()): Fraction(1)}
     dual_pow = primal_pow = NCPolynomial.one()
@@ -214,12 +214,46 @@ def _fraction_exp_factor(dual, primal, bound: int, left_kind: str) -> dict:
     return terms
 
 
+@st.composite
+def _exp_inputs(draw) -> tuple[NCPolynomial, NCPolynomial]:
+    # nonzero dual and primal, homogeneous of one weight m in 1..3
+    ws = words_of_weight(draw(st.integers(1, 3)))
+    poly = st.dictionaries(st.sampled_from(ws), _coeffs.filter(bool), min_size=1, max_size=3)
+    return NCPolynomial(draw(poly)), NCPolynomial(draw(poly))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["shuffle", "stuffle"]),
+    terms=_series_terms,
+    bound=st.integers(0, 6),
+    c=_coeffs.filter(bool),
+    exp_inputs=_exp_inputs(),
+)
+def test_times_exp_on_random_series_matches_the_oracle(kind, terms, bound, c, exp_inputs):
+    # c (1 - dual (x) primal) exp(dual (x) primal) has no piece of weight
+    # (m, m): there the k = 1 piece of 1 (x) 1 cancels the k = 0 piece of
+    # dual (x) primal, and the k = 1 piece of dual (x) primal adds the left
+    # products of several left words into the same keys
+    dual, primal = exp_inputs
+    m = dual.max_weight()
+    minus = {key: -c * x for key, x in TensorPolynomial.tensor(dual, primal).terms.items()}
+    cancelling = GradedTensorSeries({**minus, (Word(), Word()): c}, bound, kind)
+    factor = GradedTensorSeries(_fraction_exp_factor(dual, primal, bound, kind), bound, kind)
+    for x in (_series(terms, bound, kind), cancelling):
+        got = x.times_exp(dual, primal)
+        assert got == x * factor
+        _assert_canonical(got)
+    got = cancelling.times_exp(dual, primal)
+    assert (m, m) not in got._buckets and got.coeff(Word(), Word()) == c
+
+
 def test_exp_factor_matches_the_fraction_oracle():
     for pair in PAIRS:
         dual, primal, kind = bases.PAIRS[pair]
         for l in lyndon_up_to(5):
             values = [bases.basis_element(f, l).value for f in (dual, primal)]
-            got = _exp_factor(*values, 5, kind)
+            got = GradedTensorSeries.unit(5, kind).times_exp(*values)
             assert got.terms == _fraction_exp_factor(*values, 5, kind), (pair, l)
             _assert_canonical(got)
 
@@ -240,7 +274,7 @@ def test_exp_factor_rejects_inputs_that_are_not_homogeneous_of_one_weight(dual, 
     # a zero or weight-0 input used to loop forever, a mixed-weight dual
     # silently dropped its powers
     with pytest.raises(ValueError):
-        _exp_factor(dual, primal, 3, "stuffle")
+        GradedTensorSeries.unit(3, "stuffle").times_exp(dual, primal)
 
 
 def test_terms_are_read_only_and_built_once():

@@ -181,6 +181,11 @@ def test_word_text_forms():
     for text in ("1,,2", ",", "1,2,", ",1"):
         with pytest.raises(ValueError, match="empty part"):
             parse_word(text)
+    # int() alone reads each of these tokens as an integer
+    for text, bad in (("1_0", "1_0"), ("٣", "٣"), ("+2", "+2"), ("1 2_0", "2_0"), ("1,1_2", "1_2")):
+        with pytest.raises(ValueError) as err:
+            parse_word(text)
+        assert str(err.value) == f"invalid literal for int() with base 10: {bad!r}"
 
 
 def test_comp_text_forms():
@@ -193,6 +198,14 @@ def test_comp_text_forms():
     assert parse_comp("(1, 2)") == (1, 2)
     for text in ("1,,2", ",", "(,1)", "1,2,", "(1,2,)"):
         with pytest.raises(ValueError, match="empty part"):
+            parse_comp(text)
+    for text, bad in (("(+2, 1_1)", "+2"), ("(2, 1_1)", "1_1"), ("(٣)", "٣"), ("1 ²", "²")):
+        with pytest.raises(ValueError) as err:
+            parse_comp(text)
+        assert str(err.value) == f"invalid literal for int() with base 10: {bad!r}"
+    # "-1" and "0" still reach the part check, as before
+    for text in ("(-1,2)", "0"):
+        with pytest.raises(ValueError, match="parts must be >= 1"):
             parse_comp(text)
 
 
