@@ -7,9 +7,10 @@ Example:
 
 import argparse
 import sys
+from fractions import Fraction
 
 from qshuffle.bases import FAMILIES, PAIRS, basis_element
-from qshuffle.ncpoly import pairing, poly_str
+from qshuffle.ncpoly import gram, poly_str
 from qshuffle.words import word_str, words_of_weight
 
 
@@ -33,13 +34,12 @@ def main() -> int:
             print(f"== Gram <{primal}_u, {dual}_v> per weight ==")
             for n in range(1, args.max_weight + 1):
                 ws = words_of_weight(n)
+                rows = [basis_element(primal, u).value for u in ws]
+                cols = [basis_element(dual, v).value for v in ws]
                 print(f"  weight {n}:")
-                for u in ws:
-                    row = [
-                        str(pairing(basis_element(primal, u).value, basis_element(dual, v).value))
-                        for v in ws
-                    ]
-                    print("    " + " ".join(f"{x:>3}" for x in row))
+                for r, acc in zip(rows, gram(rows, cols)):
+                    entries = (Fraction(acc.get(j, 0), r._den * c._den) for j, c in enumerate(cols))
+                    print("    " + " ".join(f"{str(x):>3}" for x in entries))
     return 0
 
 

@@ -21,9 +21,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
-from .words import Word, parse_coeff, signed_str, signed_terms, sort_key, word_str
+from .words import Word, parse_coeff, parse_word, signed_str, signed_terms, sort_key, word_str
 
 PRODUCT_KINDS = ("concat", "shuffle", "stuffle")
 COPRODUCT_KINDS = ("concat", "shuffle", "stuffle", "plus")
@@ -261,6 +261,21 @@ def dot(a: Sparse, b: Sparse) -> Fraction:
     return Fraction(sum(n * get(k, 0) for k, n in small.items()), a._den * b._den)
 
 
+def gram(rows: Iterable[Sparse], cols: list[Sparse]) -> Iterator[dict[int, int]]:
+    """Per row, {j: n} with dot(row, cols[j]) == Fraction(n, row._den * cols[j]._den), j absent
+    if they share no key; one index of the columns by key serves every row."""
+    index: dict[tuple, list] = {}
+    for j, col in enumerate(cols):
+        for k, n in col._nums.items():
+            index.setdefault(k, []).append((j, n))
+    for row in rows:
+        acc: dict[int, int] = {}
+        for k, n in row._nums.items():
+            for j, m in index.get(k, ()):
+                acc[j] = acc.get(j, 0) + n * m
+        yield acc
+
+
 # ---------------------------------------------------------------------------
 # word-level product kernels (cached; coefficients are plain ints)
 # ---------------------------------------------------------------------------
@@ -467,9 +482,7 @@ def parse_poly(s: str) -> NCPolynomial:
         coeff = Fraction(1) if cs is None else parse_coeff(cs)
         if cs is None and not ws.startswith("["):
             coeff, ws = parse_coeff(ws), ""
-        inner = ws.strip("[]").strip()
-        w = Word() if inner in ("", "e") else Word(int(x) for x in inner.split())
-        terms.append((w, sign * coeff))
+        terms.append((parse_word(ws.strip("[]")), sign * coeff))
     return NCPolynomial(terms)
 
 

@@ -1,12 +1,13 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
-from qshuffle import bases, cli
+from qshuffle import bases, cli, ncpoly, symqsym, words
 from qshuffle.cli import main
 from qshuffle.ncpoly import NCPolynomial, parse_poly, poly_from_json
-from qshuffle.symqsym import SymElement, convert
+from qshuffle.symqsym import QSymElement, SymElement, convert
 from qshuffle.words import Word, parse_word
 
 
@@ -226,6 +227,96 @@ def test_duality_check_rejects_an_inhomogeneous_element(monkeypatch):
     ok, detail = cli._check_duality(3, 8, random.Random(0))
     assert not ok
     assert detail == "Sigma at 2 is not homogeneous of weight 2"
+
+
+def _per_pair_duality_detail(w_max):
+    # the per-pair loop that the Gram product replaced, kept as its oracle
+    for dual, primal, _ in bases.PAIRS.values():
+        for n in range(1, w_max + 1):
+            ws = words.words_of_weight(n)
+            for u in ws:
+                for v in ws:
+                    got = ncpoly.pairing(bases.basis_element(primal, u).value,
+                                         bases.basis_element(dual, v).value)
+                    if got != (1 if u == v else 0):
+                        return f"duality {primal}/{dual} fails at {u}, {v}"
+    return None
+
+
+def _per_pair_ribbon_detail(w_max):
+    comps = words.compositions_up_to(w_max)
+    for i in comps:
+        for j in comps:
+            got = symqsym.pairing_ext(SymElement.single(i, "Rib"), QSymElement.single(j, "F"))
+            if got != (1 if i == j else 0):
+                return f"ribbon/fundamental duality fails at {i}, {j}"
+    return None
+
+
+@pytest.mark.parametrize(
+    "extra, detail",
+    [
+        ({("Sigma", (1, 1)): {(2,): 1}}, "duality Pi/Sigma fails at 2, 1 1"),
+        ({("Sigma", (2,)): {(1, 1): Fraction(-1, 3)}}, "duality Pi/Sigma fails at 2, 2"),
+        ({("SigmaR", (1, 2)): {(2, 1): 2, (3,): Fraction(1, 2)}}, "duality PiR/SigmaR fails at 3, 1 2"),
+        ({("s", (2, 1)): {(1, 1, 1): 1}}, "duality p/s fails at 1 1 1, 2 1"),
+        ({("PiL", (3,)): {(1, 2): Fraction(1, 7)}}, "duality PiL/SigmaL fails at 3, 1 2"),
+        # wrong at (3, 1 1 1) and in the later row 2 1 at earlier columns
+        ({("Sigma", (1, 1, 1)): {(3,): 1}, ("Pi", (2, 1)): {(2, 1): 1}},
+         "duality Pi/Sigma fails at 3, 1 1 1"),
+    ],
+)
+def test_duality_check_names_the_first_pair_of_the_per_pair_loop(monkeypatch, extra, detail):
+    # extra in-weight terms keep every element homogeneous, so only the
+    # pairing can catch them; rows (primal words) come first, then columns
+    element = bases.basis_element
+
+    def perturbed(family, w):
+        got = element(family, w)
+        if (family, w.letters) in extra:
+            return bases.BasisElement(w, family, got.value + NCPolynomial(extra[family, w.letters]))
+        return got
+
+    monkeypatch.setattr(bases, "basis_element", perturbed)
+    assert cli._check_duality(3, 8, random.Random(0)) == (False, detail)
+    assert _per_pair_duality_detail(3) == detail
+
+
+@pytest.mark.parametrize(
+    "extra, detail",
+    [
+        ({(1, 2): ((3,), 1)}, "ribbon/fundamental duality fails at (3,), (1, 2)"),
+        ({(2,): ((1, 1, 1), -1)}, "ribbon/fundamental duality fails at (1, 1, 1), (2,)"),
+        ({(): ((1,), 1)}, "ribbon/fundamental duality fails at (1,), ()"),
+        ({(2, 1): ((), 2)}, "ribbon/fundamental duality fails at (), (2, 1)"),
+        # F_(1,2) - F_(1,2) = 0 shares no key with any row: its diagonal is 0
+        ({(1, 2): ((1, 2), -1)}, "ribbon/fundamental duality fails at (1, 2), (1, 2)"),
+        # wrong at ((1,), (2, 1)) and in the later row (3,) at an earlier column
+        ({(1,): ((3,), 1), (2, 1): ((1,), 1)}, "ribbon/fundamental duality fails at (1,), (2, 1)"),
+    ],
+)
+def test_ribbon_check_names_the_first_pair_of_the_per_pair_loop(monkeypatch, extra, detail):
+    # perturbed F rows: F_J + c·F_K pairs to c with Rib_K, also across weights
+    single = QSymElement.single.__func__
+
+    def perturbed(cls, j, basis, coeff=1):
+        got = single(cls, j, basis, coeff)
+        if basis == "F" and tuple(j) in extra:
+            k, c = extra[tuple(j)]
+            return got + single(cls, k, "F", c)
+        return got
+
+    monkeypatch.setattr(QSymElement, "single", classmethod(perturbed))
+    assert cli._check_ribbon_duality(3, 8, random.Random(0)) == (False, detail)
+    assert _per_pair_ribbon_detail(3) == detail
+
+
+def test_pairing_checks_pass_and_state_the_weight_covered():
+    assert _per_pair_duality_detail(4) is None and _per_pair_ribbon_detail(4) is None
+    assert cli._check_duality(4, 8, random.Random(0)) == (
+        True, "four pairing matrices are the identity up to weight 4")
+    assert cli._check_ribbon_duality(7, 8, random.Random(0)) == (
+        True, "<Rib_I, F_J> = delta exhaustively up to weight 7")
 
 
 def test_word_with_an_empty_part_is_a_usage_error(capsys):

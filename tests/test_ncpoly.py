@@ -10,6 +10,7 @@ from qshuffle.ncpoly import (
     TensorPolynomial,
     coproduct,
     exp_trunc,
+    gram,
     is_primitive,
     log_trunc,
     pairing,
@@ -20,7 +21,7 @@ from qshuffle.ncpoly import (
     product,
 )
 from qshuffle.symqsym import QSymElement, SymElement
-from qshuffle.words import Word, words_up_to
+from qshuffle.words import Word, words_of_weight, words_up_to
 
 one = NCPolynomial.one()
 
@@ -309,6 +310,13 @@ def test_text_parse_examples():
         parse_poly("1e100000000·[1]")
 
 
+@pytest.mark.parametrize("s", ["[1_0]", "2·[٣ +1]", "[٣]", "[+2]", "[1 +2]", "[1,,2]", "[-1]"])
+def test_parse_poly_reads_letters_as_ascii_digit_runs(s):
+    # int() would read "1_0" as 10, "٣" as 3 and "+2" as 2
+    with pytest.raises(ValueError):
+        parse_poly(s)
+
+
 @settings(max_examples=40)
 @given(
     st.lists(
@@ -458,6 +466,33 @@ def test_pairing_is_one_integer_dot_returning_a_fraction():
     q = mono(1) * Fraction(3, 5) + mono(2) * 2
     got = pairing(p, q)
     assert type(got) is Fraction and got == Fraction(1, 5) - Fraction(1, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(rational_terms(), max_size=4),
+    cols=st.lists(
+        st.one_of(rational_terms(), rational_terms(keys=st.sampled_from(words_of_weight(5)))),
+        max_size=4,
+    ),
+)
+def test_gram_matches_the_per_pair_pairing(rows, cols):
+    # mixed denominators, cancelling (zero) elements, the empty word, and
+    # weight-5 columns whose support no row shares
+    rows = [NCPolynomial([(Word(w), c) for w, c in t]) for t in rows] + [one, NCPolynomial.zero()]
+    cols = [NCPolynomial([(Word(w), c) for w, c in t]) for t in cols] + [NCPolynomial.zero(), one]
+    got = list(gram(rows, cols))
+    assert len(got) == len(rows)
+    for row, acc in zip(rows, got):
+        assert all(type(n) is int for n in acc.values())
+        assert set(acc) <= {j for j, col in enumerate(cols) if row._nums.keys() & col._nums.keys()}
+        entries = [Fraction(acc.get(j, 0), row._den * col._den) for j, col in enumerate(cols)]
+        assert entries == [pairing(row, col) for col in cols]
+
+
+def test_gram_of_no_rows_or_no_columns():
+    assert list(gram([], [one])) == []
+    assert list(gram([one, mono(1)], [])) == [{}, {}]
 
 
 # -- one coefficient coercion, read-only terms ------------------------------------
