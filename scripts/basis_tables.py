@@ -10,6 +10,7 @@ import sys
 from fractions import Fraction
 
 from qshuffle.bases import FAMILIES, PAIRS, basis_element
+from qshuffle.cli import WEIGHT_CAP
 from qshuffle.ncpoly import gram, poly_str
 from qshuffle.words import word_str, words_of_weight
 
@@ -20,6 +21,8 @@ def main() -> int:
     parser.add_argument("--families", nargs="+", default=list(FAMILIES), choices=FAMILIES)
     parser.add_argument("--gram", action="store_true", help="print pairing matrices")
     args = parser.parse_args()
+    if not 1 <= args.max_weight <= WEIGHT_CAP:
+        parser.error(f"--max-weight must be between 1 and {WEIGHT_CAP}, got {args.max_weight}")
 
     for family in args.families:
         print(f"== family {family} ==")

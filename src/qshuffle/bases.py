@@ -15,14 +15,13 @@ family, primal family, commutative product on the dual side):
 One construction, `_value`, builds all eight families.  A primal family
 sends a letter to its seed, a Lyndon word to the bracket over its standard
 factorization, and any other word to the concatenation product over its
-decreasing Lyndon factorization.  A dual family at a Lyndon word is one
-column of the graded duality system <primal_u, dual_v> = delta, except s,
-which follows s_l = y_a·s_u for l = a·u and reads no primal row (the column
-solve stays its test oracle); at any other word a dual is the normalized
-product of its Lyndon factors under the pair's commutative product, because
-the Lyndon duals generate the dual algebra freely (Reutenauer, Free Lie
-Algebras, 1993, ch. 5; Hoffman, "Quasi-shuffle products", J. Algebraic
-Combin. 11, 2000).
+decreasing Lyndon factorization.  s is y_a·s_u at a Lyndon word l = a·u and
+the normalized shuffle product of its Lyndon factors elsewhere (Reutenauer,
+Free Lie Algebras, 1993, ch. 5).  The quasi-shuffle duals read no primal
+row: Pi^X_w = phi_X(p_w) for the concatenation morphism phi_X: y_n ->
+seed_X(n), so Sigma^X_w = Psi_X(s_w) with Psi_X the adjoint of phi_X^{-1}
+(`_lambda`, `_psi`; for Pi, phi^{-1} is Hoffman's exponential: Hoffman,
+"Quasi-shuffle products", J. Algebraic Combin. 11, 2000, Thm 2.5).
 
 pi1 and its inverse expansion run on the iterated stuffle coproduct: by
 <coproduct(w), u (x) v> = <w, u st v> their sums over word tuples need only
@@ -38,11 +37,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, prod
+from math import factorial, lcm, prod
 
 from .lyndon import lyndon_factorization, standard_factorization
-from .ncpoly import NCPolynomial, _word_coproduct, product
-from .words import Word, compositions_of, stats, words_of_weight
+from .ncpoly import NCPolynomial, _word_coproduct, add_into, product
+from .words import Word, compositions_of, stats
 
 
 def _bracket(a: NCPolynomial, b: NCPolynomial) -> NCPolynomial:
@@ -186,8 +185,8 @@ _LETTER = {
     "PiL": lambda n: _lr_list(n, "L")[n - 1],
     "PiR": lambda n: _lr_list(n, "R")[n - 1],
 }
-# dual family -> (primal family, commutative product)
-_DUAL = {dual: (primal, kind) for dual, primal, kind in PAIRS.values()}
+# quasi-shuffle dual family -> its primal family
+_DUAL = {dual: primal for dual, primal, kind in PAIRS.values() if kind == "stuffle"}
 
 
 @lru_cache(maxsize=None)
@@ -196,20 +195,25 @@ def _value(family: str, letters: tuple) -> NCPolynomial:
     module docstring)."""
     if not letters:
         return NCPolynomial.one()
+    if family in _DUAL:
+        # Sigma^X_w = Psi_X(s_w), summed over one common denominator
+        primal, s = _DUAL[family], _value("s", letters)
+        nums: dict = {}
+        for x, c in s._nums.items():
+            add_into(nums, _psi(primal, x), c)
+        return NCPolynomial._from(nums, s._den * _psi_den(primal, sum(letters)))
     w = Word._raw(letters)
     factors = lyndon_factorization(w).factors
     if factors == ((w, 1),):
         if family == "s":
             # s_l = y_a·s_u for l = a·u (Reutenauer, Free Lie Algebras, ch. 5)
             return _y(letters[0]) * _value("s", letters[1:])
-        if family in _DUAL:
-            return _lyndon_column(family, letters)
         if len(letters) == 1:
             return _LETTER[family](letters[0])
         s, r = standard_factorization(w)
         return _bracket(_value(family, s.letters), _value(family, r.letters))
-    if family in _DUAL:
-        kind, den = _DUAL[family][1], prod(factorial(mult) for _, mult in factors)
+    if family == "s":
+        kind, den = "shuffle", prod(factorial(mult) for _, mult in factors)
     else:
         kind, den = "concat", 1
     out = NCPolynomial.one()
@@ -221,50 +225,43 @@ def _value(family: str, letters: tuple) -> NCPolynomial:
 
 
 @lru_cache(maxsize=None)
-def _triangular(primal: str, n: int) -> tuple[tuple, ...]:
-    """The words of weight n in (length, word) order, after checking that the
-    primal matrix is upper triangular with a nonzero diagonal in that order:
-    primal_u is a nonzero multiple of u plus words that come later.  Every
-    row is checked, also those after the last Lyndon word, which no column
-    solve reads.  A row that breaks it raises ArithmeticError."""
-    order = sorted((w.letters for w in words_of_weight(n)), key=lambda w: (len(w), Word._raw(w)))
-    pos = {w: i for i, w in enumerate(order)}
-    for u in order:
-        row = _value(primal, u)._nums
-        if not row.get(u) or any(pos.get(x, -1) < pos[u] for x in row):
-            raise ArithmeticError(
-                f"{primal} is not triangular at {Word._raw(u)} in the duality solve"
-            )
-    return tuple(order)
+def _lambda(primal: str, n: int) -> NCPolynomial:
+    """lambda_n = phi^{-1}(y_n), phi: y_m -> seed(m) the primal family's
+    concatenation morphism.  seed(n) is c·y_n plus words v of length >= 2,
+    and phi^{-1}(v) is the product of the lambdas of v's letters, all below
+    n; so lambda_n = (y_n - sum_v a_v phi^{-1}(v)) / c, and c = 0 raises."""
+    seed = _LETTER[primal](n)
+    if not (c := seed._nums.get((n,))):
+        raise ArithmeticError(f"the {primal} seed at y_{n} has no y_{n} term")
+    return NCPolynomial._sum([(_y(n), seed._den)] + [
+        (prod((_lambda(primal, m) for m in v), start=NCPolynomial.one()), -a)
+        for v, a in seed._nums.items() if v != (n,)
+    ]) / c
 
 
-def _lyndon_column(dual: str, l: tuple) -> NCPolynomial:
-    """Column l of C, the inverse of the primal matrix A of weight |l|: the
-    solution of A c = e_l, which is the dual value at l.
+@lru_cache(maxsize=None)
+def _psi_den(primal: str, n: int) -> int:
+    # the common denominator of Psi at the words of weight n
+    return lcm(*(_lambda(primal, m)._den * _psi_den(primal, n - m) for m in range(1, n + 1)))
 
-    A is upper triangular (`_triangular`), so c_x = 0 for every word x after
-    l, and back-substitution from l down to the first word gives c_l = 1/A_ll
-    and c_u = -(sum_{x > u} A_ux c_x) / A_uu.  A row is A_ux = a_x / d, and
-    the column is kept as c_x = n_x / den, so this stays in integers:
-    c_l = d / a_l and c_u = -(sum_x a_x n_x) / (a_u den).
-    """
-    primal = _DUAL[dual][0]
-    order = _triangular(primal, sum(l))
-    nums: dict[tuple, int] = {}
-    den = 1
-    for u in reversed(order[: order.index(l) + 1]):
-        row = _value(primal, u)
-        t = row._den if u == l else -sum(a * nums[x] for x, a in row._nums.items() if x in nums)
-        if t:
-            # c_u = t / (a_u den); rescale so that den stays common and > 0
-            diag = row._nums[u]
-            g = gcd(t, diag) if diag > 0 else -gcd(t, diag)
-            t, m = t // g, diag // g
-            if m != 1:
-                nums = {x: c * m for x, c in nums.items()}
-                den *= m
-            nums[u] = t
-    return NCPolynomial._from(nums, den)
+
+@lru_cache(maxsize=None)
+def _psi(primal: str, letters: tuple) -> tuple:
+    """Psi(w), the adjoint of phi^{-1}, as (word, numerator) pairs over
+    _psi_den(primal, |w|): each cut of w into a first block b and the rest
+    adds <lambda_{|b|}, b> y_{|b|}·Psi(rest).  The first letters |b| differ
+    between cuts, so no two pairs share a word."""
+    if not letters:
+        return (((), 1),)
+    n, m, out = sum(letters), 0, []
+    for i, a in enumerate(letters, 1):
+        m += a
+        lam = _lambda(primal, m)
+        c = lam._nums.get(letters[:i])
+        if c:
+            f = c * (_psi_den(primal, n) // (lam._den * _psi_den(primal, n - m)))
+            out.extend(((m, *x), f * k) for x, k in _psi(primal, letters[i:]))
+    return tuple(out)
 
 
 def _element(family: str, w: Word) -> NCPolynomial:

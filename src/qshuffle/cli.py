@@ -196,12 +196,11 @@ def _first_off_identity(rows: list, cols: list) -> tuple[int, int] | None:
 
 
 def _check_duality(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
-    # The duals are built only at Lyndon words (s by s_l = y_a·s_u, the
-    # others by a column solve); every other dual is the normalized
-    # commutative product of its Lyndon factors.  So the identity pairing
-    # matrices check the paper's claim that those products (and the s
-    # recursion) are dual to the primal PBW bases, not a solve against its
-    # own system.  Every element is homogeneous of its word's weight, so
+    # No dual reads a primal row: s comes from s_l = y_a·s_u and normalized
+    # shuffle products, and Sigma^X_w = Psi_X(s_w) from the seeds' letter
+    # maps alone.  So the identity pairing matrices check the paper's
+    # duality between two independent constructions, not a solve against
+    # its own system.  Every element is homogeneous of its word's weight, so
     # pairings across weights vanish and only the diagonal weight blocks
     # need computing, each as one sparse Gram product (`ncpoly.gram`).
     for dual, primal, _ in bases.PAIRS.values():
@@ -228,7 +227,8 @@ def _check_primitivity(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
             return False, f"L_{n} not primitive"
         if not ncpoly.is_primitive(rs[n - 1], "stuffle"):
             return False, f"R_{n} not primitive"
-    for l in lyndon.lyndon_up_to(min(w_max, 5)):
+    cap = min(w_max, 5)
+    for l in lyndon.lyndon_up_to(cap):
         if not ncpoly.is_primitive(bases.p_basis(l), "shuffle"):
             return False, f"p_l not shuffle-primitive at {l}"
         if not ncpoly.is_primitive(bases.pi_basis(l), "stuffle"):
@@ -236,7 +236,7 @@ def _check_primitivity(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
         for side in ("L", "R"):
             if not ncpoly.is_primitive(bases.pi_s_basis(l, side), "stuffle"):
                 return False, f"Pi^{side}_l not primitive at {l}"
-    return True, f"primitive families confirmed up to weight {w_max}"
+    return True, f"primitive seeds up to weight {w_max}, Lyndon PBW elements up to weight {cap}"
 
 
 def _check_series(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
@@ -404,9 +404,8 @@ def _check_cauchy(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
 
 
 def _check_hall_littlewood(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
-    cap = min(w_max, 3)
-    ok = symqsym.hall_littlewood_check(cap, q_degree)
-    return ok, f"geometric-alphabet specialization matches mod q^{q_degree}, weight <= {cap}"
+    ok = symqsym.hall_littlewood_check(w_max, q_degree)
+    return ok, f"geometric-alphabet specialization matches mod q^{q_degree}, weight <= {w_max}"
 
 
 def _check_factorization(w_max: int, q_degree: int, rng) -> tuple[bool, str]:

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from functools import lru_cache
+from math import factorial, gcd
 from pathlib import Path
 
 import pytest
@@ -59,10 +61,54 @@ def test_s_examples():
     assert s_basis(Word((1,))) == mono(1)
 
 
+@lru_cache(maxsize=None)
+def _triangular_order(primal: str, n: int) -> tuple[tuple, ...]:
+    # the words of weight n in (length, word) order, after checking that the
+    # primal matrix is upper triangular with a nonzero diagonal in it:
+    # primal_u is a nonzero multiple of u plus words that come later
+    order = sorted((w.letters for w in words_of_weight(n)), key=lambda w: (len(w), Word(w)))
+    pos = {w: i for i, w in enumerate(order)}
+    for u in order:
+        row = bases._value(primal, u)._nums
+        assert row.get(u) and all(pos[x] > pos[u] for x in row if x != u), (primal, u)
+    return tuple(order)
+
+
+def _column_solve(primal: str, w: tuple) -> NCPolynomial:
+    # The oracle for every dual family: column w of C = A^{-1}, A the primal
+    # matrix of weight |w|.  A is upper triangular, so c_x = 0 after w and
+    # back-substitution gives c_w = 1/A_ww, c_u = -(sum_{x > u} A_ux c_x)/A_uu;
+    # kept in integers as c_x = n_x/den with rows A_ux = a_x/d.
+    order = _triangular_order(primal, sum(w))
+    nums: dict[tuple, int] = {}
+    den = 1
+    for u in reversed(order[: order.index(w) + 1]):
+        row = bases._value(primal, u)
+        t = row._den if u == w else -sum(a * nums[x] for x, a in row._nums.items() if x in nums)
+        if t:
+            diag = row._nums[u]
+            g = gcd(t, diag) if diag > 0 else -gcd(t, diag)
+            t, m = t // g, diag // g
+            if m != 1:
+                nums = {x: c * m for x, c in nums.items()}
+                den *= m
+            nums[u] = t
+    return NCPolynomial._from(nums, den)
+
+
 def test_s_recursion_matches_the_column_solve_to_weight_9():
     # s_l = y_a·s_u for l = a·u; the column solve reads every p row of |l|
     for l in lyndon_up_to(9):
-        assert s_basis(l) == bases._lyndon_column("s", l.letters), l
+        assert s_basis(l) == _column_solve("p", l.letters), l
+
+
+@pytest.mark.parametrize("pair", ["stuffle", "L", "R"])
+def test_closed_form_duals_store_the_column_solve_to_weight_8(pair):
+    # Sigma^X_w = Psi_X(s_w) reads no primal row; the oracle reads them all
+    dual, primal, _ = PAIRS[pair]
+    for w in words_up_to(8, include_empty=False):
+        got, expected = bases._value(dual, w.letters), _column_solve(primal, w.letters)
+        assert (got._nums, got._den) == (expected._nums, expected._den), (dual, w)
 
 
 def test_p_s_duality_weight_4():
@@ -158,8 +204,8 @@ def test_pi_sigma_duality_weight_4():
 
 
 def _gauss_jordan_inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    # dense exact Gauss-Jordan with row pivoting: the oracle for the dual
-    # values, Lyndon columns by back-substitution and normalized products
+    # dense exact Gauss-Jordan with row pivoting: an oracle for the dual
+    # values that assumes neither triangularity nor the closed form
     m = len(rows)
     aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(m)]
            for i, row in enumerate(rows)]
@@ -185,23 +231,40 @@ def test_dual_tables_match_the_dense_inverse_to_weight_6():
                 assert basis_element(dual, v).value == expected, (dual, v)
 
 
-@pytest.mark.parametrize("defect", ["entry below the diagonal", "zero diagonal"])
-def test_dual_solve_rejects_a_non_triangular_primal(monkeypatch, defect):
-    # In (length, word) order the weight-2 words are (2), (1 1), and
-    # Pi_(1 1) = [1 1]; either defect breaks the solve's precondition.  The
-    # row (1 1) comes after (2), the only Lyndon column of weight 2, so no
-    # column solve reads it: the per-weight check still must.
-    value = bases._value
+def test_a_seed_without_its_letter_term_is_rejected(monkeypatch):
+    # lambda_n = phi^{-1}(y_n) divides by the y_n coefficient of seed(n)
+    seed = bases._LETTER["Pi"]
+    monkeypatch.setitem(bases._LETTER, "Pi", lambda n: seed(n) - mono(2) if n == 2 else seed(n))
+    with pytest.raises(ArithmeticError, match="the Pi seed at y_2 has no y_2 term"):
+        bases._lambda.__wrapped__("Pi", 2)
 
-    def broken(family, letters):
-        got = value(family, letters)
-        if family == "Pi" and letters == (1, 1):
-            return got + mono(2) if defect == "entry below the diagonal" else got - mono(1, 1)
-        return got
 
-    monkeypatch.setattr(bases, "_value", broken)
-    with pytest.raises(ArithmeticError):
-        bases._triangular.__wrapped__("Pi", 2)
+# -- the letter maps lambda^X_n = phi_X^{-1}(y_n) -----------------------------------
+
+def test_pi_letter_map_is_hoffmans_exponential():
+    # Hoffman, Quasi-shuffle products, Thm 2.5: phi^{-1}(y_n) = sum_I y_I / l(I)!
+    for n in range(1, 9):
+        expected = NCPolynomial({i: Fraction(1, factorial(len(i))) for i in compositions_of(n)})
+        assert bases._lambda("Pi", n) == expected, n
+
+
+def test_l_and_r_letter_maps_at_3():
+    assert bases._lambda("PiL", 3) == mono(1, 1, 1) / 6 + mono(1, 2) / 6 + mono(2, 1) / 3 + mono(3) / 3
+    # the mirror image: R_n is L_n with every word reversed
+    assert bases._lambda("PiR", 3) == mono(1, 1, 1) / 6 + mono(2, 1) / 6 + mono(1, 2) / 3 + mono(3) / 3
+
+
+@pytest.mark.parametrize("primal", ["Pi", "PiL", "PiR"])
+def test_primal_is_the_letter_substitution_of_p(primal):
+    # Pi^X_w = phi_X(p_w), phi_X substituting seed_X(n) for each letter y_n
+    for w in words_up_to(6, include_empty=False):
+        image = NCPolynomial.zero()
+        for x, c in p_basis(w).terms.items():
+            term = one * c
+            for n in x.letters:
+                term = term * basis_element(primal, Word((n,))).value
+            image = image + term
+        assert basis_element(primal, w).value == image, (primal, w)
 
 
 def test_pi_triangularity_and_homogeneity():

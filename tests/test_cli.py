@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -317,6 +321,34 @@ def test_pairing_checks_pass_and_state_the_weight_covered():
         True, "four pairing matrices are the identity up to weight 4")
     assert cli._check_ribbon_duality(7, 8, random.Random(0)) == (
         True, "<Rib_I, F_J> = delta exhaustively up to weight 7")
+
+
+def test_primitivity_and_hall_littlewood_state_the_weights_covered():
+    assert cli._check_primitivity(6, 8, random.Random(0)) == (
+        True, "primitive seeds up to weight 6, Lyndon PBW elements up to weight 5")
+    assert cli._check_hall_littlewood(5, 8, random.Random(0)) == (
+        True, "geometric-alphabet specialization matches mod q^8, weight <= 5")
+
+
+def _basis_tables(*argv) -> subprocess.CompletedProcess:
+    root = Path(__file__).parent.parent
+    return subprocess.run(
+        [sys.executable, str(root / "scripts" / "basis_tables.py"), *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+
+
+@pytest.mark.parametrize("weight", [-2, 0, cli.WEIGHT_CAP + 1])
+def test_basis_tables_rejects_a_weight_outside_the_cap(weight):
+    got = _basis_tables("--max-weight", str(weight))
+    assert got.returncode == 2 and got.stdout == ""
+    assert f"--max-weight must be between 1 and {cli.WEIGHT_CAP}, got {weight}" in got.stderr
+
+
+def test_basis_tables_accepts_the_lowest_weight():
+    got = _basis_tables("--max-weight", "1", "--families", "Pi", "Sigma")
+    assert got.returncode == 0
+    assert got.stdout == "== family Pi ==\n  Pi_[1] = [1]\n== family Sigma ==\n  Sigma_[1] = [1]\n"
 
 
 def test_word_with_an_empty_part_is_a_usage_error(capsys):
