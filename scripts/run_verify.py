@@ -11,7 +11,7 @@ import random
 import sys
 import time
 
-from qshuffle.cli import CHECKS
+from qshuffle.cli import CHECKS, WEIGHT_CAP
 
 
 def main() -> int:
@@ -20,6 +20,9 @@ def main() -> int:
     parser.add_argument("--q-degree", type=int, default=8)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    bad = [w for w in args.weights if not 1 <= w <= WEIGHT_CAP]
+    if bad:
+        parser.error(f"--weights must be between 1 and {WEIGHT_CAP}, got {bad[0]}")
 
     failures = 0
     for w in args.weights:

@@ -28,8 +28,9 @@ pi1 and its inverse expansion run on the iterated stuffle coproduct: by
 its nonzero terms.
 
 The series side lives in `TSeries`, a t-truncated power series with
-polynomial coefficients: the letter series, its inverse, the L/R series,
-their higher-derivative analogues, and truncated log/ad-exponentials.
+polynomial coefficients on the bucketed core `ncpoly.Graded`: the letter
+series, its inverse, the L/R series, their higher-derivative analogues, and
+truncated log/ad-exponentials.
 """
 
 from __future__ import annotations
@@ -38,9 +39,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm, prod
+from types import MappingProxyType
+from typing import Mapping
 
 from .lyndon import lyndon_factorization, standard_factorization
-from .ncpoly import NCPolynomial, _word_coproduct, add_into, product
+from .ncpoly import Graded, NCPolynomial, _word_coproduct, add_into, concat_words, product
 from .words import Word, compositions_of, stats
 
 
@@ -315,88 +318,51 @@ def basis_element(family: str, w: Word) -> BasisElement:
 # truncated power series in t with polynomial coefficients
 # ---------------------------------------------------------------------------
 
-class TSeries:
-    """Truncated series sum_n c_n t^n with NCPolynomial coefficients.
+class TSeries(Graded):
+    """Truncated series sum_n c_n t^n with NCPolynomial coefficients, an
+    `ncpoly.Graded` value graded by (n,) and keyed by the words of c_n.
 
     `bound` records up to which t-degree the coefficients are trustworthy;
     binary operations propagate the weaker bound, and differentiation loses
     one degree.  Comparisons should use same_up_to.
     """
 
-    __slots__ = ("coeffs", "bound")
+    __slots__ = ()
+    _unit = ((0,), ())
+    _kernel = staticmethod(concat_words)
 
-    def __init__(self, coeffs: dict[int, NCPolynomial], bound: int):
-        self.bound = bound
-        self.coeffs = {
-            d: p for d, p in coeffs.items() if 0 <= d <= bound and not p.is_zero()
-        }
-
-    @classmethod
-    def zero(cls, bound: int) -> "TSeries":
-        return cls({}, bound)
+    def __init__(self, coeffs: Mapping[int, NCPolynomial], bound: int):
+        coeffs = {d: p for d, p in coeffs.items() if d >= 0}
+        den = lcm(*(p._den for p in coeffs.values()))
+        buckets = {(d,): {k: n * (den // p._den) for k, n in p._nums.items()} for d, p in coeffs.items()}
+        self._set(buckets, den, bound)
 
     @classmethod
     def one(cls, bound: int) -> "TSeries":
         return cls({0: NCPolynomial.one()}, bound)
 
+    @property
+    def coeffs(self) -> Mapping[int, NCPolynomial]:
+        """Read-only t-degree -> coefficient view, built on first read."""
+        if self._terms is None:
+            self._terms = MappingProxyType(
+                {d: NCPolynomial._from(t, self._den) for (d,), t in self._buckets.items()}
+            )
+        return self._terms
+
     def coeff(self, d: int) -> NCPolynomial:
         return self.coeffs.get(d, NCPolynomial.zero())
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def truncate(self, bound: int) -> "TSeries":
-        return TSeries(self.coeffs, min(bound, self.bound))
-
-    def __add__(self, other: "TSeries") -> "TSeries":
-        bound = min(self.bound, other.bound)
-        out = {d: p for d, p in self.coeffs.items() if d <= bound}
-        for d, p in other.coeffs.items():
-            if d <= bound:
-                out[d] = out.get(d, NCPolynomial.zero()) + p
-        return TSeries(out, bound)
-
-    def __sub__(self, other: "TSeries") -> "TSeries":
-        return self + (-other)
-
-    def __neg__(self) -> "TSeries":
-        return TSeries({d: -p for d, p in self.coeffs.items()}, self.bound)
-
-    def __mul__(self, other):
-        if not isinstance(other, TSeries):
-            return TSeries({d: p * other for d, p in self.coeffs.items()}, self.bound)
-        bound = min(self.bound, other.bound)
-        pieces: dict[int, list] = {}
-        for d1, p1 in self.coeffs.items():
-            for d2, p2 in other.coeffs.items():
-                if d1 + d2 <= bound:
-                    pieces.setdefault(d1 + d2, []).append((p1 * p2, 1))
-        return TSeries({d: NCPolynomial._sum(ps) for d, ps in pieces.items()}, bound)
-
-    def __rmul__(self, scalar) -> "TSeries":
-        return TSeries({d: p * scalar for d, p in self.coeffs.items()}, self.bound)
+        return self._like(self._buckets, self._den, min(bound, self.bound))
 
     def derivative(self) -> "TSeries":
-        return TSeries({d - 1: p * d for d, p in self.coeffs.items() if d >= 1}, self.bound - 1)
-
-    def log(self) -> "TSeries":
-        if self.coeff(0) != NCPolynomial.one():
-            raise ValueError("log requires constant coefficient 1")
-        z = self - TSeries.one(self.bound)
-        out = TSeries.zero(self.bound)
-        power = TSeries.one(self.bound)
-        for k in range(1, self.bound + 1):
-            power = power * z
-            if power.is_zero():
-                break
-            out = out + power * Fraction((-1) ** (k - 1), k)
-        return out
+        buckets = {(d - 1,): {k: n * d for k, n in t.items()} for (d,), t in self._buckets.items() if d}
+        return self._like(buckets, self._den, self.bound - 1)
 
     def same_up_to(self, other: "TSeries", degree: int | None = None) -> bool:
-        d_max = min(self.bound, other.bound)
-        if degree is not None:
-            d_max = min(d_max, degree)
-        return all(self.coeff(d) == other.coeff(d) for d in range(d_max + 1))
+        d_max = min(self.bound, other.bound, self.bound if degree is None else degree)
+        return self.truncate(d_max) == other.truncate(d_max)
 
     def __repr__(self) -> str:
         body = ", ".join(f"t^{d}: {p!s}" for d, p in sorted(self.coeffs.items()))
@@ -405,24 +371,19 @@ class TSeries:
 
 def y_series(bound: int) -> TSeries:
     """1 + sum_{n>=1} y_n t^n, truncated at the given degree."""
-    coeffs = {0: NCPolynomial.one()}
-    coeffs.update({n: _y(n) for n in range(1, bound + 1)})
-    return TSeries(coeffs, bound)
+    return TSeries({0: NCPolynomial.one(), **{n: _y(n) for n in range(1, bound + 1)}}, bound)
 
 
 def y_inverse_series(bound: int) -> TSeries:
-    xs = _x_list(bound)
-    return TSeries({n: xs[n] for n in range(bound + 1)}, bound)
+    return TSeries(dict(enumerate(_x_list(bound))), bound)
 
 
 def l_series(bound: int) -> TSeries:
-    ls = _lr_list(bound + 1, "L")
-    return TSeries({n: ls[n] for n in range(bound + 1)}, bound)
+    return TSeries(dict(enumerate(_lr_list(bound + 1, "L"))), bound)
 
 
 def r_series(bound: int) -> TSeries:
-    rs = _lr_list(bound + 1, "R")
-    return TSeries({n: rs[n] for n in range(bound + 1)}, bound)
+    return TSeries(dict(enumerate(_lr_list(bound + 1, "R"))), bound)
 
 
 def log_y_series(bound: int) -> TSeries:
@@ -458,11 +419,9 @@ def exp_ad(a: TSeries, b: TSeries) -> TSeries:
 
     Finite because a is expected to have no constant coefficient (each ad
     application raises the minimum t-degree)."""
-    bound = min(a.bound, b.bound)
-    out = b.truncate(bound)
-    term = out
-    for n in range(1, bound + 1):
-        term = a.truncate(bound) * term - term * a.truncate(bound)
+    out = term = b.truncate(a.bound)
+    for n in range(1, out.bound + 1):
+        term = a * term - term * a
         if term.is_zero():
             break
         out = out + term * Fraction(1, factorial(n))

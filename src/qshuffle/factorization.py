@@ -15,64 +15,59 @@ from math import factorial, gcd
 from . import bases
 from .lyndon import lyndon_up_to
 from .ncpoly import (
+    _PRODUCT_KERNELS,
+    Graded,
     NCPolynomial,
     TensorPolynomial,
     _integral,
-    _letters,
-    _reduced,
     add_into,
     bilinear,
     concat_words,
     fraction_view,
     product,
-    shuffle_words,
-    stuffle_words,
 )
 from .symqsym import encode_M, encode_S
 from .words import Composition, Word, pairs_of_weight, word_str, words_of_weight, words_up_to
 
 PAIRS = tuple(bases.PAIRS)
 
-_LEFT_KERNELS = {"shuffle": shuffle_words, "stuffle": stuffle_words}
+_LEFT_KERNELS = {kind: _PRODUCT_KERNELS[kind] for kind in ("shuffle", "stuffle")}
 
 
-class GradedTensorSeries:
+class GradedTensorSeries(Graded):
     """Finite (word, word) -> rational map truncated by weight on both sides;
     the left slot multiplies with `left_kind`, the right with concatenation.
 
-    The series holds the canonical form of the `ncpoly.Sparse` core, split
-    into buckets: {(left weight, right weight): {(left letters, right
-    letters): numerator}} over one positive common denominator, with no zero
-    numerator, no empty bucket, and gcd(denominator, numerators) = 1.  Both
-    products are graded, so `*` multiplies bucket pair (l1, r1), (l2, r2)
-    into bucket (l1 + l2, r1 + r2), skips the pairs above the bound,
-    multiplies the numerators as integers and reduces the product of the
-    denominators once.  `==` compares the stored form; `.terms` is a
-    read-only (Word, Word) -> Fraction view, built on first read."""
+    An `ncpoly.Graded` value graded by (left weight, right weight) and keyed
+    by (left letters, right letters); `==` also compares `left_kind`, and
+    `.terms` is a read-only (Word, Word) -> Fraction view."""
 
-    __slots__ = ("_buckets", "_den", "_terms", "bound", "left_kind")
+    __slots__ = ("left_kind",)
+    _unit = ((0, 0), ((), ()))
 
     def __init__(self, terms, bound: int, left_kind: str):
         if left_kind not in _LEFT_KERNELS:
             raise ValueError(f"left_kind must be shuffle or stuffle, got {left_kind!r}")
-        nums, den = _integral(
-            ((_letters(u), _letters(v)), c)
-            for (u, v), c in (terms or {}).items()
-            if max(u.weight, v.weight) <= bound
-        )
+        self.left_kind = left_kind
+        nums, den = _integral(((u.letters, v.letters), c) for (u, v), c in (terms or {}).items())
         buckets: dict = {}
         for (u, v), n in nums.items():
             buckets.setdefault((sum(u), sum(v)), {})[(u, v)] = n
-        self._set(buckets, den, bound, left_kind)
+        self._set(buckets, den, bound)
 
-    def _set(self, buckets: dict, den: int, bound: int, left_kind: str) -> "GradedTensorSeries":
-        # buckets hold no zero numerator but may be empty or share a factor
-        # with den; left_kind is already valid
-        keys = [b for b, t in buckets.items() if t]
-        parts, self._den = _reduced([buckets[b] for b in keys], den)
-        self._buckets, self._terms = dict(zip(keys, parts)), None
-        self.bound, self.left_kind = bound, left_kind
-        return self
+    def _like(self, buckets: dict, den: int, bound: int | None = None) -> "GradedTensorSeries":
+        out = super()._like(buckets, den, bound)
+        out.left_kind = self.left_kind
+        return out
+
+    @property
+    def _kernel(self):
+        # (u1, v1)(u2, v2) = (u1 * u2) (x) v1 v2 with * the left product
+        def pair(a, b, kernel=_LEFT_KERNELS[self.left_kind]):
+            v = a[1] + b[1]
+            return [((u, v), n) for u, n in kernel(a[0], b[0])]
+
+        return pair
 
     @classmethod
     def unit(cls, bound: int, left_kind: str) -> "GradedTensorSeries":
@@ -81,34 +76,18 @@ class GradedTensorSeries:
     @property
     def terms(self):
         if self._terms is None:
-            self._terms = fraction_view(self._flat().items(), self._den, TensorPolynomial._label)
+            flat = (item for t in self._buckets.values() for item in t.items())
+            self._terms = fraction_view(flat, self._den, TensorPolynomial._label)
         return self._terms
-
-    def _flat(self) -> dict[tuple[tuple, tuple], int]:
-        return {key: n for t in self._buckets.values() for key, n in t.items()}
 
     def coeff(self, u: Word, v: Word) -> Fraction:
         t = self._buckets.get((u.weight, v.weight), {})
         return Fraction(t.get((u.letters, v.letters), 0), self._den)
 
-    def __mul__(self, other: "GradedTensorSeries") -> "GradedTensorSeries":
-        if self.left_kind != other.left_kind:
+    def __mul__(self, other):
+        if isinstance(other, GradedTensorSeries) and self.left_kind != other.left_kind:
             raise ValueError("cannot multiply series with different left products")
-        bound = min(self.bound, other.bound)
-        kernel = _LEFT_KERNELS[self.left_kind]
-
-        def pair_kernel(a, b):
-            v = a[1] + b[1]
-            return [((u, v), n) for u, n in kernel(a[0], b[0])]
-
-        out: dict[tuple[int, int], dict] = {}
-        for (l1, r1), p in self._buckets.items():
-            for (l2, r2), q in other._buckets.items():
-                if l1 + l2 <= bound and r1 + r2 <= bound:
-                    bucket = out.setdefault((l1 + l2, r1 + r2), {})
-                    add_into(bucket, bilinear(p, q, pair_kernel).items())
-        blank = GradedTensorSeries.__new__(GradedTensorSeries)
-        return blank._set(out, self._den * other._den, bound, self.left_kind)
+        return super().__mul__(other)
 
     def times_exp(self, dual: NCPolynomial, primal: NCPolynomial) -> "GradedTensorSeries":
         """self · exp(dual (x) primal), where exp(dual (x) primal) = sum_k
@@ -177,34 +156,21 @@ class GradedTensorSeries:
         }
         for key, p in adds.items():
             out[key] = add_into(dict(out.get(key, ())), ((t, x // g) for t, x in p.items()))
-        blank = GradedTensorSeries.__new__(GradedTensorSeries)
-        return blank._set(out, self._den * f, bound, self.left_kind)
+        return self._like(out, self._den * f)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GradedTensorSeries)
-            and self.left_kind == other.left_kind
-            and self._den == other._den
-            and self._buckets == other._buckets
-        )
+        return super().__eq__(other) and self.left_kind == other.left_kind
 
     def discrepancies(self, other: "GradedTensorSeries", limit: int = 20) -> list[tuple]:
         """Sorted list of (u, v, this coefficient, other coefficient) where the
-        two series differ, capped at `limit` entries."""
-        mine, theirs = self._flat(), other._flat()
-        da, db = self._den, other._den
-        diffs = []
-        # (sort_key(u), sort_key(v)) on letter tuples
+        two series differ up to the smaller bound, capped at `limit` entries."""
+        # the keys of the difference, by (sort_key(u), sort_key(v)) on letter tuples
         keys = sorted(
-            mine.keys() | theirs.keys(), key=lambda k: (sum(k[0]), k[0], sum(k[1]), k[1])
+            (k for t in self._plus(other, -1)._buckets.values() for k in t),
+            key=lambda k: (sum(k[0]), k[0], sum(k[1]), k[1]),
         )
-        for u, v in keys:
-            a, b = mine.get((u, v), 0), theirs.get((u, v), 0)
-            if a * db != b * da:
-                diffs.append((Word._raw(u), Word._raw(v), Fraction(a, da), Fraction(b, db)))
-                if len(diffs) >= limit:
-                    break
-        return diffs
+        pairs = map(TensorPolynomial._label, keys[:limit])
+        return [(u, v, self.coeff(u, v), other.coeff(u, v)) for u, v in pairs]
 
 
 def diagonal(max_weight: int, side: str) -> GradedTensorSeries:
@@ -312,23 +278,13 @@ def character_checks(max_weight: int) -> list[tuple[str, bool, str]]:
         )
     )
 
-    # (b) log of the generating series: log(1 + z) with z = diagonal - 1
-    z = GradedTensorSeries(
-        {(w, w): 1 for w in words_up_to(max_weight, include_empty=False)}, max_weight, "stuffle"
-    )
-    log_series: dict[tuple[Word, Word], Fraction] = {}
-    power = GradedTensorSeries.unit(max_weight, "stuffle")
-    for k in range(1, max_weight + 1):
-        power = power * z
-        if not power.terms:
-            break
-        add_into(log_series, power.terms.items(), Fraction((-1) ** (k - 1), k))
+    # (b) log of the generating series
     expected = {
         (w, x): c
         for w in words_up_to(max_weight, include_empty=False)
         for x, c in bases.pi1(w).terms.items()
     }
-    ok_log = log_series == expected
+    ok_log = diagonal(max_weight, "stuffle").log() == GradedTensorSeries(expected, max_weight, "stuffle")
     results.append(
         (
             "log-series",
@@ -340,9 +296,7 @@ def character_checks(max_weight: int) -> list[tuple[str, bool, str]]:
     )
 
     # (c) closing identity in QSym (x) Sym
-    target = {
-        (w.letters, w.letters): Fraction(1) for w in words_up_to(max_weight)
-    }
+    target = {(w.letters, w.letters): Fraction(1) for w in words_up_to(max_weight)}
     for pair in ("stuffle", "L", "R"):
         got = factorized_product(max_weight, pair).terms
         ok = {_encoded_key(u, v): c for (u, v), c in got.items()} == target

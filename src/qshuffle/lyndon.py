@@ -17,10 +17,11 @@ def is_lyndon(w: Word) -> bool:
 
 
 def lyndon_up_to(max_weight: int) -> list[Word]:
-    """All Lyndon words of weight <= max_weight, sorted by (weight, parts)."""
+    """All Lyndon words of weight <= max_weight, sorted by (weight, parts):
+    the compositions that Duval's algorithm leaves as one factor."""
     out: list[Word] = []
     for n in range(1, max_weight + 1):
-        out.extend(w for c in compositions_of(n) if is_lyndon(w := Word(c)))
+        out.extend(w for c in compositions_of(n) if lyndon_factorization(w := Word(c)).factors == ((w, 1),))
     out.sort(key=lambda w: (w.weight, w.letters))
     return out
 
@@ -55,16 +56,15 @@ def lyndon_count(n: int) -> int:
 
 
 def standard_factorization(w: Word) -> tuple[Word, Word]:
-    """l = s r with r the longest proper suffix of l that is Lyndon; both
-    factors are then Lyndon.  Defined for Lyndon words of length >= 2."""
-    if not is_lyndon(w):
+    """l = s r with r the longest proper suffix of l that is Lyndon, which is
+    the last factor of l without its first letter; both factors are then
+    Lyndon.  Defined for Lyndon words of length >= 2."""
+    if lyndon_factorization(w).factors != ((w, 1),):
         raise ValueError(f"{w!s} is not a Lyndon word")
     if len(w) < 2:
         raise ValueError("a single letter has no standard factorization")
-    for i in range(1, len(w)):
-        if is_lyndon(w[i:]):
-            return w[:i], w[i:]
-    raise AssertionError("unreachable: the last letter is always Lyndon")
+    r = lyndon_factorization(w[1:]).factors[-1][0]
+    return w[: len(w) - len(r)], r
 
 
 @dataclass(frozen=True)

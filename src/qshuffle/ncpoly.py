@@ -13,6 +13,9 @@ denominator and all numerators is 1.  The structure constants of all three
 products are nonnegative integers, so products, coproducts, sums and
 pairings run on ints.  `fractions.Fraction` values appear only where a
 value is read through `.terms`, `coeff` or a pairing; everything is exact.
+`Graded` is the same core split into buckets by grade, for the truncated
+series: the diagonal series of `factorization` and the letter series of
+`bases`.
 """
 
 from __future__ import annotations
@@ -50,10 +53,11 @@ def add_into(out: dict, items: Iterable, scale: Fraction | None = None) -> dict:
     return out
 
 
-def bilinear(p: Mapping, q: Mapping, kernel) -> dict:
+def bilinear(p: Mapping, q: Mapping, kernel, out: dict | None = None) -> dict:
     """Bilinear extension of kernel(a, b) -> ((key, n), ...) over the term
-    maps p and q; pairs whose kernel output is empty cost no multiply."""
-    out: dict = {}
+    maps p and q, added into out (a new dict by default); pairs whose kernel
+    output is empty cost no multiply."""
+    out = {} if out is None else out
     for a, ca in p.items():
         for b, cb in q.items():
             got = kernel(a, b)
@@ -206,6 +210,88 @@ class Sparse:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({str(self)!r})"
+
+
+class Graded:
+    """The bucketed core for truncated series: {grade: {key: integer
+    numerator}} over one positive denominator, a grade being a tuple of ints
+    >= 0; reduced, with no zero numerator, no empty bucket and no grade part
+    above `bound`.  A subclass sets `_unit` (grade and key of the series 1)
+    and `_kernel` (the key product of `*`), and overrides `_like` when it
+    carries more than its terms and bound.  `==` ignores the bound."""
+
+    # _terms caches the read-only view a subclass builds on first read
+    __slots__ = ("_buckets", "_den", "_terms", "bound")
+
+    def _set(self, buckets: dict, den: int, bound: int):
+        # buckets hold no zero numerator; they may be empty, lie above the
+        # bound or share a factor with den
+        grades = [g for g, t in buckets.items() if t and max(g) <= bound]
+        parts, self._den = _reduced([buckets[g] for g in grades], den)
+        self._buckets, self._terms, self.bound = dict(zip(grades, parts)), None, bound
+        return self
+
+    def _like(self, buckets: dict, den: int, bound: int | None = None):
+        # a value of this type and with this value's other attributes
+        out = type(self).__new__(type(self))
+        return out._set(buckets, den, self.bound if bound is None else bound)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, type(self)) and self._den == other._den and self._buckets == other._buckets
+
+    def is_zero(self) -> bool:
+        return not self._buckets
+
+    def _scaled(self, c):
+        c = _coeff(c)
+        buckets = {g: {k: n * c.numerator for k, n in t.items()} for g, t in self._buckets.items()} if c else {}
+        return self._like(buckets, self._den * c.denominator)
+
+    def _plus(self, other: "Graded", c=1):
+        """self + c·other at the smaller bound."""
+        c, bound = Fraction(_coeff(c)), min(self.bound, other.bound)
+        den = lcm(self._den, other._den * c.denominator)
+        f, g = den // self._den, c.numerator * den // (other._den * c.denominator)
+        out = {h: t if f == 1 else {k: n * f for k, n in t.items()} for h, t in self._buckets.items()}
+        for h, t in other._buckets.items():
+            out[h] = add_into(dict(out.get(h, ())), t.items(), g)
+        return self._like(out, den, bound)
+
+    def _times(self, other: "Graded", kernel):
+        """The product under kernel(a, b) -> ((key, n), ...): buckets g and h
+        go into bucket g + h, added partwise, and pairs with a part above the
+        smaller bound are skipped without reading their terms."""
+        bound, out = min(self.bound, other.bound), {}
+        for g, p in self._buckets.items():
+            for h, q in other._buckets.items():
+                if max(grade := tuple(map(int.__add__, g, h))) <= bound:
+                    bilinear(p, q, kernel, out.setdefault(grade, {}))
+        return self._like(out, self._den * other._den, bound)
+
+    def log(self):
+        """log(1 + z) = sum_k (-1)^(k-1) z^k / k for z = self - 1; the
+        bucket of grade 0 must be the unit."""
+        grade, key = self._unit
+        if self._buckets.get(grade) != {key: self._den}:
+            raise ValueError("log requires constant coefficient 1")
+        out = power = z = self._like({g: t for g, t in self._buckets.items() if g != grade}, self._den)
+        k = 1
+        while not (power := power._times(z, self._kernel)).is_zero():
+            k += 1
+            out = out._plus(power, Fraction((-1) ** (k - 1), k))
+        return out
+
+    __add__ = _plus
+    __rmul__ = _scaled
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def __neg__(self):
+        return self._scaled(-1)
+
+    def __mul__(self, other):
+        return self._times(other, self._kernel) if isinstance(other, Graded) else self._scaled(other)
 
 
 class NCPolynomial(Sparse):

@@ -2,12 +2,13 @@
 weight-truncated exp/log, Sym/QSym basis changes and the Sym/QSym pairing
 written directly on {Word or composition: Fraction} dicts, the way the
 package computed them before its containers stored integer numerators over
-one denominator."""
+one denominator; and the truncated t-series as a dict of NCPolynomial
+coefficients, the way the package held it before `ncpoly.Graded`."""
 
 from fractions import Fraction
 from math import gcd
 
-from qshuffle.ncpoly import shuffle_words, stuffle_words
+from qshuffle.ncpoly import NCPolynomial, shuffle_words, stuffle_words
 from qshuffle.words import Word, coarsenings, refinements, relative_stats, stats
 
 
@@ -17,6 +18,19 @@ def assert_canonical(x) -> None:
     assert type(x._den) is int and x._den >= 1
     assert all(type(n) is int and n != 0 for n in x._nums.values())
     assert gcd(x._den, *x._nums.values()) == 1
+
+
+def assert_graded_canonical(x) -> None:
+    # the bucketed form: nonempty buckets of nonzero int numerators, grades
+    # of ints in 0..bound, over a positive denominator sharing no factor
+    # with all of them
+    assert type(x._den) is int and x._den >= 1
+    numerators = []
+    for grade, bucket in x._buckets.items():
+        assert bucket and all(type(d) is int and 0 <= d <= x.bound for d in grade)
+        assert all(type(n) is int and n != 0 for n in bucket.values())
+        numerators.extend(bucket.values())
+    assert gcd(x._den, *numerators) == 1
 
 
 def accumulate(items) -> dict:
@@ -93,6 +107,80 @@ def log_trunc(q: dict, max_weight: int) -> dict:
         power = truncate(product(power, z, "concat"), max_weight)
         out = accumulate([*out.items(), *((w, c * Fraction((-1) ** (k - 1), k)) for w, c in power.items())])
     return out
+
+
+# -- truncated series in t ---------------------------------------------------------
+
+class TSeries:
+    """Truncated series sum_n c_n t^n as a {degree: NCPolynomial} dict with
+    no zero coefficient; the oracle for `qshuffle.bases.TSeries`."""
+
+    def __init__(self, coeffs: dict, bound: int):
+        self.bound = bound
+        self.coeffs = {d: p for d, p in coeffs.items() if 0 <= d <= bound and not p.is_zero()}
+
+    @classmethod
+    def one(cls, bound: int) -> "TSeries":
+        return cls({0: NCPolynomial.one()}, bound)
+
+    def coeff(self, d: int) -> NCPolynomial:
+        return self.coeffs.get(d, NCPolynomial.zero())
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def truncate(self, bound: int) -> "TSeries":
+        return TSeries(self.coeffs, min(bound, self.bound))
+
+    def __add__(self, other: "TSeries") -> "TSeries":
+        bound = min(self.bound, other.bound)
+        out = {d: p for d, p in self.coeffs.items() if d <= bound}
+        for d, p in other.coeffs.items():
+            if d <= bound:
+                out[d] = out.get(d, NCPolynomial.zero()) + p
+        return TSeries(out, bound)
+
+    def __sub__(self, other: "TSeries") -> "TSeries":
+        return self + (-other)
+
+    def __neg__(self) -> "TSeries":
+        return TSeries({d: -p for d, p in self.coeffs.items()}, self.bound)
+
+    def __mul__(self, other):
+        if not isinstance(other, TSeries):
+            return TSeries({d: p * other for d, p in self.coeffs.items()}, self.bound)
+        bound = min(self.bound, other.bound)
+        out: dict = {}
+        for d1, p1 in self.coeffs.items():
+            for d2, p2 in other.coeffs.items():
+                if d1 + d2 <= bound:
+                    out[d1 + d2] = out.get(d1 + d2, NCPolynomial.zero()) + p1 * p2
+        return TSeries(out, bound)
+
+    def __rmul__(self, scalar) -> "TSeries":
+        return TSeries({d: p * scalar for d, p in self.coeffs.items()}, self.bound)
+
+    def derivative(self) -> "TSeries":
+        return TSeries({d - 1: p * d for d, p in self.coeffs.items() if d >= 1}, self.bound - 1)
+
+    def log(self) -> "TSeries":
+        if self.coeff(0) != NCPolynomial.one():
+            raise ValueError("log requires constant coefficient 1")
+        z = self - TSeries.one(self.bound)
+        out = TSeries({}, self.bound)
+        power = TSeries.one(self.bound)
+        for k in range(1, self.bound + 1):
+            power = power * z
+            if power.is_zero():
+                break
+            out = out + power * Fraction((-1) ** (k - 1), k)
+        return out
+
+    def same_up_to(self, other: "TSeries", degree: int | None = None) -> bool:
+        d_max = min(self.bound, other.bound)
+        if degree is not None:
+            d_max = min(d_max, degree)
+        return all(self.coeff(d) == other.coeff(d) for d in range(d_max + 1))
 
 
 # -- Sym / QSym ------------------------------------------------------------------

@@ -463,6 +463,54 @@ def test_series_arithmetic_and_bounds():
         (y - TSeries.one(4)).log()
 
 
+import fraction_oracle as oracle  # noqa: E402
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+_small_polys = st.dictionaries(
+    st.sampled_from([w.letters for w in words_up_to(3)]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    max_size=3,
+).map(NCPolynomial)
+_series_coeffs = st.dictionaries(st.integers(0, 4), _small_polys, max_size=4)
+
+
+def _same_series(new, old):
+    # the bucketed series holds the oracle's coefficients in canonical form
+    assert new.bound == old.bound and dict(new.coeffs) == old.coeffs
+    oracle.assert_graded_canonical(new)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    a=_series_coeffs,
+    b=_series_coeffs,
+    bounds=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+    c=st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    degree=st.integers(-1, 5),
+)
+def test_series_match_the_dict_of_polynomials_oracle(a, b, bounds, c, degree):
+    x, y = TSeries(a, bounds[0]), TSeries(b, bounds[1])
+    ox, oy = oracle.TSeries(a, bounds[0]), oracle.TSeries(b, bounds[1])
+    pairs = [
+        (x, ox), (y, oy), (x + y, ox + oy), (x - y, ox - oy), (x - x, ox - ox), (-x, -ox),
+        (x * c, ox * c), (c * x, c * ox), (x * y, ox * oy), (y * x, oy * ox), (x * x, ox * ox),
+        (x.truncate(degree), ox.truncate(degree)), (x.derivative(), ox.derivative()),
+    ]
+    for new, old in pairs:
+        _same_series(new, old)
+    assert x.is_zero() == ox.is_zero() and (x - x).is_zero()
+    assert x.same_up_to(y, degree) == ox.same_up_to(oy, degree)
+    high = {d: p for d, p in b.items() if d > degree}
+    assert (x + TSeries(high, bounds[1])).same_up_to(x, degree)
+    unit = {**a, 0: one}
+    _same_series(TSeries(unit, bounds[0]).log(), oracle.TSeries(unit, bounds[0]).log())
+    if ox.coeff(0) != one:
+        for series in (x, ox):
+            with pytest.raises(ValueError):
+                series.log()
+
+
 def test_higher_series_base_case():
     d = 4
     cal_l, cal_r = higher_series(1, d)

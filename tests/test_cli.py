@@ -330,12 +330,16 @@ def test_primitivity_and_hall_littlewood_state_the_weights_covered():
         True, "geometric-alphabet specialization matches mod q^8, weight <= 5")
 
 
-def _basis_tables(*argv) -> subprocess.CompletedProcess:
+def _script(name: str, *argv) -> subprocess.CompletedProcess:
     root = Path(__file__).parent.parent
     return subprocess.run(
-        [sys.executable, str(root / "scripts" / "basis_tables.py"), *argv],
+        [sys.executable, str(root / "scripts" / name), *argv],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(root / "src")},
     )
+
+
+def _basis_tables(*argv) -> subprocess.CompletedProcess:
+    return _script("basis_tables.py", *argv)
 
 
 @pytest.mark.parametrize("weight", [-2, 0, cli.WEIGHT_CAP + 1])
@@ -349,6 +353,21 @@ def test_basis_tables_accepts_the_lowest_weight():
     got = _basis_tables("--max-weight", "1", "--families", "Pi", "Sigma")
     assert got.returncode == 0
     assert got.stdout == "== family Pi ==\n  Pi_[1] = [1]\n== family Sigma ==\n  Sigma_[1] = [1]\n"
+
+
+@pytest.mark.parametrize("weights", [["0"], ["-1"], ["2", str(cli.WEIGHT_CAP + 1)]])
+def test_run_verify_rejects_a_weight_outside_the_cap(weights):
+    # before, 0 and -1 ended in a traceback from a check and a large weight
+    # started unbounded work; the checks before it had already printed
+    got = _script("run_verify.py", "--weights", *weights)
+    assert got.returncode == 2 and got.stdout == ""
+    assert f"--weights must be between 1 and {cli.WEIGHT_CAP}, got {weights[-1]}" in got.stderr
+
+
+def test_run_verify_accepts_the_lowest_weight():
+    got = _script("run_verify.py", "--weights", "1")
+    assert got.returncode == 0
+    assert got.stdout.startswith("== max weight 1 ==\n") and got.stdout.endswith("total failures: 0\n")
 
 
 def test_word_with_an_empty_part_is_a_usage_error(capsys):

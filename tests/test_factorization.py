@@ -26,7 +26,7 @@ from qshuffle.ncpoly import (
     shuffle_words,
     stuffle_words,
 )
-from qshuffle.words import Word, sort_key, word_str, words_of_weight
+from qshuffle.words import Word, sort_key, word_str, words_of_weight, words_up_to
 
 DATA = Path(__file__).parent / "data"
 
@@ -246,6 +246,61 @@ def test_times_exp_on_random_series_matches_the_oracle(kind, terms, bound, c, ex
         _assert_canonical(got)
     got = cancelling.times_exp(dual, primal)
     assert (m, m) not in got._buckets and got.coeff(Word(), Word()) == c
+
+
+def _log_power_loop(max_weight: int, kind: str) -> dict:
+    # the termwise log of the diagonal series as the power loop of
+    # log(1 + z), z = diagonal - 1, that the log-series identity ran before
+    # `GradedTensorSeries.log`; its oracle
+    z = GradedTensorSeries(
+        {(w, w): 1 for w in words_up_to(max_weight, include_empty=False)}, max_weight, kind
+    )
+    log_series: dict = {}
+    power = GradedTensorSeries.unit(max_weight, kind)
+    for k in range(1, max_weight + 1):
+        power = power * z
+        if not power.terms:
+            break
+        add_into(log_series, power.terms.items(), Fraction((-1) ** (k - 1), k))
+    return log_series
+
+
+@pytest.mark.parametrize("kind", ["shuffle", "stuffle"])
+def test_log_of_the_diagonal_matches_the_power_loop_to_weight_4(kind):
+    for n in range(5):
+        got = diagonal(n, kind).log()
+        assert got.terms == _log_power_loop(n, kind), n
+        assert (got.bound, got.left_kind) == (n, kind)
+        _assert_canonical(got)
+    # the stuffle log regroups over pi1: the log-series identity
+    expected = {(w, x): c for w in words_up_to(4, include_empty=False) for x, c in bases.pi1(w).terms.items()}
+    assert diagonal(4, "stuffle").log() == GradedTensorSeries(expected, 4, "stuffle")
+
+
+def _fraction_log(s: GradedTensorSeries) -> dict:
+    # log(1 + z) on Fraction term dicts, each power by the all-pairs oracle
+    z = GradedTensorSeries({k: c for k, c in s.terms.items() if k != (Word(), Word())}, s.bound, s.left_kind)
+    out: dict = {}
+    power, k = z, 1
+    while power.terms:
+        add_into(out, power.terms.items(), Fraction((-1) ** (k - 1), k))
+        power = GradedTensorSeries(_all_pairs_product(power, z), s.bound, s.left_kind)
+        k += 1
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["shuffle", "stuffle"]), terms=_series_terms, bound=st.integers(0, 4))
+def test_log_on_random_series_matches_the_oracle(kind, terms, bound):
+    # terms of weight (0, r) and (l, 0) as well as mixed ones
+    unit = (Word(), Word())
+    s = _series({**terms, ((), ()): 1}, bound, kind)
+    got = s.log()
+    assert got.terms == _fraction_log(s) and got.coeff(*unit) == 0
+    _assert_canonical(got)
+    for c in (0, 2, Fraction(1, 2)):
+        with pytest.raises(ValueError):
+            _series({**terms, ((), ()): c}, bound, kind).log()
 
 
 def test_exp_factor_matches_the_fraction_oracle():

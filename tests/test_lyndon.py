@@ -68,6 +68,19 @@ def test_counts_formula_agrees_with_enumeration_to_8():
         assert sum(1 for w in ws if w.weight == n) == lyndon_count(n)
 
 
+def test_duval_enumeration_matches_the_definition_to_weight_9():
+    words = [w for w in words_up_to(9, include_empty=False) if is_lyndon(w)]
+    assert lyndon_up_to(9) == sorted(words, key=lambda w: (w.weight, w.letters))
+
+
+def test_standard_factorization_is_the_longest_lyndon_suffix_to_weight_10():
+    # the definitional search the Duval-based factorization replaced
+    for l in lyndon_up_to(10):
+        if len(l) >= 2:
+            i = next(i for i in range(1, len(l)) if is_lyndon(l[i:]))
+            assert standard_factorization(l) == (l[:i], l[i:]), l
+
+
 def test_mobius_values():
     assert [mobius(n) for n in range(1, 13)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
     with pytest.raises(ValueError):
