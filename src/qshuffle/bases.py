@@ -44,7 +44,7 @@ from typing import Mapping
 
 from .lyndon import lyndon_factorization, standard_factorization
 from .ncpoly import Graded, NCPolynomial, _word_coproduct, add_into, concat_words, product
-from .words import Word, compositions_of, stats
+from .words import Word, as_natural, compositions_of, stats
 
 
 def _bracket(a: NCPolynomial, b: NCPolynomial) -> NCPolynomial:
@@ -324,7 +324,9 @@ class TSeries(Graded):
 
     `bound` records up to which t-degree the coefficients are trustworthy;
     binary operations propagate the weaker bound, and differentiation loses
-    one degree.  Comparisons should use same_up_to.
+    one degree.  Comparisons should use same_up_to.  A degree given to the
+    constructor must be an integer >= 0 (ValueError otherwise); those above
+    `bound` are dropped.
     """
 
     __slots__ = ()
@@ -332,7 +334,7 @@ class TSeries(Graded):
     _kernel = staticmethod(concat_words)
 
     def __init__(self, coeffs: Mapping[int, NCPolynomial], bound: int):
-        coeffs = {d: p for d, p in coeffs.items() if d >= 0}
+        coeffs = {as_natural(d): p for d, p in coeffs.items()}
         den = lcm(*(p._den for p in coeffs.values()))
         buckets = {(d,): {k: n * (den // p._den) for k, n in p._nums.items()} for d, p in coeffs.items()}
         self._set(buckets, den, bound)

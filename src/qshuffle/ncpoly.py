@@ -32,37 +32,54 @@ PRODUCT_KINDS = ("concat", "shuffle", "stuffle")
 COPRODUCT_KINDS = ("concat", "shuffle", "stuffle", "plus")
 
 
-def add_into(out: dict, items: Iterable, scale: Fraction | None = None) -> dict:
-    """Adds scale·c to out[key] for every (key, c) in items (c itself when
-    scale is None) and returns out.  A key whose total becomes 0 is deleted,
-    so out never holds a zero; this is the one accumulate step behind every
-    sparse container in the package."""
+def add_into(out: dict, items: Iterable, scale: int | Fraction = 1) -> dict:
+    """Adds scale·c to out[key] for every (key, c) in items and returns out.
+    scale defaults to 1 and is tested once per call; a zero item is skipped
+    and a key whose total becomes 0 is deleted, so an out that holds no zero
+    value keeps holding none.  This is the accumulate step of the sparse
+    core; `bilinear` and the Sym/QSym basis changes inline it."""
     get = out.get
+    if scale == 1:
+        for key, c in items:
+            if c:
+                if cur := get(key, 0) + c:
+                    out[key] = cur
+                else:
+                    del out[key]
+        return out
     for key, c in items:
-        if scale is not None:
-            c = scale if c == 1 else scale * c
-        if not c:
-            continue
-        cur = get(key)
-        if cur is None:
-            out[key] = c
-        elif cur := cur + c:
-            out[key] = cur
-        else:
-            del out[key]
+        if c := scale * c:
+            if cur := get(key, 0) + c:
+                out[key] = cur
+            else:
+                del out[key]
     return out
 
 
 def bilinear(p: Mapping, q: Mapping, kernel, out: dict | None = None) -> dict:
     """Bilinear extension of kernel(a, b) -> ((key, n), ...) over the term
-    maps p and q, added into out (a new dict by default); pairs whose kernel
-    output is empty cost no multiply."""
+    maps p and q, added into out (a new dict by default) and returned.  The
+    maps hold no zero value; each term costs one read and one store of out,
+    and a key whose total becomes 0 is deleted, so out never holds a zero."""
     out = {} if out is None else out
+    get = out.get
+    if kernel is concat_words:
+        # the key a + b itself, without building the kernel's one-term tuple
+        for a, ca in p.items():
+            for b, cb in q.items():
+                if cur := get(key := a + b, 0) + ca * cb:
+                    out[key] = cur
+                else:
+                    out.pop(key, None)
+        return out
     for a, ca in p.items():
         for b, cb in q.items():
-            got = kernel(a, b)
-            if got:
-                add_into(out, got, ca * cb)
+            c = ca * cb
+            for key, n in kernel(a, b):
+                if cur := get(key, 0) + c * n:
+                    out[key] = cur
+                else:
+                    out.pop(key, None)
     return out
 
 
@@ -144,9 +161,12 @@ class Sparse:
         self._set(*_integral((key(k), c) for k, c in items))
 
     def _set(self, nums: dict, den: int) -> None:
-        # nums holds no zero numerator; den > 0 may share a factor with it
-        (self._nums,), self._den = _reduced([nums], den)
-        self._terms = None
+        """Stores nums over den in reduced form.  nums holds no zero
+        numerator (the accumulation contract of `add_into` and `bilinear`);
+        den > 0 may share a factor with it, which one gcd divides out."""
+        if den != 1 and (g := gcd(den, *nums.values())) != 1:
+            nums, den = {k: n // g for k, n in nums.items()}, den // g
+        self._nums, self._den, self._terms = nums, den, None
 
     @classmethod
     def _from(cls, nums: dict, den: int = 1):

@@ -22,7 +22,9 @@ from typing import Mapping
 from .ncpoly import (
     NCPolynomial,
     Sparse,
+    _coeff,
     _integral,
+    _letters,
     _lincomb,
     add_into,
     bilinear,
@@ -36,6 +38,7 @@ from .words import (
     Composition,
     Word,
     as_int,
+    as_natural,
     coarsenings,
     comp_str,
     compositions_of,
@@ -61,10 +64,14 @@ class _CompositionIndexed(Sparse):
     _VALID: tuple[str, ...] = ()
 
     def __init__(self, terms=None, basis: str = ""):
-        if basis not in self._VALID:
-            raise ValueError(f"unknown basis {basis!r}; expected one of {self._VALID}")
+        self.basis = self._checked(basis)
         super().__init__(terms)
-        self.basis = basis
+
+    @classmethod
+    def _checked(cls, basis: str) -> str:
+        if basis not in cls._VALID:
+            raise ValueError(f"unknown basis {basis!r}; expected one of {cls._VALID}")
+        return basis
 
     @classmethod
     def _in(cls, basis: str, nums: dict, den: int = 1):
@@ -77,7 +84,9 @@ class _CompositionIndexed(Sparse):
 
     @classmethod
     def single(cls, comp: Composition, basis: str, coeff=1):
-        return cls({tuple(comp): coeff}, basis)
+        # checks in the order of the general constructor: basis, parts, coefficient
+        basis, key, c = cls._checked(basis), _letters(comp), _coeff(coeff)
+        return cls._in(basis, {key: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def unit(cls, basis: str):
@@ -218,10 +227,16 @@ def _hub_row(basis: str, comp: Composition, to_hub: bool) -> tuple:
 def _apply_rows(x: _CompositionIndexed, basis: str, to_hub: bool, target: str):
     # sum over the terms n/d·I of x of n/d times row(I), over one denominator
     rows = [(n, _hub_row(basis, comp, to_hub)) for comp, n in x._nums.items()]
-    den = lcm(*(d for _, (_, d) in rows))
+    den = lcm(*[d for _, (_, d) in rows])
     out: dict[Composition, int] = {}
+    get = out.get
     for n, (row, d) in rows:
-        add_into(out, row, n * (den // d))
+        f = n * (den // d)
+        for key, m in row:
+            if cur := get(key, 0) + f * m:
+                out[key] = cur
+            else:
+                del out[key]
     return type(x)._in(target, out, x._den * den)
 
 
@@ -363,14 +378,15 @@ def decode_M(x: QSymElement) -> NCPolynomial:
 # ---------------------------------------------------------------------------
 
 class QSeries(Sparse):
-    """Truncated q-series with rational coefficients; exponents < bound.
-    `.terms` (also `.coeffs`) is keyed by exponent."""
+    """Truncated q-series with rational coefficients; exponents are integers
+    >= 0 (ValueError otherwise), and those >= bound are dropped.  `.terms`
+    (also `.coeffs`) is keyed by exponent."""
 
     __slots__ = ("bound",)
     _key = staticmethod(as_int)
 
     def __init__(self, coeffs: Mapping | None, bound: int):
-        super().__init__((e, c) for e, c in (coeffs or {}).items() if 0 <= e < bound)
+        super().__init__((e, c) for e, c in (coeffs or {}).items() if as_natural(e) < bound)
         self.bound = bound
 
     @classmethod

@@ -27,8 +27,12 @@ class Word:
     __slots__ = ("letters",)
 
     def __init__(self, letters: Iterable[int] = ()):
-        ls = tuple(map(as_int, letters))
-        if any(a < 1 for a in ls):
+        ls = tuple(letters)
+        if not {int}.issuperset(map(type, ls)):
+            # bool, int subclasses and index types read as ints; anything
+            # else raises as_int's ValueError at its first bad letter
+            ls = tuple(map(as_int, ls))
+        if ls and min(ls) < 1:
             raise ValueError(f"letter indices must be >= 1: {ls!r}")
         self.letters = ls
 
@@ -92,6 +96,14 @@ def as_int(a) -> int:
         return operator.index(a)
     except TypeError:
         raise ValueError(f"expected an integer, got {a!r}") from None
+
+
+def as_natural(a) -> int:
+    """as_int(a), with a ValueError for a negative integer as well."""
+    n = as_int(a)
+    if n < 0:
+        raise ValueError(f"expected an integer >= 0, got {n!r}")
+    return n
 
 
 def sort_key(w: Word) -> tuple[int, Composition]:

@@ -2,8 +2,10 @@
 weight-truncated exp/log, Sym/QSym basis changes and the Sym/QSym pairing
 written directly on {Word or composition: Fraction} dicts, the way the
 package computed them before its containers stored integer numerators over
-one denominator; and the truncated t-series as a dict of NCPolynomial
-coefficients, the way the package held it before `ncpoly.Graded`."""
+one denominator; the truncated t-series as a dict of NCPolynomial
+coefficients, the way the package held it before `ncpoly.Graded`; and the
+accumulate step with one `add_into` call per pair of terms, the way
+`ncpoly.bilinear` ran before it accumulated inline."""
 
 from fractions import Fraction
 from math import gcd
@@ -38,6 +40,36 @@ def accumulate(items) -> dict:
     for key, c in items:
         out[key] = out.get(key, Fraction(0)) + c
     return {key: c for key, c in out.items() if c}
+
+
+# -- the accumulate step, one call per pair of terms -------------------------------
+
+def add_into(out: dict, items, scale=None) -> dict:
+    # scale tested on every item; None means no scaling
+    get = out.get
+    for key, c in items:
+        if scale is not None:
+            c = scale if c == 1 else scale * c
+        if not c:
+            continue
+        cur = get(key)
+        if cur is None:
+            out[key] = c
+        elif cur := cur + c:
+            out[key] = cur
+        else:
+            del out[key]
+    return out
+
+
+def bilinear(p: dict, q: dict, kernel, out: dict | None = None) -> dict:
+    out = {} if out is None else out
+    for a, ca in p.items():
+        for b, cb in q.items():
+            got = kernel(a, b)
+            if got:
+                add_into(out, got, ca * cb)
+    return out
 
 
 # -- words ---------------------------------------------------------------------

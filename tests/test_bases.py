@@ -463,6 +463,25 @@ def test_series_arithmetic_and_bounds():
         (y - TSeries.one(4)).log()
 
 
+@pytest.mark.parametrize("degree", [1.5, 9.5, -1.5, "2", -1, Fraction(2), None])
+def test_series_rejects_a_degree_that_is_not_a_natural_number(degree):
+    # 1.5 used to be stored as a t^1.5 coefficient, a negative degree was
+    # dropped silently, and every degree is read before truncating
+    p = mono(1)
+    with pytest.raises(ValueError):
+        TSeries({degree: p}, 3)
+    with pytest.raises(ValueError):
+        TSeries({0: one, 3: p, degree: p}, 3)
+
+
+def test_series_truncates_valid_degrees_at_the_bound():
+    p = mono(1)
+    assert TSeries({4: p, 9: p}, 3).is_zero()
+    assert TSeries({0: one, 3: p, 4: p}, 3) == TSeries({0: one, 3: p}, 3)
+    assert TSeries({True: p}, 3) == TSeries({1: p}, 3)
+    assert [type(d) for d in TSeries({True: p}, 3).coeffs] == [int]
+
+
 import fraction_oracle as oracle  # noqa: E402
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402

@@ -8,6 +8,10 @@ from hypothesis import strategies as st
 from qshuffle.ncpoly import (
     NCPolynomial,
     TensorPolynomial,
+    add_into,
+    bilinear,
+    concat_pairs,
+    concat_words,
     coproduct,
     exp_trunc,
     gram,
@@ -19,6 +23,8 @@ from qshuffle.ncpoly import (
     poly_str,
     poly_to_json,
     product,
+    shuffle_words,
+    stuffle_words,
 )
 from qshuffle.symqsym import QSymElement, SymElement
 from qshuffle.words import Word, words_of_weight, words_up_to
@@ -529,3 +535,60 @@ def test_terms_are_read_only_views():
             value.terms = {}
         assert value.terms is value.terms and dict(value.terms) == before
     assert str(pi1(Word((3,)))) == "1/3·[1 1 1] - 1/2·[1 2] - 1/2·[2 1] + [3]"
+
+
+# -- inline accumulation against one add_into call per pair -----------------------
+
+_word_keys = _words_up_to(3)
+_nonzero = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)).filter(bool)
+
+# every kernel the package passes to bilinear, keyed by the terms it takes
+_KERNELS = {
+    "concat_words": (concat_words, _word_keys),
+    "shuffle_words": (shuffle_words, _word_keys),
+    "stuffle_words": (stuffle_words, _word_keys),
+    "concat_pairs": (concat_pairs, st.tuples(_word_keys, _word_keys)),
+    # the kernel of TensorPolynomial.tensor
+    "tensor": (lambda u, v: (((u, v), 1),), _word_keys),
+    "empty": (lambda u, v: (), _word_keys),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KERNELS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_bilinear_matches_one_add_into_per_pair(name, data):
+    kernel, keys = _KERNELS[name]
+    p = data.draw(st.dictionaries(keys, _nonzero, max_size=4))
+    q = data.draw(st.dictionaries(keys, _nonzero, max_size=4))
+    full = oracle.bilinear(p, q, kernel)
+    hit = sorted(full)
+    # out preloaded as Graded._times leaves it: some keys the product cancels
+    # to 0, some it changes, and one it never reaches
+    cancel = data.draw(st.lists(st.sampled_from(hit), unique=True)) if hit else []
+    shift = data.draw(st.dictionaries(st.sampled_from(hit), _nonzero)) if hit else {}
+    partial = {**{k: -full[k] for k in cancel}, **shift, ("untouched",): 7}
+    for out in (None, {}, partial, {k: -c for k, c in full.items()}):
+        new = bilinear(p, q, kernel, None if out is None else dict(out))
+        assert new == oracle.bilinear(p, q, kernel, None if out is None else dict(out))
+        assert 0 not in new.values()
+    assert bilinear(p, q, kernel, {k: -c for k, c in full.items()}) == {}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    preload=st.dictionaries(_word_keys, _nonzero, max_size=4),
+    items=st.lists(st.tuples(_word_keys, st.integers(-2, 2) | st.fractions(-2, 2, max_denominator=3))),
+    scale=st.sampled_from([1, Fraction(1), 0, -1, 3, Fraction(-2, 3)]),
+)
+def test_add_into_matches_the_per_item_scale_test(data, preload, items, scale):
+    # zero items, repeated keys, and items that cancel preloaded keys to 0
+    if preload:
+        undo = data.draw(st.lists(st.sampled_from(sorted(preload)), unique=True))
+        items = items + [(k, -Fraction(preload[k]) / scale if scale else 1) for k in undo]
+    new = add_into(dict(preload), items, scale)
+    assert new == oracle.add_into(dict(preload), items, scale)
+    assert 0 not in new.values()
+    if scale == 1:
+        assert add_into(dict(preload), items) == oracle.add_into(dict(preload), items) == new

@@ -549,3 +549,56 @@ def test_converted_values_are_read_only():
     with pytest.raises(AttributeError):
         got.terms.clear()
     assert element_str(convert(SymElement.single((2, 1), "Psi"), "S")) == printed == element_str(got)
+
+
+# -- single-term constructors against the general constructor ----------------------
+
+_ALL_BASES = [(SymElement, b) for b in SYM_BASES] + [(QSymElement, b) for b in QSYM_BASES]
+
+
+def _built(make):
+    try:
+        x = make()
+    except (TypeError, ValueError) as e:
+        return type(e), str(e)
+    return type(x), x.basis, x._nums, x._den
+
+
+@pytest.mark.parametrize("cls, basis", _ALL_BASES)
+def test_single_equals_the_general_constructor(cls, basis):
+    for comp, coeff in itertools.product(
+        [(), (1,), (2, 1, 3), [1, 2], Word((3, 1))],
+        [1, -3, 0, Fraction(2, 4), Fraction(0), "3/6", "-2", "0"],
+    ):
+        got, general = cls.single(comp, basis, coeff), cls({tuple(comp): coeff}, basis)
+        assert got == general and _built(lambda: got) == _built(lambda: general), (comp, coeff)
+
+
+@pytest.mark.parametrize("cls, basis", _ALL_BASES + [(SymElement, "M"), (QSymElement, "S"), (SymElement, "X")])
+def test_single_raises_as_the_general_constructor(cls, basis):
+    # an unknown basis is reported first, then a bad part, then the coefficient
+    for comp, coeff in [
+        ((0,), 1), ((2, 0), 1), ((-1,), 1), ((1.5,), 1), ((2, 1.0), 2), (("2",), 1), ((1,), 0.5), ((0,), 0.5),
+    ]:
+        got = _built(lambda: cls.single(comp, basis, coeff))
+        assert got[0] in (TypeError, ValueError), (comp, coeff)
+        assert got == _built(lambda: cls({tuple(comp): coeff}, basis)), (comp, coeff)
+
+
+# -- q-series exponents ----------------------------------------------------------------
+
+@pytest.mark.parametrize("exponent", [-1.5, 9.5, 1.5, "2", -1, -7, Fraction(2), None])
+def test_qseries_rejects_an_exponent_that_is_not_a_natural_number(exponent):
+    # a non-integral exponent above the bound or below 0 used to be dropped,
+    # text raised a bare TypeError, and a negative one was dropped silently
+    with pytest.raises(ValueError):
+        QSeries({exponent: 1}, 5)
+    with pytest.raises(ValueError):
+        QSeries({3: 1, exponent: 1}, 5)
+
+
+def test_qseries_truncates_valid_exponents_at_the_bound():
+    assert QSeries({9: 1, 5: 2}, 5).is_zero()
+    assert QSeries({4: 1, 5: 2, 0: 3}, 5) == QSeries({4: 1, 0: 3}, 5)
+    assert QSeries({True: 2}, 5) == QSeries({1: 2}, 5)
+    assert QSeries({0: 1}, 0).is_zero()

@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qshuffle.words import (
     Word,
+    as_int,
     blocks_of,
     coarsenings,
     comp_str,
@@ -155,6 +158,47 @@ def test_word_validation():
         Word((0, 1))
     with pytest.raises(ValueError):
         Word((-2,))
+
+
+def _old_word_letters(letters):
+    # Word.__init__ before its all-int fast path
+    ls = tuple(map(as_int, letters))
+    if any(a < 1 for a in ls):
+        raise ValueError(f"letter indices must be >= 1: {ls!r}")
+    return ls
+
+
+def _outcome(f, make):
+    try:
+        got = f(make())
+    except (TypeError, ValueError) as e:
+        return type(e), str(e)
+    return got, [type(a) for a in got]
+
+
+def test_word_accepts_and_rejects_as_before():
+    # the all-int fast path gives the letters, or the exception and message,
+    # of the general as_int path
+    for make in [
+        lambda: (),
+        lambda: [],
+        lambda: (1, 2, 3),
+        lambda: [3, 1],
+        lambda: range(1, 4),
+        lambda: iter([2, 1]),
+        lambda: (True,),
+        lambda: (2, False),
+        lambda: (1.0,),
+        lambda: (2, 1.5),
+        lambda: (Fraction(2),),
+        lambda: ("2",),
+        lambda: "12",
+        lambda: (0,),
+        lambda: (-1,),
+        lambda: (2, 0, "x"),
+        lambda: 5,
+    ]:
+        assert _outcome(lambda ls: Word(ls).letters, make) == _outcome(_old_word_letters, make), make()
 
 
 def test_word_concat_and_slices():
