@@ -34,19 +34,10 @@ COPRODUCT_KINDS = ("concat", "shuffle", "stuffle", "plus")
 
 def add_into(out: dict, items: Iterable, scale: int | Fraction = 1) -> dict:
     """Adds scale·c to out[key] for every (key, c) in items and returns out.
-    scale defaults to 1 and is tested once per call; a zero item is skipped
-    and a key whose total becomes 0 is deleted, so an out that holds no zero
-    value keeps holding none.  This is the accumulate step of the sparse
-    core; `bilinear` and the Sym/QSym basis changes inline it."""
+    scale defaults to 1; a zero item is skipped and a key whose total becomes
+    0 is deleted, so an out that holds no zero value keeps holding none.
+    This is the accumulate step of the sparse core; `bilinear` inlines it."""
     get = out.get
-    if scale == 1:
-        for key, c in items:
-            if c:
-                if cur := get(key, 0) + c:
-                    out[key] = cur
-                else:
-                    del out[key]
-        return out
     for key, c in items:
         if c := scale * c:
             if cur := get(key, 0) + c:
@@ -63,15 +54,6 @@ def bilinear(p: Mapping, q: Mapping, kernel, out: dict | None = None) -> dict:
     and a key whose total becomes 0 is deleted, so out never holds a zero."""
     out = {} if out is None else out
     get = out.get
-    if kernel is concat_words:
-        # the key a + b itself, without building the kernel's one-term tuple
-        for a, ca in p.items():
-            for b, cb in q.items():
-                if cur := get(key := a + b, 0) + ca * cb:
-                    out[key] = cur
-                else:
-                    out.pop(key, None)
-        return out
     for a, ca in p.items():
         for b, cb in q.items():
             c = ca * cb

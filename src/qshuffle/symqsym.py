@@ -227,16 +227,10 @@ def _hub_row(basis: str, comp: Composition, to_hub: bool) -> tuple:
 def _apply_rows(x: _CompositionIndexed, basis: str, to_hub: bool, target: str):
     # sum over the terms n/d·I of x of n/d times row(I), over one denominator
     rows = [(n, _hub_row(basis, comp, to_hub)) for comp, n in x._nums.items()]
-    den = lcm(*[d for _, (_, d) in rows])
+    den = lcm(*(d for _, (_, d) in rows))
     out: dict[Composition, int] = {}
-    get = out.get
     for n, (row, d) in rows:
-        f = n * (den // d)
-        for key, m in row:
-            if cur := get(key, 0) + f * m:
-                out[key] = cur
-            else:
-                del out[key]
+        add_into(out, row, n * (den // d))
     return type(x)._in(target, out, x._den * den)
 
 
