@@ -43,7 +43,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .lyndon import lyndon_factorization, standard_factorization
-from .ncpoly import Graded, NCPolynomial, _word_coproduct, add_into, concat_words, product
+from .ncpoly import Graded, NCPolynomial, _series_sum, _word_coproduct, add_into, concat_words, product
 from .words import Word, as_natural, compositions_of, stats
 
 
@@ -419,12 +419,10 @@ def higher_series(k: int, bound: int) -> tuple[TSeries, TSeries]:
 def exp_ad(a: TSeries, b: TSeries) -> TSeries:
     """sum_n ad_a^n(b) / n! with ad_a(x) = a x - x a, truncated.
 
-    Finite because a is expected to have no constant coefficient (each ad
-    application raises the minimum t-degree)."""
-    out = term = b.truncate(a.bound)
-    for n in range(1, out.bound + 1):
-        term = a * term - term * a
-        if term.is_zero():
-            break
-        out = out + term * Fraction(1, factorial(n))
-    return out
+    a must have no t^0 coefficient (ValueError otherwise): each ad
+    application then raises the minimum t-degree, so the sum is finite."""
+    if not a.coeff(0).is_zero():
+        raise ValueError("exp_ad requires a series without a t^0 coefficient")
+    b = b.truncate(a.bound)
+    ad = lambda x: a * x - x * a
+    return b + _series_sum(ad(b), ad, lambda n: Fraction(1, factorial(n)))

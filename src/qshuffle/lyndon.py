@@ -49,6 +49,8 @@ def lyndon_count(n: int) -> int:
 
     There are 2^(n-1) words of weight n in total, and this formula is the
     independent oracle for the enumeration above."""
+    if n < 1:
+        raise ValueError("lyndon_count is defined for n >= 1")
     total = sum(mobius(n // d) * (2**d - 1) for d in range(1, n + 1) if n % d == 0)
     if total % n:
         raise ArithmeticError(f"count formula did not divide evenly at n={n}")

@@ -4,7 +4,7 @@ coefficients.
 Carries the three products (concatenation, shuffle, quasi-shuffle), the four
 coproducts (deconcatenation, shuffle, quasi-shuffle, and the letterwise
 contraction coproduct), the counit, the word pairing, and weight-truncated
-exp/log.
+exp/log, summed like every truncated power series by `_series_sum`.
 
 Every sparse container of the package stands on `Sparse`, the one
 coefficient core: tuple keys map to integer numerators over one positive
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -117,6 +117,16 @@ def _lincomb(pairs) -> tuple[dict, int]:
         else:
             out = dict(x._nums) if f == 1 else {k: n * f for k, n in x._nums.items()}
     return out, den
+
+
+def _series_sum(x, step, coeff):
+    """sum_{k>=1} coeff(k)·x_k, x_1 = x and x_{k+1} = step(x_k), up to the
+    first zero x_k, which the caller's input checks guarantee.  It uses only
+    `*`, `+` and `is_zero`, so it serves polynomials and series alike."""
+    out, k = x * 0, 1
+    while not x.is_zero():
+        out, x, k = out + x * coeff(k), step(x), k + 1
+    return out
 
 
 def fraction_view(items, den: int, label=lambda k: k) -> MappingProxyType:
@@ -276,12 +286,8 @@ class Graded:
         grade, key = self._unit
         if self._buckets.get(grade) != {key: self._den}:
             raise ValueError("log requires constant coefficient 1")
-        out = power = z = self._like({g: t for g, t in self._buckets.items() if g != grade}, self._den)
-        k = 1
-        while not (power := power._times(z, self._kernel)).is_zero():
-            k += 1
-            out = out._plus(power, Fraction((-1) ** (k - 1), k))
-        return out
+        z = self._like({g: t for g, t in self._buckets.items() if g != grade}, self._den)
+        return _series_sum(z, lambda x: x * z, lambda k: Fraction((-1) ** (k - 1), k))
 
     __add__ = _plus
     __rmul__ = _scaled
@@ -523,15 +529,8 @@ def exp_trunc(p: NCPolynomial, max_weight: int) -> NCPolynomial:
     if p.counit() != 0:
         raise ValueError("exp_trunc requires a vanishing empty-word coefficient")
     base = p.truncate(max_weight)
-    out = NCPolynomial.one()
-    term = NCPolynomial.one()
-    k = 0
-    while True:
-        k += 1
-        term = (term * base).truncate(max_weight) / k
-        if term.is_zero():
-            return out
-        out = out + term
+    step = lambda x: (x * base).truncate(max_weight)
+    return NCPolynomial.one() + _series_sum(base, step, lambda k: Fraction(1, factorial(k)))
 
 
 def log_trunc(q: NCPolynomial, max_weight: int) -> NCPolynomial:
@@ -542,14 +541,8 @@ def log_trunc(q: NCPolynomial, max_weight: int) -> NCPolynomial:
     if q.counit() != 1:
         raise ValueError("log_trunc requires an empty-word coefficient equal to 1")
     z = (q - NCPolynomial.one()).truncate(max_weight)
-    out = NCPolynomial.zero()
-    power = NCPolynomial.one()
-    for k in range(1, max_weight + 1):
-        power = (power * z).truncate(max_weight)
-        if power.is_zero():
-            break
-        out = out + power * Fraction((-1) ** (k - 1), k)
-    return out
+    step = lambda x: (x * z).truncate(max_weight)
+    return _series_sum(z, step, lambda k: Fraction((-1) ** (k - 1), k))
 
 
 # ---------------------------------------------------------------------------

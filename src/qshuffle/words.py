@@ -238,12 +238,6 @@ def mirror(parts: Composition) -> Composition:
     return tuple(reversed(parts))
 
 
-def last_part(parts: Composition) -> int:
-    if not parts:
-        raise ValueError("the empty composition has no last part")
-    return parts[-1]
-
-
 def stats(parts: Composition) -> CompositionStats:
     """Length, weight, last part, part product, partial-sum product and
     sp = pi * l!, together with the mirror image.  Empty-product conventions
@@ -345,14 +339,6 @@ def blocks_of(finer: Composition, coarser: Composition) -> list[Composition]:
     if pos != len(finer):
         raise ValueError(f"{finer} does not refine {coarser}")
     return blocks
-
-
-def is_finer(finer: Composition, coarser: Composition) -> bool:
-    try:
-        blocks_of(finer, coarser)
-    except ValueError:
-        return False
-    return True
 
 
 def relative_stats(finer: Composition, coarser: Composition) -> RelativeStats:

@@ -3,12 +3,13 @@ weight-truncated exp/log, Sym/QSym basis changes and the Sym/QSym pairing
 written directly on {Word or composition: Fraction} dicts, the way the
 package computed them before its containers stored integer numerators over
 one denominator; the truncated t-series as a dict of NCPolynomial
-coefficients, the way the package held it before `ncpoly.Graded`; and the
+coefficients, the way the package held it before `ncpoly.Graded`, with
+`exp_ad` as the bounded loop it ran before `ncpoly._series_sum`; and the
 accumulate step with one `add_into` call per pair of terms, the way
 `ncpoly.bilinear` ran before it accumulated inline."""
 
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 from qshuffle.ncpoly import NCPolynomial, shuffle_words, stuffle_words
 from qshuffle.words import Word, coarsenings, refinements, relative_stats, stats
@@ -213,6 +214,18 @@ class TSeries:
         if degree is not None:
             d_max = min(d_max, degree)
         return all(self.coeff(d) == other.coeff(d) for d in range(d_max + 1))
+
+
+def exp_ad(a: TSeries, b: TSeries) -> TSeries:
+    # sum_n ad_a^n(b) / n!, ad_a(x) = a x - x a, as the bounded loop
+    # `qshuffle.bases.exp_ad` ran before the shared series sum
+    out = term = b.truncate(a.bound)
+    for n in range(1, out.bound + 1):
+        term = a * term - term * a
+        if term.is_zero():
+            break
+        out = out + term * Fraction(1, factorial(n))
+    return out
 
 
 # -- Sym / QSym ------------------------------------------------------------------

@@ -483,7 +483,7 @@ def test_series_truncates_valid_degrees_at_the_bound():
 
 
 import fraction_oracle as oracle  # noqa: E402
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 _small_polys = st.dictionaries(
@@ -528,6 +528,41 @@ def test_series_match_the_dict_of_polynomials_oracle(a, b, bounds, c, degree):
         for series in (x, ox):
             with pytest.raises(ValueError):
                 series.log()
+
+
+_no_constant = st.dictionaries(st.integers(1, 4), _small_polys, max_size=3)
+
+
+@settings(max_examples=80, deadline=None)
+@example(  # ad_a^n(b) is nonzero up to n = 5, which random draws rarely reach
+    a={1: NCPolynomial.word((1,)), 2: NCPolynomial.word((2,))},
+    b={0: NCPolynomial.word((2,)), 1: NCPolynomial.word((1,))},
+    bounds=(5, 6),
+    c=Fraction(1, 2),
+)
+@given(
+    a=_no_constant,
+    b=_series_coeffs,
+    bounds=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+    c=st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+def test_exp_ad_matches_the_loop_oracle(a, b, bounds, c):
+    x, y, zero = TSeries(a, bounds[0]), TSeries(b, bounds[1]), TSeries({}, bounds[0])
+    ox, oy, ozero = oracle.TSeries(a, bounds[0]), oracle.TSeries(b, bounds[1]), oracle.TSeries({}, bounds[0])
+    # x·x + c·x commutes with x, so conjugating it changes nothing
+    commuting, ocommuting = x * x + c * x, ox * ox + c * ox
+    for new, old in [((x, y), (ox, oy)), ((zero, y), (ozero, oy)), ((x, commuting), (ox, ocommuting))]:
+        _same_series(exp_ad(*new), oracle.exp_ad(*old))
+    assert exp_ad(x, commuting) == commuting and exp_ad(zero, y) == y.truncate(bounds[0])
+
+
+def test_exp_ad_rejects_a_constant_coefficient():
+    # ad_a never raises the t-degree then, so the series does not terminate
+    y1, y2 = NCPolynomial.word((1,)), NCPolynomial.word((2,))
+    with pytest.raises(ValueError):
+        exp_ad(TSeries({0: y1}, 3), TSeries({0: y2}, 3))
+    with pytest.raises(ValueError):
+        exp_ad(TSeries({0: y1, 1: y2}, 3), TSeries({}, 3))
 
 
 def test_higher_series_base_case():

@@ -68,6 +68,12 @@ def test_counts_formula_agrees_with_enumeration_to_8():
         assert sum(1 for w in ws if w.weight == n) == lyndon_count(n)
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_lyndon_count_rejects_weights_below_1(n):
+    with pytest.raises(ValueError):
+        lyndon_count(n)
+
+
 def test_duval_enumeration_matches_the_definition_to_weight_9():
     words = [w for w in words_up_to(9, include_empty=False) if is_lyndon(w)]
     assert lyndon_up_to(9) == sorted(words, key=lambda w: (w.weight, w.letters))

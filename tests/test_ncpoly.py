@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qshuffle.ncpoly import (
     NCPolynomial,
+    _series_sum,
     TensorPolynomial,
     add_into,
     bilinear,
@@ -283,6 +284,15 @@ def test_exp_log_round_trip_random(term_list):
     p = NCPolynomial([(Word(w), c) for w, c in term_list]).truncate(4)
     assert log_trunc(exp_trunc(p, 4), 4) == p
     assert exp_trunc(log_trunc(one + p, 4), 4) == one + p
+
+
+def test_series_sum_stops_at_the_first_zero_term():
+    zero = NCPolynomial.zero()
+    assert _series_sum(zero, lambda x: pytest.fail("stepped past a zero x_1"), lambda k: 1) == zero
+    # x_1 = [1], x_2 = [2], x_3 = 0; the [3] after it is never summed
+    later = iter([mono(2), zero, mono(3)])
+    got = _series_sum(mono(1), lambda x: next(later), lambda k: Fraction(1, k))
+    assert got == mono(1) + mono(2) / 2 and next(later) == mono(3)
 
 
 # -- arithmetic and serialization ----------------------------------------------
