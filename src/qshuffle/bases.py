@@ -109,43 +109,35 @@ def pi1_inverse_check(w: Word) -> bool:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _x_list(n_max: int) -> tuple[NCPolynomial, ...]:
+def _x(n: int) -> NCPolynomial:
     # X_0 = 1 and X_n = -sum_{i=1..n} y_i X_{n-i}, the coefficients of the
     # multiplicative inverse of 1 + sum y_n t^n.
-    xs = [NCPolynomial.one()]
-    for n in range(1, n_max + 1):
-        xs.append(NCPolynomial._sum((_y(i) * xs[n - i], -1) for i in range(1, n + 1)))
-    return tuple(xs)
+    if n == 0:
+        return NCPolynomial.one()
+    return NCPolynomial._sum((_y(i) * _x(n - i), -1) for i in range(1, n + 1))
+
+
+@lru_cache(maxsize=None)
+def _lr(n: int, side: str) -> NCPolynomial:
+    # L_n for side "L", R_n for side "R": the letter y_i sits left of
+    # X_{n-i} in L_n and right of it in R_n.
+    terms = ((_y(i) * _x(n - i) if side == "L" else _x(n - i) * _y(i), i) for i in range(1, n + 1))
+    return NCPolynomial._sum(terms)
 
 
 def x_elements(n_max: int) -> list[NCPolynomial]:
     """[X_1, ..., X_n] with X_0 = 1 implicit."""
-    return list(_x_list(n_max)[1:])
-
-
-@lru_cache(maxsize=None)
-def _lr_list(n_max: int, side: str) -> tuple[NCPolynomial, ...]:
-    # [L_1..L_n] for side "L", [R_1..R_n] for side "R": the letter y_{i+1}
-    # sits left of X_{n-1-i} in L_n and right of it in R_n.
-    xs = _x_list(n_max)
-    out = []
-    for n in range(1, n_max + 1):
-        pieces = []
-        for i in range(n):
-            y, x = _y(i + 1), xs[n - 1 - i]
-            pieces.append((y * x if side == "L" else x * y, i + 1))
-        out.append(NCPolynomial._sum(pieces))
-    return tuple(out)
+    return [_x(n) for n in range(1, n_max + 1)]
 
 
 def l_elements(n_max: int) -> list[NCPolynomial]:
     """[L_1, ..., L_n]: L_n = sum_{i=0}^{n-1} (i+1) y_{i+1} X_{n-1-i}."""
-    return list(_lr_list(n_max, "L"))
+    return [_lr(n, "L") for n in range(1, n_max + 1)]
 
 
 def r_elements(n_max: int) -> list[NCPolynomial]:
     """[R_1, ..., R_n]: R_n = sum_{i=0}^{n-1} (i+1) X_{n-1-i} y_{i+1}."""
-    return list(_lr_list(n_max, "R"))
+    return [_lr(n, "R") for n in range(1, n_max + 1)]
 
 
 def y_in_r_expansion(n: int, use_partial_sums: bool = True) -> bool:
@@ -157,12 +149,9 @@ def y_in_r_expansion(n: int, use_partial_sums: bool = True) -> bool:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rs = _lr_list(n, "R")
     total = NCPolynomial.zero()
     for comp in compositions_of(n):
-        term = NCPolynomial.one()
-        for j in comp:
-            term = term * rs[j - 1]
+        term = prod((_lr(j, "R") for j in comp), start=NCPolynomial.one())
         st = stats(comp)
         total = total + term / (st.pi_u if use_partial_sums else st.pi)
     return total == _y(n)
@@ -185,8 +174,8 @@ FAMILIES = tuple(f for dual, primal, _ in PAIRS.values() for f in (primal, dual)
 _LETTER = {
     "p": _y,
     "Pi": lambda n: _pi1_word((n,)),
-    "PiL": lambda n: _lr_list(n, "L")[n - 1],
-    "PiR": lambda n: _lr_list(n, "R")[n - 1],
+    "PiL": lambda n: _lr(n, "L"),
+    "PiR": lambda n: _lr(n, "R"),
 }
 # quasi-shuffle dual family -> its primal family
 _DUAL = {dual: primal for dual, primal, kind in PAIRS.values() if kind == "stuffle"}
@@ -377,15 +366,15 @@ def y_series(bound: int) -> TSeries:
 
 
 def y_inverse_series(bound: int) -> TSeries:
-    return TSeries(dict(enumerate(_x_list(bound))), bound)
+    return TSeries({n: _x(n) for n in range(bound + 1)}, bound)
 
 
 def l_series(bound: int) -> TSeries:
-    return TSeries(dict(enumerate(_lr_list(bound + 1, "L"))), bound)
+    return TSeries(dict(enumerate(l_elements(bound + 1))), bound)
 
 
 def r_series(bound: int) -> TSeries:
-    return TSeries(dict(enumerate(_lr_list(bound + 1, "R"))), bound)
+    return TSeries(dict(enumerate(r_elements(bound + 1))), bound)
 
 
 def log_y_series(bound: int) -> TSeries:

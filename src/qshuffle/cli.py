@@ -14,6 +14,8 @@ import json
 import random
 import sys
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
 from . import bases, factorization, lyndon, ncpoly, symqsym, words
 from .ncpoly import NCPolynomial, add_into
@@ -108,7 +110,7 @@ def _check_products(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
                 ab = ncpoly.product(pu, pv, kind)
                 if ab != ncpoly.product(pv, pu, kind):
                     return False, f"{kind} not commutative at {u}, {v}"
-                if any(x.weight != u.weight + v.weight for x in ab.terms):
+                if any(sum(x) != u.weight + v.weight for x in ab._nums):
                     return False, f"{kind} not weight-homogeneous at {u}, {v}"
         for _ in range(6):
             u, v, x = (rng.choice(sample) for _ in range(3))
@@ -122,37 +124,33 @@ def _check_products(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
 
 def _check_coproducts(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
     cap = min(w_max, 4)
+
+    @lru_cache(maxsize=None)  # one cache per call, so each word's coproduct is computed once
+    def cop(w: tuple, kind: str) -> ncpoly.TensorPolynomial:
+        return ncpoly.coproduct(NCPolynomial.word(w), kind)
+
     for kind in ("concat", "shuffle", "stuffle"):
-        for w in words.words_up_to(cap):
-            p = NCPolynomial.word(w)
-            t = ncpoly.coproduct(p, kind)
+        for w in words.compositions_up_to(cap):
+            t = cop(w, kind)
             # counit laws
-            left = NCPolynomial(
-                [(v, c) for (u, v), c in t.terms.items() if len(u) == 0]
-            )
-            right = NCPolynomial(
-                [(u, c) for (u, v), c in t.terms.items() if len(v) == 0]
-            )
-            if left != p or right != p:
-                return False, f"counit law fails for {kind} at {w}"
-            # coassociativity via triple expansion
-            lhs: dict = {}
-            rhs: dict = {}
-            for (u, v), c in t.terms.items():
-                left = ncpoly.coproduct(NCPolynomial.word(u), kind).terms.items()
-                add_into(lhs, (((a, b, v), d) for (a, b), d in left), c)
-                right = ncpoly.coproduct(NCPolynomial.word(v), kind).terms.items()
-                add_into(rhs, (((u, a, b), d) for (a, b), d in right), c)
+            left = {v: n for (u, v), n in t._nums.items() if not u}
+            right = {u: n for (u, v), n in t._nums.items() if not v}
+            if left != {w: t._den} or right != {w: t._den}:
+                return False, f"counit law fails for {kind} at {Word._raw(w)}"
+            # coassociativity via triple expansion, over one common denominator
+            den = lcm(*(cop(x, kind)._den for pair in t._nums for x in pair))
+            lhs, rhs = {}, {}
+            for (u, v), c in t._nums.items():
+                left, right = cop(u, kind), cop(v, kind)
+                add_into(lhs, (((a, b, v), d) for (a, b), d in left._nums.items()), c * (den // left._den))
+                add_into(rhs, (((u, a, b), d) for (a, b), d in right._nums.items()), c * (den // right._den))
             if lhs != rhs:
-                return False, f"{kind} coproduct not coassociative at {w}"
+                return False, f"{kind} coproduct not coassociative at {Word._raw(w)}"
     for n in range(cap + 1):
-        for u, v in words.pairs_of_weight(n, words.words_of_weight):
-            pu, pv = NCPolynomial.word(u), NCPolynomial.word(v)
-            uv = pu * pv
+        for u, v in words.pairs_of_weight(n):
             for kind in ("shuffle", "stuffle"):
-                split = ncpoly.coproduct(pu, kind) * ncpoly.coproduct(pv, kind)
-                if ncpoly.coproduct(uv, kind) != split:
-                    return False, f"{kind} coproduct not a concat morphism at {u}, {v}"
+                if cop(u + v, kind) != cop(u, kind) * cop(v, kind):
+                    return False, f"{kind} coproduct not a concat morphism at {Word._raw(u)}, {Word._raw(v)}"
     try:
         ncpoly.coproduct(NCPolynomial.word((1, 1)), "plus")
         return False, "contraction coproduct accepted a length-2 word"
@@ -164,14 +162,11 @@ def _check_coproducts(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
 def _check_adjunction(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
     cap = min(w_max, 4)
     for kind in ("shuffle", "stuffle"):
+        coproduct = lambda w: _core(ncpoly.coproduct(NCPolynomial.word(w), kind))
+        product = lambda u, v: _core(ncpoly.product(NCPolynomial.word(u), NCPolynomial.word(v), kind))
         for n in range(cap + 1):
-            ws = words.words_of_weight(n)
-            ts = [(w, ncpoly.coproduct(NCPolynomial.word(w), kind)) for w in ws]
-            for u, v in words.pairs_of_weight(n, words.words_of_weight):
-                uv = ncpoly.product(NCPolynomial.word(u), NCPolynomial.word(v), kind)
-                for w, t in ts:
-                    if t.coeff(u, v) != uv.coeff(w):
-                        return False, f"adjunction fails for {kind} at {w}; {u}, {v}"
+            if bad := _first_off_adjunction(n, coproduct, product):
+                return False, "adjunction fails for {} at {}; {}, {}".format(kind, *map(Word._raw, bad))
     return True, f"<coproduct(w), u (x) v> = <w, u * v> exhaustively up to weight {cap}"
 
 
@@ -185,6 +180,35 @@ def _check_exp_log(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
         if ncpoly.log_trunc(ncpoly.exp_trunc(p, cap), cap) != p.truncate(cap):
             return False, "log(exp(p)) != p"
     return True, f"log/exp round trips on seeded polynomials, weight <= {cap}"
+
+
+def _core(x) -> tuple[dict, int]:
+    """The reduced (numerators, denominator) of a value or of the read-only
+    Fraction map sym_coproduct returns: two values are equal iff these are."""
+    return (x._nums, x._den) if isinstance(x, ncpoly.Sparse) else ncpoly._integral(x.items())
+
+
+def _first_off_adjunction(n: int, coproduct, product) -> tuple | None:
+    """The first (w, u, v), pairs (u, v) of weight n first and then words w
+    of weight n, in order, with <coproduct(w), u (x) v> != <w, product(u, v)>,
+    or None; both give _core pairs.  The coproducts are inverted once into
+    (u, v) -> {w: c}; each pair pops its entry, and a left-over entry fails."""
+    keys = words.compositions_of(n)
+    cores = [coproduct(w) for w in keys]
+    den = lcm(*(d for _, d in cores))
+    inverse: dict = {}
+    for w, (nums, d) in zip(keys, cores):
+        for pair, c in nums.items():
+            inverse.setdefault(pair, {})[w] = c * (den // d)
+    for u, v in words.pairs_of_weight(n):
+        entry, (nums, d) = inverse.pop((u, v), {}), product(u, v)
+        if d != den or entry != nums:
+            # the words of weight n in order, then those of other weights in the product
+            for w in keys + sorted(w for w in nums if sum(w) != n):
+                if entry.get(w, 0) * d != nums.get(w, 0) * den:
+                    return w, u, v
+    for (u, v), entry in inverse.items():
+        return next(iter(entry)), u, v  # an entry lists its words in order
 
 
 def _first_off_identity(rows: list, cols: list) -> tuple[int, int] | None:
@@ -310,29 +334,18 @@ def _check_sym_roundtrips(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
 
 
 def _check_sym_hopf(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
+    S, M = symqsym.SymElement.single, symqsym.QSymElement.single
     for basis in ("Psi", "Phi"):
         for n in range(1, w_max + 1):
-            x = symqsym.SymElement.single((n,), basis)
-            got = symqsym.sym_coproduct(x)
-            xs = symqsym.convert(x, "S").terms
-            expected: dict = {}
-            for comp, c in xs.items():
-                add_into(expected, (((comp, ()), c), (((), comp), c)))
-            if got != expected:
+            xs = symqsym.convert(S((n,), basis), "S")
+            expected = {pair: c for k, c in xs._nums.items() for pair in ((k, ()), ((), k))}
+            if _core(symqsym.sym_coproduct(S((n,), basis))) != (expected, xs._den):
                 return False, f"{basis}_{n} not primitive for the Sym coproduct"
     cap = min(w_max, 4)
+    product = lambda i, j: _core(symqsym.qsym_product(M(i, "M"), M(j, "M")))
     for n in range(cap + 1):
-        ts = [
-            (k, symqsym.sym_coproduct(symqsym.SymElement.single(k, "S")))
-            for k in words.compositions_of(n)
-        ]
-        for i, j in words.pairs_of_weight(n):
-            star = symqsym.qsym_product(
-                symqsym.QSymElement.single(i, "M"), symqsym.QSymElement.single(j, "M")
-            )
-            for k, t in ts:
-                if t.get((i, j), Fraction(0)) != star.coeff(k):
-                    return False, f"Sym/QSym adjunction fails at {k}; {i}, {j}"
+        if bad := _first_off_adjunction(n, lambda k: _core(symqsym.sym_coproduct(S(k, "S"))), product):
+            return False, "Sym/QSym adjunction fails at {}; {}, {}".format(*bad)
     return True, f"power sums primitive to {w_max}; adjunction exhaustive to {cap}"
 
 
@@ -356,10 +369,8 @@ def _check_encodings(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
             if lhs != symqsym.encode_M(pu) * symqsym.encode_M(pv):
                 return False, f"M encoding not a quasi-shuffle morphism at {u}, {v}"
     for u in words.words_up_to(cap):
-        got = symqsym.sym_coproduct(symqsym.encode_S(NCPolynomial.word(u)))
-        pairs = ncpoly.coproduct(NCPolynomial.word(u), "stuffle").terms.items()
-        expected = add_into({}, (((a.letters, b.letters), c) for (a, b), c in pairs))
-        if got != expected:
+        got = _core(symqsym.sym_coproduct(symqsym.encode_S(NCPolynomial.word(u))))
+        if got != _core(ncpoly.coproduct(NCPolynomial.word(u), "stuffle")):
             return False, f"S encoding does not intertwine the coproducts at {u}"
     rs = bases.r_elements(w_max)
     for comp in words.compositions_up_to(w_max, include_empty=False):
@@ -523,7 +534,7 @@ def run_product(args, out) -> int:
     if len(args.word) != 2:
         raise ValueError("product needs exactly two --word arguments")
     u, v = (words.parse_word(t) for t in args.word)
-    _within_cap(args, u.weight + v.weight, "the two --word arguments")
+    _within_cap(args, u.weight + v.weight, "the product of the two --word arguments")
     _emit_poly(args, out, ncpoly.product(NCPolynomial.word(u), NCPolynomial.word(v), args.kind))
     return 0
 

@@ -4,9 +4,11 @@ written directly on {Word or composition: Fraction} dicts, the way the
 package computed them before its containers stored integer numerators over
 one denominator; the truncated t-series as a dict of NCPolynomial
 coefficients, the way the package held it before `ncpoly.Graded`, with
-`exp_ad` as the bounded loop it ran before `ncpoly._series_sum`; and the
+`exp_ad` as the bounded loop it ran before `ncpoly._series_sum`; the
 accumulate step with one `add_into` call per pair of terms, the way
-`ncpoly.bilinear` ran before it accumulated inline."""
+`ncpoly.bilinear` ran before it accumulated inline; and the X_n, L_n and
+R_n of the letter series built as whole lists per bound, the way `bases`
+cached them before it cached one element per index."""
 
 from fractions import Fraction
 from math import factorial, gcd
@@ -140,6 +142,30 @@ def log_trunc(q: dict, max_weight: int) -> dict:
         power = truncate(product(power, z, "concat"), max_weight)
         out = accumulate([*out.items(), *((w, c * Fraction((-1) ** (k - 1), k)) for w, c in power.items())])
     return out
+
+
+# -- letter series elements, one list per bound ----------------------------------
+
+def x_list(n_max: int) -> tuple:
+    # X_0 = 1 and X_n = -sum_{i=1..n} y_i X_{n-i}
+    xs = [NCPolynomial.one()]
+    for n in range(1, n_max + 1):
+        xs.append(NCPolynomial._sum((NCPolynomial.word((i,)) * xs[n - i], -1) for i in range(1, n + 1)))
+    return tuple(xs)
+
+
+def lr_list(n_max: int, side: str) -> tuple:
+    # [L_1..L_n] for side "L", [R_1..R_n] for side "R": the letter y_{i+1}
+    # sits left of X_{n-1-i} in L_n and right of it in R_n
+    xs = x_list(n_max)
+    out = []
+    for n in range(1, n_max + 1):
+        pieces = []
+        for i in range(n):
+            y, x = NCPolynomial.word((i + 1,)), xs[n - 1 - i]
+            pieces.append((y * x if side == "L" else x * y, i + 1))
+        out.append(NCPolynomial._sum(pieces))
+    return tuple(out)
 
 
 # -- truncated series in t ---------------------------------------------------------

@@ -565,6 +565,31 @@ def test_exp_ad_rejects_a_constant_coefficient():
         exp_ad(TSeries({0: y1, 1: y2}, 3), TSeries({}, 3))
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_letter_series_elements_match_the_per_bound_oracle(n):
+    xs, ls, rs = oracle.x_list(n), oracle.lr_list(n, "L"), oracle.lr_list(n, "R")
+    assert x_elements(n) == list(xs[1:])
+    assert l_elements(n) == list(ls) and r_elements(n) == list(rs)
+    assert bases._LETTER["PiL"](n) == ls[-1] and bases._LETTER["PiR"](n) == rs[-1]
+    assert y_inverse_series(n) == TSeries(dict(enumerate(xs)), n)
+    assert l_series(n) == TSeries(dict(enumerate(oracle.lr_list(n + 1, "L"))), n)
+    assert r_series(n) == TSeries(dict(enumerate(oracle.lr_list(n + 1, "R"))), n)
+
+
+def test_letter_series_elements_are_cached_per_index():
+    # a larger bound builds only the new elements
+    bases._x.cache_clear()
+    bases._lr.cache_clear()
+    l_elements(6)
+    r_elements(6)
+    misses = lambda: (bases._x.cache_info().misses, bases._lr.cache_info().misses)
+    before = misses()
+    l_elements(7)
+    x_elements(5)
+    r_elements(3)
+    assert misses() == (before[0] + 1, before[1] + 1)
+
+
 def test_higher_series_base_case():
     d = 4
     cal_l, cal_r = higher_series(1, d)

@@ -323,6 +323,185 @@ def test_pairing_checks_pass_and_state_the_weight_covered():
         True, "<Rib_I, F_J> = delta exhaustively up to weight 7")
 
 
+# The per-pair loops that the transposed, integer-core checks replaced, kept
+# as their oracles: they read `.terms` views and Fraction-valued coefficients.
+
+def _per_pair_coproducts(w_max):
+    cap = min(w_max, 4)
+    for kind in ("concat", "shuffle", "stuffle"):
+        for w in words.words_up_to(cap):
+            p = NCPolynomial.word(w)
+            t = ncpoly.coproduct(p, kind)
+            left = NCPolynomial([(v, c) for (u, v), c in t.terms.items() if len(u) == 0])
+            right = NCPolynomial([(u, c) for (u, v), c in t.terms.items() if len(v) == 0])
+            if left != p or right != p:
+                return False, f"counit law fails for {kind} at {w}"
+            lhs: dict = {}
+            rhs: dict = {}
+            for (u, v), c in t.terms.items():
+                left = ncpoly.coproduct(NCPolynomial.word(u), kind).terms.items()
+                ncpoly.add_into(lhs, (((a, b, v), d) for (a, b), d in left), c)
+                right = ncpoly.coproduct(NCPolynomial.word(v), kind).terms.items()
+                ncpoly.add_into(rhs, (((u, a, b), d) for (a, b), d in right), c)
+            if lhs != rhs:
+                return False, f"{kind} coproduct not coassociative at {w}"
+    for n in range(cap + 1):
+        for u, v in words.pairs_of_weight(n, words.words_of_weight):
+            pu, pv = NCPolynomial.word(u), NCPolynomial.word(v)
+            uv = pu * pv
+            for kind in ("shuffle", "stuffle"):
+                split = ncpoly.coproduct(pu, kind) * ncpoly.coproduct(pv, kind)
+                if ncpoly.coproduct(uv, kind) != split:
+                    return False, f"{kind} coproduct not a concat morphism at {u}, {v}"
+    return True, f"counit, coassociativity, morphism property up to weight {cap}"
+
+
+def _per_pair_adjunction(w_max):
+    cap = min(w_max, 4)
+    for kind in ("shuffle", "stuffle"):
+        for n in range(cap + 1):
+            ws = words.words_of_weight(n)
+            ts = [(w, ncpoly.coproduct(NCPolynomial.word(w), kind)) for w in ws]
+            for u, v in words.pairs_of_weight(n, words.words_of_weight):
+                uv = ncpoly.product(NCPolynomial.word(u), NCPolynomial.word(v), kind)
+                for w, t in ts:
+                    if t.coeff(u, v) != uv.coeff(w):
+                        return False, f"adjunction fails for {kind} at {w}; {u}, {v}"
+    return True, f"<coproduct(w), u (x) v> = <w, u * v> exhaustively up to weight {cap}"
+
+
+def _per_pair_sym_hopf(w_max):
+    for basis in ("Psi", "Phi"):
+        for n in range(1, w_max + 1):
+            x = SymElement.single((n,), basis)
+            expected: dict = {}
+            for comp, c in convert(x, "S").terms.items():
+                ncpoly.add_into(expected, (((comp, ()), c), (((), comp), c)))
+            if symqsym.sym_coproduct(x) != expected:
+                return False, f"{basis}_{n} not primitive for the Sym coproduct"
+    cap = min(w_max, 4)
+    for n in range(cap + 1):
+        ts = [(k, symqsym.sym_coproduct(SymElement.single(k, "S"))) for k in words.compositions_of(n)]
+        for i, j in words.pairs_of_weight(n):
+            star = symqsym.qsym_product(QSymElement.single(i, "M"), QSymElement.single(j, "M"))
+            for k, t in ts:
+                if t.get((i, j), Fraction(0)) != star.coeff(k):
+                    return False, f"Sym/QSym adjunction fails at {k}; {i}, {j}"
+    return True, f"power sums primitive to {w_max}; adjunction exhaustive to {cap}"
+
+
+_HOPF_ORACLES = (
+    (cli._check_coproducts, _per_pair_coproducts),
+    (cli._check_adjunction, _per_pair_adjunction),
+    (cli._check_sym_hopf, _per_pair_sym_hopf),
+)
+
+
+@pytest.mark.parametrize("w_max", range(1, 6))
+def test_hopf_checks_match_the_per_pair_loops(w_max):
+    for check, per_pair in _HOPF_ORACLES:
+        assert check(w_max, 8, random.Random(0)) == per_pair(w_max)
+        assert per_pair(w_max)[0]
+
+
+def _patched(module, name, match, change):
+    # wraps module.name so that a call whose arguments satisfy match gets
+    # change applied to its result
+    real = getattr(module, name)
+
+    def patched(*args):
+        got = real(*args)
+        return change(got) if match(*args) else got
+
+    return patched
+
+
+def _word_is(word, kind):
+    return lambda p, k: k == kind and p == NCPolynomial.word(word)
+
+
+def _s_is(comp):
+    return lambda x: x == SymElement.single(comp, "S")
+
+
+def _m_pair_is(i, j):
+    return lambda a, b: (a, b) == (QSymElement.single(i, "M"), QSymElement.single(j, "M"))
+
+
+_TENSOR = ncpoly.TensorPolynomial
+
+
+@pytest.mark.parametrize(
+    "module, name, match, change, check, detail",
+    [
+        # an extra y2 (x) y1 in the shuffle coproduct of y1 y2: still
+        # coassociative at y1 y2, but not at y1 y1 y2, which expands through it
+        (ncpoly, "coproduct", _word_is((1, 2), "shuffle"),
+         lambda t: t + _TENSOR({((2,), (1,)): 1}),
+         cli._check_coproducts, "shuffle coproduct not coassociative at 1 1 2"),
+        # 1/2·y1 (x) y1 added to the shuffle coproduct of y2: a denominator 2
+        (ncpoly, "coproduct", _word_is((2,), "shuffle"),
+         lambda t: t + _TENSOR({((1,), (1,)): Fraction(1, 2)}),
+         cli._check_coproducts, "shuffle coproduct not coassociative at 2 2"),
+        # one y2 (x) y2 dropped from the shuffle coproduct of y2 y2, which
+        # leaves its deconcatenation: counital and coassociative, but not a
+        # morphism for concatenation
+        (ncpoly, "coproduct", _word_is((2, 2), "shuffle"),
+         lambda t: t - _TENSOR({((2,), (2,)): 1}),
+         cli._check_coproducts, "shuffle coproduct not a concat morphism at 2, 2"),
+        # y1 y2 (x) e dropped from the deconcatenation of y1 y2
+        (ncpoly, "coproduct", _word_is((1, 2), "concat"),
+         lambda t: t - _TENSOR({((1, 2), ()): 1}),
+         cli._check_coproducts, "counit law fails for concat at 1 2"),
+        # y1 (x) y2 and y2 y1 (x) e dropped from the stuffle coproduct of
+        # y2 y1; the pair (1, 2) comes first
+        (ncpoly, "coproduct", _word_is((2, 1), "stuffle"),
+         lambda t: t - _TENSOR({((1,), (2,)): 1, ((2, 1), ()): 1}),
+         cli._check_adjunction, "adjunction fails for stuffle at 2 1; 1, 2"),
+        # y2 - y1 y1 added to the shuffle of y1 with y1; the word 2 comes first
+        (ncpoly, "product", lambda p, q, kind: kind == "shuffle" and p == q == NCPolynomial.word((1,)),
+         lambda p: p + NCPolynomial({(2,): 1, (1, 1): -1}),
+         cli._check_adjunction, "adjunction fails for shuffle at 2; 1, 1"),
+        # an extra S_3 (x) 1 in the coproduct of S^(1,2)
+        (symqsym, "sym_coproduct", _s_is((1, 2)),
+         lambda t: {**t, ((3,), ()): 1},
+         cli._check_sym_hopf, "Sym/QSym adjunction fails at (1, 2); (3,), ()"),
+        # M_(2) dropped from M_(1) * M_(1)
+        (symqsym, "qsym_product", _m_pair_is((1,), (1,)),
+         lambda x: x - QSymElement.single((2,), "M"),
+         cli._check_sym_hopf, "Sym/QSym adjunction fails at (2,); (1,), (1,)"),
+        # M_(1) * M_(1) halved: the same numerators over the denominator 2
+        (symqsym, "qsym_product", _m_pair_is((1,), (1,)),
+         lambda x: x / 2,
+         cli._check_sym_hopf, "Sym/QSym adjunction fails at (2,); (1,), (1,)"),
+    ],
+)
+def test_hopf_checks_fail_where_the_per_pair_loops_fail(monkeypatch, module, name, match, change, check, detail):
+    monkeypatch.setattr(module, name, _patched(module, name, match, change))
+    per_pair = dict(_HOPF_ORACLES)[check]
+    assert per_pair(5) == (False, detail)
+    assert check(5, 8, random.Random(0)) == (False, detail)
+
+
+def test_adjunction_check_rejects_a_coproduct_term_no_pair_reads(monkeypatch):
+    # y1 (x) e has weight 1, so no pair of weight 2 reads it from the
+    # coproduct of y2: the per-pair loop passes, the left-over entry fails
+    match = _word_is((2,), "shuffle")
+    monkeypatch.setattr(ncpoly, "coproduct", _patched(ncpoly, "coproduct", match,
+                                                        lambda t: t + _TENSOR({((1,), ()): 1})))
+    assert _per_pair_adjunction(4)[0]
+    assert cli._check_adjunction(4, 8, random.Random(0)) == (False, "adjunction fails for shuffle at 2; 1, e")
+
+
+def test_products_check_rejects_an_inhomogeneous_product(monkeypatch):
+    one = NCPolynomial.one()
+    match = lambda p, q, kind: one not in (p, q)
+    monkeypatch.setattr(ncpoly, "product", _patched(ncpoly, "product", match,
+                                                      lambda p: p + NCPolynomial.word((9,))))
+    u = cli._sample_words(random.Random(0), 4, 8)[0]
+    assert cli._check_products(5, 8, random.Random(0)) == (False, f"shuffle not weight-homogeneous at {u}, {u}")
+
+
 def test_primitivity_and_hall_littlewood_state_the_weights_covered():
     assert cli._check_primitivity(6, 8, random.Random(0)) == (
         True, "primitive seeds up to weight 6, Lyndon PBW elements up to weight 5")
