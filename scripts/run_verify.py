@@ -33,7 +33,7 @@ def main() -> int:
             ok, detail = fn(w, args.q_degree, rng)
             elapsed = time.perf_counter() - t0
             verdict = "pass" if ok else "FAIL"
-            print(f"  {verdict:4}  {elapsed:7.3f}s  {name:<22}  {detail}")
+            print(f"  {verdict:4}  {elapsed:8.4f}s  {name:<22}  {detail}")
             failures += not ok
     print(f"total failures: {failures}")
     return 1 if failures else 0

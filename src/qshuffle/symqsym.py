@@ -6,10 +6,11 @@ first (Psi) and second (Phi) kind, and ribbons (Rib).  QSym carries the
 monomial (M) and fundamental (F) bases.  Every conversion routes through the
 hub basis of its side, S or M.  The Lambda, Psi, Phi and F rows are
 concatenation products of one-part rows; the Rib rows are coarsening sums.
-The two sides pair by <S^I, M_J> = delta, the M side multiplies through
-`ncpoly.stuffle_words` (composition tuples are its letter tuples, so it is the
-one quasi-shuffle kernel of the package), and both are word-encoded Hopf
-algebras through the maps defined at the bottom.
+The two sides pair by <S^I, M_J> = delta.  Composition tuples are the letter
+tuples of words, so the Hopf structure is the word algebra's read through the
+encodings defined at the bottom: the M side multiplies through
+`ncpoly.stuffle_words`, the Sym coproduct is the quasi-shuffle coproduct of
+words and the QSym coproduct is deconcatenation, both from `ncpoly.coproduct`.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .ncpoly import (
     _lincomb,
     add_into,
     bilinear,
-    concat_pairs,
     concat_words,
+    coproduct,
     dot,
     fraction_view,
     stuffle_words,
@@ -307,31 +308,18 @@ def qsym_product(a: QSymElement, b: QSymElement) -> QSymElement:
 
 
 def sym_coproduct(x: SymElement) -> Mapping[tuple[Composition, Composition], Fraction]:
-    """Coproduct splitting each complete function S_n into sum S_i (x) S_{n-i},
-    extended multiplicatively.  Returned as a read-only (S basis x S basis)
-    tensor map."""
-    xs = convert(x, "S")
-    out: dict[tuple[Composition, Composition], int] = {}
-    for comp, n in xs._nums.items():
-        pairs: dict[tuple[Composition, Composition], int] = {((), ()): 1}
-        for part in comp:
-            # S_part -> sum_i S_i (x) S_{part-i}, where S_0 = 1 has the empty index
-            split = {
-                ((i,) if i else (), (part - i,) if i < part else ()): 1 for i in range(part + 1)
-            }
-            pairs = bilinear(pairs, split, concat_pairs)
-        add_into(out, pairs.items(), n)
-    return fraction_view(out.items(), xs._den)
+    """S_n -> sum S_i (x) S_{n-i}, extended multiplicatively: the
+    quasi-shuffle coproduct of the decoded words.  Returned as a read-only
+    (S basis x S basis) tensor map."""
+    t = coproduct(decode_S(x), "stuffle")
+    return fraction_view(t._nums.items(), t._den)
 
 
 def qsym_coproduct(x: QSymElement) -> Mapping[tuple[Composition, Composition], Fraction]:
     """Deconcatenation of monomial indices, as a read-only (M x M) tensor
     map."""
-    xm = convert(x, "M")
-    out: dict[tuple[Composition, Composition], int] = {}
-    for comp, n in xm._nums.items():
-        add_into(out, (((comp[:i], comp[i:]), n) for i in range(len(comp) + 1)))
-    return fraction_view(out.items(), xm._den)
+    t = coproduct(decode_M(x), "concat")
+    return fraction_view(t._nums.items(), t._den)
 
 
 def pairing_ext(x: SymElement, y: QSymElement) -> Fraction:
@@ -428,8 +416,9 @@ class QSeries(Sparse):
 
 def specialize_Mq(comp: Composition, q_bound: int) -> QSeries:
     """M_I evaluated on {q^n}: sum over strictly decreasing exponent tuples
-    n_1 > ... > n_r >= 0 of q^(n_1 i_1 + ... + n_r i_r), exponents < q_bound."""
-    comp = tuple(comp)
+    n_1 > ... > n_r >= 0 of q^(n_1 i_1 + ... + n_r i_r), exponents < q_bound;
+    parts must be integers >= 1 (ValueError otherwise)."""
+    comp = _letters(comp)
     acc: dict[int, int] = {}
 
     def rec(pos: int, prev: int | None, partial: int) -> None:
@@ -452,7 +441,8 @@ def hl_product(max_weight: int, q_bound: int) -> dict[Composition, QSeries]:
     """Expansion of the ordered product over n = q_bound-1, ..., 1, 0 of
     (sum_i S_i q^(n i)), the factor with the largest exponent leftmost;
     factors beyond n >= q_bound only contribute 1 below the truncation.
-    Returns the S^I coefficients as q-series."""
+    Returns the S^I coefficients as q-series; max_weight must be >= 0."""
+    as_natural(max_weight)
     acc: dict[Composition, dict[int, int]] = {(): {0: 1}}
     for n in range(q_bound - 1, -1, -1):
         nxt: dict[Composition, dict[int, int]] = {}

@@ -6,15 +6,20 @@ one denominator; the truncated t-series as a dict of NCPolynomial
 coefficients, the way the package held it before `ncpoly.Graded`, with
 `exp_ad` as the bounded loop it ran before `ncpoly._series_sum`; the
 accumulate step with one `add_into` call per pair of terms, the way
-`ncpoly.bilinear` ran before it accumulated inline; and the X_n, L_n and
+`ncpoly.bilinear` ran before it accumulated inline; the X_n, L_n and
 R_n of the letter series built as whole lists per bound, the way `bases`
-cached them before it cached one element per index."""
+cached them before it cached one element per index; and the Sym/QSym
+coproducts and the closing identity in QSym (x) Sym computed on
+compositions, the way `symqsym` and `factorization` did before they read
+the word algebra through the encodings."""
 
 from fractions import Fraction
 from math import factorial, gcd
 
+from qshuffle.factorization import factorized_product
 from qshuffle.ncpoly import NCPolynomial, shuffle_words, stuffle_words
-from qshuffle.words import Word, coarsenings, refinements, relative_stats, stats
+from qshuffle.symqsym import encode_M, encode_S
+from qshuffle.words import Word, coarsenings, refinements, relative_stats, stats, words_up_to
 
 
 def assert_canonical(x) -> None:
@@ -319,3 +324,41 @@ def convert(terms: dict, source: str, target: str) -> dict:
 def pairing_ext(x: dict, x_basis: str, y: dict, y_basis: str) -> Fraction:
     xs, ym = convert(x, x_basis, "S"), convert(y, y_basis, "M")
     return sum((c * ym.get(comp, 0) for comp, c in xs.items()), Fraction(0))
+
+
+def sym_coproduct(xs: dict) -> dict:
+    # the S-basis terms of an element: each S_part split into
+    # sum_i S_i (x) S_{part-i}, S_0 = 1 with the empty index, and the splits
+    # of the parts multiplied componentwise
+    out = []
+    for comp, c in xs.items():
+        pairs = {((), ()): Fraction(1)}
+        for part in comp:
+            split = {((i,) if i else (), (part - i,) if i < part else ()): 1 for i in range(part + 1)}
+            pairs = bilinear(pairs, split, lambda s, t: (((s[0] + t[0], s[1] + t[1]), 1),))
+        out.extend((key, c * n) for key, n in pairs.items())
+    return accumulate(out)
+
+
+def qsym_coproduct(xm: dict) -> dict:
+    # deconcatenation of the M-basis terms of an element
+    return accumulate(((comp[:i], comp[i:]), c) for comp, c in xm.items() for i in range(len(comp) + 1))
+
+
+def closing_identity_rows(max_weight: int) -> list[tuple[str, bool, str]]:
+    # the closing-identity rows of `character_checks`, with every term of the
+    # factorized product relabeled through encode_M (x) encode_S
+    def encoded_key(u: Word, v: Word) -> tuple:
+        # encode_M(u) = M_u and encode_S(v) = S^v are single terms
+        (i,) = encode_M(u).terms
+        (j,) = encode_S(v).terms
+        return i, j
+
+    target = {(w.letters, w.letters): Fraction(1) for w in words_up_to(max_weight)}
+    rows = []
+    for pair in ("stuffle", "L", "R"):
+        got = factorized_product(max_weight, pair).terms
+        ok = {encoded_key(u, v): c for (u, v), c in got.items()} == target
+        detail = "matches" if ok else "disagrees with"
+        rows.append((f"closing-identity-{pair}", ok, f"ordered exponential product {detail} sum M_w S_w"))
+    return rows

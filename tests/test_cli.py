@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -547,6 +548,10 @@ def test_run_verify_accepts_the_lowest_weight():
     got = _script("run_verify.py", "--weights", "1")
     assert got.returncode == 0
     assert got.stdout.startswith("== max weight 1 ==\n") and got.stdout.endswith("total failures: 0\n")
+    # one row per check, its time to 0.1 ms
+    rows = got.stdout.splitlines()[1:-1]
+    assert len(rows) == len(cli.CHECKS)
+    assert all(re.match(r"  pass  +\d+\.\d{4}s  \S", row) for row in rows), rows
 
 
 def test_word_with_an_empty_part_is_a_usage_error(capsys):

@@ -28,6 +28,8 @@ from qshuffle.ncpoly import (
 )
 from qshuffle.words import Word, sort_key, word_str, words_of_weight, words_up_to
 
+import fraction_oracle as oracle
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -397,6 +399,30 @@ def test_character_checks_weight_3():
         "closing-identity-R",
     ]
     assert all(ok for _, ok, _ in results)
+
+
+@pytest.mark.parametrize("max_weight", range(5))
+def test_closing_identity_matches_the_relabel_oracle(max_weight):
+    results = character_checks(max_weight)
+    assert results[2:] == oracle.closing_identity_rows(max_weight)
+    assert all(ok for _, ok, _ in results)
+
+
+def test_closing_identity_fails_on_a_perturbed_dual_as_the_relabel_oracle(monkeypatch):
+    # one extra term in SigmaL at the Lyndon word 2 1 breaks the L pair only
+    element = bases.basis_element
+
+    def perturbed(family, w):
+        got = element(family, w)
+        if family == "SigmaL" and w == Word((2, 1)):
+            return bases.BasisElement(w, family, got.value + NCPolynomial.word((1, 2)))
+        return got
+
+    monkeypatch.setattr(bases, "basis_element", perturbed)
+    for max_weight in (3, 4):
+        results = character_checks(max_weight)
+        assert [name for name, ok, _ in results if not ok] == ["closing-identity-L"]
+        assert results[2:] == oracle.closing_identity_rows(max_weight)
 
 
 def test_character_property_spot_example():

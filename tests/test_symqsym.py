@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -368,6 +369,23 @@ def test_hl_product_unit_coefficient():
     assert table[()] == QSeries.one(4)
 
 
+@pytest.mark.parametrize("comp", [(0,), (-1,), (1.5,), (2, 0), ("2",)])
+def test_specialize_rejects_a_part_that_is_not_an_integer_of_at_least_1(comp):
+    # (0,) divided by zero, (-1,) returned 0 and (1.5,) raised TypeError
+    with pytest.raises(ValueError):
+        specialize_Mq(comp, 5)
+
+
+def test_hl_product_rejects_a_negative_weight():
+    # hall_littlewood_check(-1, 3) compared an empty table with the empty
+    # composition and answered False, a silent "identity fails"
+    with pytest.raises(ValueError):
+        hl_product(-1, 3)
+    with pytest.raises(ValueError):
+        hall_littlewood_check(-1, 3)
+    assert hall_littlewood_check(0, 3)
+
+
 def test_qseries_arithmetic_and_text():
     a = QSeries({0: 1, 2: Fraction(1, 2)}, 5)
     b = QSeries({1: 1}, 5)
@@ -459,6 +477,37 @@ element_terms = st.lists(st.tuples(compositions, rational_coeffs), max_size=4)
 
 def _element_and_oracle(cls, basis, terms):
     return cls(terms, basis), oracle.accumulate((comp, Fraction(c)) for comp, c in terms)
+
+
+def _assert_coproduct_matches_the_oracle(x):
+    if isinstance(x, SymElement):
+        got, expected = sym_coproduct(x), oracle.sym_coproduct(convert(x, "S").terms)
+    else:
+        got, expected = qsym_coproduct(x), oracle.qsym_coproduct(convert(x, "M").terms)
+    assert isinstance(got, MappingProxyType)
+    assert all(type(c) is Fraction for c in got.values())
+    assert dict(got) == expected, x
+
+
+@pytest.mark.parametrize("cls,basis", [(SymElement, "S"), (QSymElement, "M")])
+def test_hub_coproducts_match_the_composition_oracles(cls, basis):
+    # every composition of weight <= 6 in the hub basis
+    for comp in compositions_up_to(6):
+        _assert_coproduct_matches_the_oracle(cls.single(comp, basis))
+
+
+@pytest.mark.parametrize(
+    "cls,basis", [(SymElement, b) for b in ("Psi", "Phi", "Lambda", "Rib")] + [(QSymElement, "F")]
+)
+def test_one_part_coproducts_match_the_composition_oracles(cls, basis):
+    for n in range(1, 7):
+        _assert_coproduct_matches_the_oracle(cls.single((n,), basis))
+
+
+@settings(max_examples=40, deadline=None)
+@given(terms=element_terms, basis=st.sampled_from(SYM_BASES + QSYM_BASES))
+def test_coproducts_of_random_elements_match_the_composition_oracles(terms, basis):
+    _assert_coproduct_matches_the_oracle((SymElement if basis in SYM_BASES else QSymElement)(terms, basis))
 
 
 @settings(max_examples=40, deadline=None)
