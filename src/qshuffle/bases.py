@@ -320,7 +320,7 @@ class TSeries(Graded):
 
     __slots__ = ()
     _unit = ((0,), ())
-    _kernel = staticmethod(concat_words)
+    _kernel = staticmethod(lambda g, h: concat_words)
 
     def __init__(self, coeffs: Mapping[int, NCPolynomial], bound: int):
         coeffs = {as_natural(d): p for d, p in coeffs.items()}

@@ -5,12 +5,19 @@ identities that transport the factorization into QSym/Sym.
 The diagonal series sum_w w (x) w multiplies words with the commutative
 product (shuffle or quasi-shuffle) on the left tensor factor and with
 concatenation on the right.  Its factorization is the ordered product over
-Lyndon words, largest first, of exp(dual_l (x) primitive_l)."""
+Lyndon words, largest first, of exp(dual_l (x) primitive_l).
+
+A term u (x) v is stored as an int: the bit set of the partial sums of the
+word u·v, in the bucket of weights (|u|, |v|).  Concatenation is a shift and
+an or, and bit |u| cuts the key back into u and v.  `times_exp` adds each
+factor's pieces over their own reduced denominator, and rescales the running
+product only when that denominator does not divide its own."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd
+from functools import lru_cache
+from math import factorial, gcd, lcm
 
 from . import bases
 from .lyndon import lyndon_up_to
@@ -20,39 +27,64 @@ from .ncpoly import (
     NCPolynomial,
     TensorPolynomial,
     _integral,
-    add_into,
     bilinear,
     concat_words,
     fraction_view,
     product,
 )
 from .symqsym import encode_M
-from .words import Word, pairs_of_weight, word_str, words_of_weight, words_up_to
+from .words import Word, as_natural, pairs_of_weight, word_str, words_of_weight, words_up_to
 
 PAIRS = tuple(bases.PAIRS)
 
 _LEFT_KERNELS = {kind: _PRODUCT_KERNELS[kind] for kind in ("shuffle", "stuffle")}
 
 
+@lru_cache(maxsize=None)
+def _code(w: tuple) -> int:
+    """The bit set of the partial sums of w: bit s is set when a nonempty
+    prefix of w has weight s, so the empty word is 0 and the code of a
+    concatenation u·v is _code(u) | _code(v) << sum(u)."""
+    code = s = 0
+    for a in w:
+        s += a
+        code |= 1 << s
+    return code
+
+
+@lru_cache(maxsize=None)
+def _letters(code: int) -> tuple:
+    """The word whose `_code` is code."""
+    sums = [s for s in range(1, code.bit_length()) if code >> s & 1]
+    return tuple(b - a for a, b in zip([0] + sums, sums))
+
+
+def _split(key: int, l: int) -> tuple[tuple, tuple]:
+    # the (u, v) of the key _code(u·v) in a bucket of left weight l: bit l
+    # ends u, and below it every set bit is a partial sum of u
+    return _letters(key & (2 << l) - 1), _letters(key >> l & ~1)
+
+
 class GradedTensorSeries(Graded):
     """Finite (word, word) -> rational map truncated by weight on both sides;
     the left slot multiplies with `left_kind`, the right with concatenation.
 
-    An `ncpoly.Graded` value graded by (left weight, right weight) and keyed
-    by (left letters, right letters); `==` also compares `left_kind`, and
+    An `ncpoly.Graded` value graded by (left weight, right weight); inside
+    bucket (l, r) the term u (x) v is keyed by the int _code(u·v), which
+    bit l cuts back into u and v.  `==` also compares `left_kind`, and
     `.terms` is a read-only (Word, Word) -> Fraction view."""
 
     __slots__ = ("left_kind",)
-    _unit = ((0, 0), ((), ()))
+    _unit = ((0, 0), 0)
 
     def __init__(self, terms, bound: int, left_kind: str):
         if left_kind not in _LEFT_KERNELS:
             raise ValueError(f"left_kind must be shuffle or stuffle, got {left_kind!r}")
-        self.left_kind = left_kind
+        self.left_kind, bound = left_kind, as_natural(bound)
         nums, den = _integral(((u.letters, v.letters), c) for (u, v), c in (terms or {}).items())
         buckets: dict = {}
         for (u, v), n in nums.items():
-            buckets.setdefault((sum(u), sum(v)), {})[(u, v)] = n
+            buckets.setdefault((sum(u), sum(v)), {})[_code(u + v)] = n
         self._set(buckets, den, bound)
 
     def _like(self, buckets: dict, den: int, bound: int | None = None) -> "GradedTensorSeries":
@@ -60,12 +92,15 @@ class GradedTensorSeries(Graded):
         out.left_kind = self.left_kind
         return out
 
-    @property
-    def _kernel(self):
-        # (u1, v1)(u2, v2) = (u1 * u2) (x) v1 v2 with * the left product
-        def pair(a, b, kernel=_LEFT_KERNELS[self.left_kind]):
-            v = a[1] + b[1]
-            return [((u, v), n) for u, n in kernel(a[0], b[0])]
+    def _kernel(self, g: tuple, h: tuple):
+        # (u1 v1)(u2 v2) = (u1 * u2) v1 v2 with * the left product, on the
+        # keys of buckets g and h
+        (l1, r1), l2 = g, h[0]
+        kernel, m1, m2, at = _LEFT_KERNELS[self.left_kind], (2 << l1) - 1, (2 << l2) - 1, l1 + l2
+
+        def pair(a, b):
+            v = (a >> l1 & ~1 | (b >> l2 & ~1) << r1) << at
+            return [(_code(w) | v, n) for w, n in kernel(_letters(a & m1), _letters(b & m2))]
 
         return pair
 
@@ -73,16 +108,19 @@ class GradedTensorSeries(Graded):
     def unit(cls, bound: int, left_kind: str) -> "GradedTensorSeries":
         return cls({(Word(), Word()): 1}, bound, left_kind)
 
+    def _pairs(self):
+        # ((u letters, v letters), numerator) for every term
+        return ((_split(t, l), n) for (l, _), p in self._buckets.items() for t, n in p.items())
+
     @property
     def terms(self):
         if self._terms is None:
-            flat = (item for t in self._buckets.values() for item in t.items())
-            self._terms = fraction_view(flat, self._den, TensorPolynomial._label)
+            self._terms = fraction_view(self._pairs(), self._den, TensorPolynomial._label)
         return self._terms
 
     def coeff(self, u: Word, v: Word) -> Fraction:
         t = self._buckets.get((u.weight, v.weight), {})
-        return Fraction(t.get((u.letters, v.letters), 0), self._den)
+        return Fraction(t.get(_code(u.letters + v.letters), 0), self._den)
 
     def __mul__(self, other):
         if isinstance(other, GradedTensorSeries) and self.left_kind != other.left_kind:
@@ -99,9 +137,10 @@ class GradedTensorSeries(Graded):
         word u with right part sum_v n_v v contributes (u * dual^{*k}) (x)
         sum_v n_v v·primal^k: the left product is computed once per u and k
         and crossed with the concatenations, accumulating straight into the
-        output buckets.  The numerators run over the common denominator
-        den · K! (d e)^K, with d and e those of dual and primal, and are
-        reduced once."""
+        output buckets.  On codes, a term w (x) v·b of bucket (L, R) is the
+        int w | v << L | b << L + r, r the weight of v.  The pieces run over
+        the common denominator den · K! (d e)^K, with d and e those of dual
+        and primal."""
         m = _homogeneous_weight(dual)
         if not m or _homogeneous_weight(primal) != m:
             raise ValueError(
@@ -110,14 +149,14 @@ class GradedTensorSeries(Graded):
         kernel, bound = _LEFT_KERNELS[self.left_kind], self.bound
         de, top = dual._den * primal._den, bound // m
         s0 = factorial(top) * de**top
-        # the buckets that some piece k >= 1 reaches, as left word -> its
-        # (right word, numerator) list
+        # the buckets that some piece k >= 1 reaches, as left code -> its
+        # (right code, numerator) list
         groups: dict[tuple[int, int], dict] = {}
-        for key, p in self._buckets.items():
-            if max(key) + m <= bound:
-                rights = groups[key] = {}
-                for (u, v), n in p.items():
-                    rights.setdefault(u, []).append((v, n))
+        for (l, r), p in self._buckets.items():
+            if max(l, r) + m <= bound:
+                rights = groups[l, r] = {}
+                for t, n in p.items():
+                    rights.setdefault(t & (2 << l) - 1, []).append((t >> l & ~1, n))
         # pieces k >= 1, over the common denominator den · s0
         adds: dict[tuple[int, int], dict] = {}
         a_pow, b_pow = {(): 1}, {(): 1}
@@ -125,38 +164,43 @@ class GradedTensorSeries(Graded):
             a_pow = bilinear(a_pow, dual._nums, kernel)
             b_pow = bilinear(b_pow, primal._nums, concat_words)
             scale = factorial(top) // factorial(k) * de ** (top - k)
-            b_items = list(b_pow.items())
-            lefts: dict[tuple, list] = {}
-            for (lw, rw), rights in groups.items():
-                key = (lw + k * m, rw + k * m)
-                if max(key) > bound:
+            b_items = [(_code(b), y) for b, y in b_pow.items()]
+            lefts: dict[int, list] = {}
+            for (l, r), rights in groups.items():
+                L, R = l + k * m, r + k * m
+                if max(L, R) > bound:
                     continue
-                bucket = adds.setdefault(key, {})
+                bucket = adds.setdefault((L, R), {})
                 get = bucket.get
+                bs = [(b << L + r, y) for b, y in b_items]
                 for u, vs in rights.items():
-                    left = lefts.get(u)
-                    if left is None:
-                        left = lefts[u] = [
-                            (w, c * scale) for w, c in bilinear({u: 1}, a_pow, kernel).items()
-                        ]
+                    if (left := lefts.get(u)) is None:
+                        uw = bilinear({_letters(u): 1}, a_pow, kernel)
+                        left = lefts[u] = [(_code(w), c * scale) for w, c in uw.items()]
                     for v, n in vs:
-                        for b, y in b_items:
-                            vb, ny = v + b, n * y
+                        v <<= L
+                        for b, y in bs:
+                            vb, ny = v | b, n * y
                             for w, c in left:
-                                t = (w, vb)
+                                t = w | vb
                                 bucket[t] = get(t, 0) + c * ny
-        # k = 0 is self times s0, so g = gcd(s0, pieces k >= 1) divides
-        # every numerator of the sum: self's buckets are scaled by s0 // g
-        # (and shared when that is 1), the other pieces divided by g
-        g = gcd(s0, *(x for p in adds.values() for x in p.values()))
-        f = s0 // g
-        out = {
-            key: p if f == 1 else {t: n * f for t, n in p.items()}
-            for key, p in self._buckets.items()
-        }
+        # the pieces reduce by h to numerators x // h over e = den · s0 // h;
+        # self (k = 0) and they meet over d = lcm(den, e), so self is rescaled
+        # only when d != den, and otherwise only the buckets the pieces touch
+        # are copied, the others shared
+        h = gcd(self._den * s0, *(gcd(*p.values()) for p in adds.values()))
+        d = lcm(self._den, e := self._den * s0 // h)
+        f, g = d // self._den, d // e
+        out = {key: p if f == 1 else {t: n * f for t, n in p.items()} for key, p in self._buckets.items()}
         for key, p in adds.items():
-            out[key] = add_into(dict(out.get(key, ())), ((t, x // g) for t, x in p.items()))
-        return self._like(out, self._den * f)
+            q = out[key] = dict(out.get(key, ()))
+            get = q.get
+            for t, x in p.items():
+                if n := get(t, 0) + x // h * g:
+                    q[t] = n
+                else:
+                    q.pop(t, None)
+        return self._like(out, d)
 
     def __eq__(self, other) -> bool:
         return super().__eq__(other) and self.left_kind == other.left_kind
@@ -166,7 +210,7 @@ class GradedTensorSeries(Graded):
         two series differ up to the smaller bound, capped at `limit` entries."""
         # the keys of the difference, by (sort_key(u), sort_key(v)) on letter tuples
         keys = sorted(
-            (k for t in self._plus(other, -1)._buckets.values() for k in t),
+            (k for k, _ in self._plus(other, -1)._pairs()),
             key=lambda k: (sum(k[0]), k[0], sum(k[1]), k[1]),
         )
         pairs = map(TensorPolynomial._label, keys[:limit])
@@ -175,6 +219,7 @@ class GradedTensorSeries(Graded):
 
 def diagonal(max_weight: int, side: str) -> GradedTensorSeries:
     """sum over words of weight <= max_weight of w (x) w."""
+    max_weight = as_natural(max_weight)
     return GradedTensorSeries({(w, w): 1 for w in words_up_to(max_weight)}, max_weight, side)
 
 
@@ -202,7 +247,7 @@ def factorized_product(
     controls and break the identity at weight 2."""
     if pair not in PAIRS:
         raise ValueError(f"unknown pair {pair!r}; expected one of {PAIRS}")
-    dual, primal, kind = bases.PAIRS[pair]
+    max_weight, (dual, primal, kind) = as_natural(max_weight), bases.PAIRS[pair]
     if mismatch:
         primal = "Pi" if pair == "shuffle" else "p"
     kind = left_kind or kind
@@ -249,7 +294,7 @@ def character_checks(max_weight: int) -> list[tuple[str, bool, str]]:
     integer cores of `factorized_product` for the stuffle, L and R pairs with
     `diagonal(max_weight, "stuffle")`.
     """
-    results: list[tuple[str, bool, str]] = []
+    max_weight, results = as_natural(max_weight), []
 
     # (a) character property
     bad = next(

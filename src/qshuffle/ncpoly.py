@@ -229,8 +229,9 @@ class Graded:
     numerator}} over one positive denominator, a grade being a tuple of ints
     >= 0; reduced, with no zero numerator, no empty bucket and no grade part
     above `bound`.  A subclass sets `_unit` (grade and key of the series 1)
-    and `_kernel` (the key product of `*`), and overrides `_like` when it
-    carries more than its terms and bound.  `==` ignores the bound."""
+    and `_kernel(g, h)` (the key product of `*` on buckets g and h), and
+    overrides `_like` when it carries more than its terms and bound.  `==`
+    ignores the bound."""
 
     # _terms caches the read-only view a subclass builds on first read
     __slots__ = ("_buckets", "_den", "_terms", "bound")
@@ -269,15 +270,16 @@ class Graded:
             out[h] = add_into(dict(out.get(h, ())), t.items(), g)
         return self._like(out, den, bound)
 
-    def _times(self, other: "Graded", kernel):
-        """The product under kernel(a, b) -> ((key, n), ...): buckets g and h
-        go into bucket g + h, added partwise, and pairs with a part above the
-        smaller bound are skipped without reading their terms."""
+    def _times(self, other: "Graded"):
+        """The product under self._kernel(g, h)(a, b) -> ((key, n), ...):
+        buckets g and h go into bucket g + h, added partwise, and pairs with
+        a part above the smaller bound are skipped without reading their
+        terms."""
         bound, out = min(self.bound, other.bound), {}
         for g, p in self._buckets.items():
             for h, q in other._buckets.items():
                 if max(grade := tuple(map(int.__add__, g, h))) <= bound:
-                    bilinear(p, q, kernel, out.setdefault(grade, {}))
+                    bilinear(p, q, self._kernel(g, h), out.setdefault(grade, {}))
         return self._like(out, self._den * other._den, bound)
 
     def log(self):
@@ -299,7 +301,7 @@ class Graded:
         return self._scaled(-1)
 
     def __mul__(self, other):
-        return self._times(other, self._kernel) if isinstance(other, Graded) else self._scaled(other)
+        return self._times(other) if isinstance(other, Graded) else self._scaled(other)
 
 
 class NCPolynomial(Sparse):

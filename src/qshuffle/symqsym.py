@@ -414,11 +414,20 @@ class QSeries(Sparse):
         return f"QSeries({self!s}, bound={self.bound})"
 
 
+def _q_bound(q_bound) -> int:
+    # the truncation exponent: an integer >= 1, since below 1 every series
+    # is truncated to 0
+    if (q := as_int(q_bound)) < 1:
+        raise ValueError(f"q_bound must be an integer >= 1, got {q!r}")
+    return q
+
+
 def specialize_Mq(comp: Composition, q_bound: int) -> QSeries:
     """M_I evaluated on {q^n}: sum over strictly decreasing exponent tuples
     n_1 > ... > n_r >= 0 of q^(n_1 i_1 + ... + n_r i_r), exponents < q_bound;
-    parts must be integers >= 1 (ValueError otherwise)."""
-    comp = _letters(comp)
+    parts must be integers >= 1 and q_bound an integer >= 1 (ValueError
+    otherwise)."""
+    comp, q_bound = _letters(comp), _q_bound(q_bound)
     acc: dict[int, int] = {}
 
     def rec(pos: int, prev: int | None, partial: int) -> None:
@@ -441,8 +450,10 @@ def hl_product(max_weight: int, q_bound: int) -> dict[Composition, QSeries]:
     """Expansion of the ordered product over n = q_bound-1, ..., 1, 0 of
     (sum_i S_i q^(n i)), the factor with the largest exponent leftmost;
     factors beyond n >= q_bound only contribute 1 below the truncation.
-    Returns the S^I coefficients as q-series; max_weight must be >= 0."""
+    Returns the S^I coefficients as q-series; max_weight must be >= 0 and
+    q_bound >= 1."""
     as_natural(max_weight)
+    q_bound = _q_bound(q_bound)
     acc: dict[Composition, dict[int, int]] = {(): {0: 1}}
     for n in range(q_bound - 1, -1, -1):
         nxt: dict[Composition, dict[int, int]] = {}
@@ -461,7 +472,8 @@ def hl_product(max_weight: int, q_bound: int) -> dict[Composition, QSeries]:
 
 def hall_littlewood_check(max_weight: int, q_bound: int) -> bool:
     """Coefficient of S^I in the ordered product equals the q-specialized
-    M_I for every I of weight <= max_weight, below q^q_bound."""
+    M_I for every I of weight <= max_weight, below q^q_bound; q_bound must
+    be >= 1, where the check is not vacuous."""
     table = hl_product(max_weight, q_bound)
     empty = QSeries({}, q_bound)
     for comp in compositions_up_to(max_weight):

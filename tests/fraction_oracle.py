@@ -11,13 +11,16 @@ R_n of the letter series built as whole lists per bound, the way `bases`
 cached them before it cached one element per index; and the Sym/QSym
 coproducts and the closing identity in QSym (x) Sym computed on
 compositions, the way `symqsym` and `factorization` did before they read
-the word algebra through the encodings."""
+the word algebra through the encodings; and `times_exp` on buckets keyed by
+(left letters, right letters) tuples, with a merge that rescales the whole
+running product, the way `factorization` ran it before it keyed terms by
+integer codes."""
 
 from fractions import Fraction
 from math import factorial, gcd
 
 from qshuffle.factorization import factorized_product
-from qshuffle.ncpoly import NCPolynomial, shuffle_words, stuffle_words
+from qshuffle.ncpoly import NCPolynomial, concat_words, shuffle_words, stuffle_words
 from qshuffle.symqsym import encode_M, encode_S
 from qshuffle.words import Word, coarsenings, refinements, relative_stats, stats, words_up_to
 
@@ -362,3 +365,56 @@ def closing_identity_rows(max_weight: int) -> list[tuple[str, bool, str]]:
         detail = "matches" if ok else "disagrees with"
         rows.append((f"closing-identity-{pair}", ok, f"ordered exponential product {detail} sum M_w S_w"))
     return rows
+
+
+# -- the factorization product on tuple keys ---------------------------------------
+
+def times_exp(buckets: dict, den: int, bound: int, left_kind: str, dual, primal) -> tuple[dict, int]:
+    # self · exp(dual (x) primal) on {(left weight, right weight): {(u, v):
+    # numerator}} over den, u and v letter tuples; returns the reduced
+    # (buckets, den)
+    kernel = shuffle_words if left_kind == "shuffle" else stuffle_words
+    (m,) = dual.weights()
+    de, top = dual._den * primal._den, bound // m
+    s0 = factorial(top) * de**top
+    groups: dict = {}
+    for key, p in buckets.items():
+        if max(key) + m <= bound:
+            rights = groups[key] = {}
+            for (u, v), n in p.items():
+                rights.setdefault(u, []).append((v, n))
+    adds: dict = {}
+    a_pow, b_pow = {(): 1}, {(): 1}
+    for k in range(1, top + 1):
+        a_pow = bilinear(a_pow, dual._nums, kernel)
+        b_pow = bilinear(b_pow, primal._nums, concat_words)
+        scale = factorial(top) // factorial(k) * de ** (top - k)
+        b_items = list(b_pow.items())
+        lefts: dict = {}
+        for (lw, rw), rights in groups.items():
+            key = (lw + k * m, rw + k * m)
+            if max(key) > bound:
+                continue
+            bucket = adds.setdefault(key, {})
+            get = bucket.get
+            for u, vs in rights.items():
+                left = lefts.get(u)
+                if left is None:
+                    left = lefts[u] = [(w, c * scale) for w, c in bilinear({u: 1}, a_pow, kernel).items()]
+                for v, n in vs:
+                    for b, y in b_items:
+                        vb, ny = v + b, n * y
+                        for w, c in left:
+                            t = (w, vb)
+                            bucket[t] = get(t, 0) + c * ny
+    g = gcd(s0, *(x for p in adds.values() for x in p.values()))
+    f = s0 // g
+    out = {key: p if f == 1 else {t: n * f for t, n in p.items()} for key, p in buckets.items()}
+    for key, p in adds.items():
+        merged = dict(out.get(key, ()))
+        for t, x in p.items():
+            merged[t] = merged.get(t, 0) + x // g
+        out[key] = {t: n for t, n in merged.items() if n}
+    out, den = {key: p for key, p in out.items() if p}, den * f
+    g = gcd(den, *(n for p in out.values() for n in p.values()))
+    return {key: {t: n // g for t, n in p.items()} for key, p in out.items()}, den // g

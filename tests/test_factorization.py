@@ -11,6 +11,9 @@ from qshuffle.bases import pi_basis, sigma_basis
 from qshuffle.factorization import (
     PAIRS,
     GradedTensorSeries,
+    _code,
+    _letters,
+    _split,
     character_checks,
     diagonal,
     factorized_product,
@@ -151,16 +154,79 @@ def test_product_matches_the_all_pairs_oracle_on_unequal_weights():
 
 def _assert_canonical(s: GradedTensorSeries) -> None:
     # buckets of nonzero int numerators keyed by their weights, within the
-    # bound, over a positive denominator sharing no factor with all of them
+    # bound, over a positive denominator sharing no factor with all of them;
+    # a key is the code of u·v and decodes to a u of weight l and a v of
+    # weight r
     assert type(s._den) is int and s._den > 0
     numerators = []
     for (l, r), bucket in s._buckets.items():
         assert bucket
-        for (u, v), n in bucket.items():
+        for key, n in bucket.items():
+            u, v = _split(key, l)
+            assert key == _code(u + v)
             assert (sum(u), sum(v)) == (l, r) and max(l, r) <= s.bound
             assert type(n) is int and n != 0
             numerators.append(n)
     assert gcd(s._den, *numerators) == 1
+
+
+def _decoded(s: GradedTensorSeries) -> dict:
+    # the buckets with every key cut back into its (u, v) letter tuples
+    return {(l, r): {_split(t, l): n for t, n in p.items()} for (l, r), p in s._buckets.items()}
+
+
+@pytest.mark.parametrize("mismatch", [False, True], ids=["identity", "mismatch"])
+def test_times_exp_matches_the_tuple_keyed_oracle_step_by_step(mismatch):
+    # every intermediate product of the factorization, and of its mismatch
+    # negative control, has the oracle's denominator and, once decoded, its
+    # buckets; the oracle chains its own outputs
+    for pair in PAIRS:
+        dual, primal, kind = bases.PAIRS[pair]
+        if mismatch:
+            primal = "Pi" if pair == "shuffle" else "p"
+        for n in range(7):
+            acc = GradedTensorSeries.unit(n, kind)
+            buckets, den = {(0, 0): {((), ()): 1}}, 1
+            for l in lyndon_decreasing(n):
+                values = [bases.basis_element(f, l).value for f in (dual, primal)]
+                acc = acc.times_exp(*values)
+                buckets, den = oracle.times_exp(buckets, den, n, kind, *values)
+                assert (acc._den, _decoded(acc)) == (den, buckets), (pair, n, l)
+
+
+_words = st.lists(st.integers(1, 4), max_size=5).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(u=_words, v=_words)
+def test_codes_decode_and_split_back_into_their_words(u, v):
+    # empty u or v included: the empty word is code 0, and a key of left
+    # weight 0 is all right word
+    assert _letters(_code(u)) == u and _letters(_code(v)) == v
+    key = _code(u + v)
+    assert key == _code(u) | _code(v) << sum(u)
+    assert _split(key, sum(u)) == (u, v)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: GradedTensorSeries({}, -1, "stuffle"),
+        lambda: GradedTensorSeries.unit(1.5, "shuffle"),
+        lambda: diagonal(2.5, "stuffle"),
+        lambda: diagonal(-1, "shuffle"),
+        lambda: factorized_product(-1, "stuffle"),
+        lambda: verify_factorization(-2, "L"),
+        lambda: verify_factorization("3", "R"),
+        lambda: character_checks(-1),
+    ],
+    ids=["series", "unit", "diagonal-float", "diagonal", "product", "verify", "verify-text", "characters"],
+)
+def test_factorization_bounds_must_be_integers_at_least_zero(call):
+    # verify_factorization(-2, "L") used to pass with an empty report,
+    # character_checks(-1) blamed the log, diagonal(2.5, ...) raised TypeError
+    with pytest.raises(ValueError, match="expected an integer"):
+        call()
 
 
 _short_words = st.lists(st.integers(1, 3), max_size=3).map(tuple)

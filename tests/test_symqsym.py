@@ -376,6 +376,20 @@ def test_specialize_rejects_a_part_that_is_not_an_integer_of_at_least_1(comp):
         specialize_Mq(comp, 5)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda q: specialize_Mq((1,), q), lambda q: hl_product(2, q), lambda q: hall_littlewood_check(2, q)],
+    ids=["specialize_Mq", "hl_product", "hall_littlewood_check"],
+)
+def test_q_specialization_rejects_a_q_bound_below_1(call):
+    # below 1 every series was truncated to 0: hall_littlewood_check(2, -3)
+    # and (2, 0) passed vacuously, specialize_Mq((1,), -2) returned 0
+    for q_bound in (0, -2, -3, 1.5):
+        with pytest.raises(ValueError):
+            call(q_bound)
+    assert call(1)
+
+
 def test_hl_product_rejects_a_negative_weight():
     # hall_littlewood_check(-1, 3) compared an empty table with the empty
     # composition and answered False, a silent "identity fails"
