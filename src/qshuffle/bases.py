@@ -313,9 +313,9 @@ class TSeries(Graded):
 
     `bound` records up to which t-degree the coefficients are trustworthy;
     binary operations propagate the weaker bound, and differentiation loses
-    one degree.  Comparisons should use same_up_to.  A degree given to the
-    constructor must be an integer >= 0 (ValueError otherwise); those above
-    `bound` are dropped.
+    one degree.  Comparisons should use same_up_to.  The bound and every
+    degree given to the constructor must be integers >= 0 (ValueError
+    otherwise); degrees above `bound` are dropped.
     """
 
     __slots__ = ()
@@ -326,7 +326,7 @@ class TSeries(Graded):
         coeffs = {as_natural(d): p for d, p in coeffs.items()}
         den = lcm(*(p._den for p in coeffs.values()))
         buckets = {(d,): {k: n * (den // p._den) for k, n in p._nums.items()} for d, p in coeffs.items()}
-        self._set(buckets, den, bound)
+        self._set(buckets, den, as_natural(bound))
 
     @classmethod
     def one(cls, bound: int) -> "TSeries":
@@ -385,15 +385,17 @@ def higher_series(k: int, bound: int) -> tuple[TSeries, TSeries]:
     """The order-k analogues of the L/R series, via the recursions
     next = d/dt(previous) + previous * L  (left side)
     next = d/dt(previous) + R * previous  (right side),
-    each exact to the requested degree.  The defining identities
+    each exact to the requested degree.  The derivative of a series of bound
+    b has bound b - 1, and so has the sum, so the product runs at b - 1 and
+    computes no t-degree the sum would drop.  The defining identities
     cal_L_k * Y = Y^(k) = Y * cal_R_k are re-verified before returning."""
     if k < 1:
         raise ValueError("k must be >= 1")
     pad = bound + k - 1
     cal_l, cal_r = l_series(pad), r_series(pad)
     for _ in range(k - 1):
-        cal_l = cal_l.derivative() + cal_l * l_series(cal_l.bound)
-        cal_r = cal_r.derivative() + r_series(cal_r.bound) * cal_r
+        cal_l = cal_l.derivative() + cal_l * l_series(cal_l.bound - 1)
+        cal_r = cal_r.derivative() + r_series(cal_r.bound - 1) * cal_r
     cal_l, cal_r = cal_l.truncate(bound), cal_r.truncate(bound)
 
     y_k = y_series(bound + k)

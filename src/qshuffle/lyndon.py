@@ -5,8 +5,9 @@ factorization of arbitrary words."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .words import Word, compositions_of
+from .words import Word, as_natural, words_of_weight
 
 
 def is_lyndon(w: Word) -> bool:
@@ -18,12 +19,18 @@ def is_lyndon(w: Word) -> bool:
 
 def lyndon_up_to(max_weight: int) -> list[Word]:
     """All Lyndon words of weight <= max_weight, sorted by (weight, parts):
-    the compositions that Duval's algorithm leaves as one factor."""
+    the compositions that Duval's algorithm leaves as one factor.
+    ValueError unless max_weight is an integer >= 0."""
+    return list(_lyndon_up_to(as_natural(max_weight)))
+
+
+@lru_cache(maxsize=None)
+def _lyndon_up_to(max_weight: int) -> tuple[Word, ...]:
     out: list[Word] = []
     for n in range(1, max_weight + 1):
-        out.extend(w for c in compositions_of(n) if lyndon_factorization(w := Word(c)).factors == ((w, 1),))
+        out.extend(w for w in words_of_weight(n) if lyndon_factorization(w).factors == ((w, 1),))
     out.sort(key=lambda w: (w.weight, w.letters))
-    return out
+    return tuple(out)
 
 
 def mobius(n: int) -> int:

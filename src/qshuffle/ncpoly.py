@@ -26,7 +26,7 @@ from math import factorial, gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from .words import Word, parse_coeff, parse_word, signed_str, signed_terms, sort_key, word_str
+from .words import Word, as_natural, parse_coeff, parse_word, signed_str, signed_terms, sort_key, word_str
 
 PRODUCT_KINDS = ("concat", "shuffle", "stuffle")
 COPRODUCT_KINDS = ("concat", "shuffle", "stuffle", "plus")
@@ -51,9 +51,18 @@ def bilinear(p: Mapping, q: Mapping, kernel, out: dict | None = None) -> dict:
     """Bilinear extension of kernel(a, b) -> ((key, n), ...) over the term
     maps p and q, added into out (a new dict by default) and returned.  The
     maps hold no zero value; each term costs one read and one store of out,
-    and a key whose total becomes 0 is deleted, so out never holds a zero."""
+    and a key whose total becomes 0 is deleted, so out never holds a zero.
+    Under `concat_words` the key a + b is built inline, with no kernel call."""
     out = {} if out is None else out
     get = out.get
+    if kernel is concat_words:
+        for a, ca in p.items():
+            for b, cb in q.items():
+                if cur := get(key := a + b, 0) + ca * cb:
+                    out[key] = cur
+                else:
+                    out.pop(key, None)
+        return out
     for a, ca in p.items():
         for b, cb in q.items():
             c = ca * cb
@@ -377,6 +386,7 @@ def gram(rows: Iterable[Sparse], cols: list[Sparse]) -> Iterator[dict[int, int]]
 # ---------------------------------------------------------------------------
 
 def concat_words(u: tuple, v: tuple) -> tuple:
+    # `bilinear` inlines this kernel; the function stays its marker and form
     return ((u + v, 1),)
 
 
@@ -525,12 +535,12 @@ def is_primitive(p: NCPolynomial, kind: str) -> bool:
 def exp_trunc(p: NCPolynomial, max_weight: int) -> NCPolynomial:
     """sum p^k / k!, discarding all words of weight > max_weight.
 
-    Requires the empty-word coefficient of p to vanish; grading then makes the
-    sum finite.
+    Requires the empty-word coefficient of p to vanish (grading then makes
+    the sum finite) and max_weight to be an integer >= 0.
     """
     if p.counit() != 0:
         raise ValueError("exp_trunc requires a vanishing empty-word coefficient")
-    base = p.truncate(max_weight)
+    base = p.truncate(max_weight := as_natural(max_weight))
     step = lambda x: (x * base).truncate(max_weight)
     return NCPolynomial.one() + _series_sum(base, step, lambda k: Fraction(1, factorial(k)))
 
@@ -538,11 +548,12 @@ def exp_trunc(p: NCPolynomial, max_weight: int) -> NCPolynomial:
 def log_trunc(q: NCPolynomial, max_weight: int) -> NCPolynomial:
     """sum (-1)^(k-1) (q - 1)^k / k, truncated by weight.
 
-    Requires the empty-word coefficient of q to equal 1.
+    Requires the empty-word coefficient of q to equal 1 and max_weight to be
+    an integer >= 0.
     """
     if q.counit() != 1:
         raise ValueError("log_trunc requires an empty-word coefficient equal to 1")
-    z = (q - NCPolynomial.one()).truncate(max_weight)
+    z = (q - NCPolynomial.one()).truncate(max_weight := as_natural(max_weight))
     step = lambda x: (x * z).truncate(max_weight)
     return _series_sum(z, step, lambda k: Fraction((-1) ** (k - 1), k))
 

@@ -15,6 +15,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, prod
 from typing import Iterable, Iterator
 
@@ -264,38 +265,33 @@ def stats(parts: Composition) -> CompositionStats:
 # ---------------------------------------------------------------------------
 
 def compositions_of(n: int) -> list[Composition]:
-    """All compositions of n, sorted by (length, parts)."""
+    """All compositions of n, sorted by (length, parts); ValueError unless n
+    is an integer >= 0."""
+    return list(_compositions(as_natural(n)))
+
+
+@lru_cache(maxsize=None)
+def _compositions(n: int) -> tuple[Composition, ...]:
+    # n = a + m with a the first part: every composition of m, a prepended
     if n == 0:
-        return [()]
-    out: list[Composition] = []
-
-    def rec(rem: int, acc: list[int]) -> None:
-        if rem == 0:
-            out.append(tuple(acc))
-            return
-        for first in range(1, rem + 1):
-            acc.append(first)
-            rec(rem - first, acc)
-            acc.pop()
-
-    rec(n, [])
-    out.sort(key=lambda c: (len(c), c))
-    return out
+        return ((),)
+    out = [(a, *c) for a in range(1, n + 1) for c in _compositions(n - a)]
+    return tuple(sorted(out, key=lambda c: (len(c), c)))
 
 
 def compositions_up_to(n: int, include_empty: bool = True) -> list[Composition]:
     out = [()] if include_empty else []
-    for k in range(1, n + 1):
-        out.extend(compositions_of(k))
+    for k in range(1, as_natural(n) + 1):
+        out.extend(_compositions(k))
     return out
 
 
 def words_of_weight(n: int) -> list[Word]:
-    return [Word(c) for c in compositions_of(n)]
+    return [Word._raw(c) for c in _compositions(as_natural(n))]
 
 
 def words_up_to(n: int, include_empty: bool = True) -> list[Word]:
-    return [Word(c) for c in compositions_up_to(n, include_empty)]
+    return [Word._raw(c) for c in compositions_up_to(n, include_empty)]
 
 
 def pairs_of_weight(n: int, of_weight=compositions_of) -> list[tuple]:

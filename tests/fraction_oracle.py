@@ -11,14 +11,18 @@ R_n of the letter series built as whole lists per bound, the way `bases`
 cached them before it cached one element per index; and the Sym/QSym
 coproducts and the closing identity in QSym (x) Sym computed on
 compositions, the way `symqsym` and `factorization` did before they read
-the word algebra through the encodings; and `times_exp` on buckets keyed by
+the word algebra through the encodings; `times_exp` on buckets keyed by
 (left letters, right letters) tuples, with a merge that rescales the whole
 running product, the way `factorization` ran it before it keyed terms by
-integer codes."""
+integer codes; and the recursion of the higher-order letter series with
+each product at the padded bound of its left operand, the way
+`bases.higher_series` ran it before it multiplied at the bound the sum
+keeps."""
 
 from fractions import Fraction
 from math import factorial, gcd
 
+from qshuffle.bases import l_series, r_series
 from qshuffle.factorization import factorized_product
 from qshuffle.ncpoly import NCPolynomial, concat_words, shuffle_words, stuffle_words
 from qshuffle.symqsym import encode_M, encode_S
@@ -174,6 +178,17 @@ def lr_list(n_max: int, side: str) -> tuple:
             pieces.append((y * x if side == "L" else x * y, i + 1))
         out.append(NCPolynomial._sum(pieces))
     return tuple(out)
+
+
+def higher_series(k: int, bound: int) -> tuple:
+    # cal_L_k and cal_R_k; each product runs at the bound of the series it
+    # extends, one degree above the derivative it is added to
+    pad = bound + k - 1
+    cal_l, cal_r = l_series(pad), r_series(pad)
+    for _ in range(k - 1):
+        cal_l = cal_l.derivative() + cal_l * l_series(cal_l.bound)
+        cal_r = cal_r.derivative() + r_series(cal_r.bound) * cal_r
+    return cal_l.truncate(bound), cal_r.truncate(bound)
 
 
 # -- truncated series in t ---------------------------------------------------------

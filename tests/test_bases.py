@@ -576,6 +576,34 @@ def test_letter_series_elements_match_the_per_bound_oracle(n):
     assert r_series(n) == TSeries(dict(enumerate(oracle.lr_list(n + 1, "R"))), n)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_higher_series_match_the_padded_bound_oracle(k):
+    # a product at bound - 1 computes exactly the t-degrees of the padded
+    # product that the sum with the derivative keeps
+    for bound in range(7):
+        for new, old in zip(higher_series(k, bound), oracle.higher_series(k, bound)):
+            assert (new._buckets, new._den, new.bound) == (old._buckets, old._den, old.bound)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: TSeries({0: one}, 2.5),
+        lambda: TSeries({0: one}, -1),
+        lambda: TSeries.one("2"),
+        lambda: y_series(-1),
+        lambda: l_series(-1),
+        lambda: higher_series(1, -1),
+    ],
+    ids=["float", "negative", "text", "y_series", "l_series", "higher_series"],
+)
+def test_series_bound_must_be_an_integer_at_least_zero(call):
+    # TSeries kept the bounds 2.5 and -1, and y_series(-1) returned a zero
+    # series of bound -1
+    with pytest.raises(ValueError, match="expected an integer"):
+        call()
+
+
 def test_letter_series_elements_are_cached_per_index():
     # a larger bound builds only the new elements
     bases._x.cache_clear()

@@ -547,6 +547,22 @@ def test_terms_are_read_only_views():
     assert str(pi1(Word((3,)))) == "1/3·[1 1 1] - 1/2·[1 2] - 1/2·[2 1] + [3]"
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: exp_trunc(mono(1), -1),
+        lambda: exp_trunc(mono(1), 1.5),
+        lambda: log_trunc(one + mono(1), -3),
+        lambda: log_trunc(one + mono(1), "2"),
+    ],
+    ids=["exp-negative", "exp-float", "log-negative", "log-text"],
+)
+def test_exp_and_log_take_a_weight_bound_that_is_an_integer_at_least_zero(call):
+    # exp_trunc(y1, -1) used to return 1 and log_trunc(1 + y1, -3) 0
+    with pytest.raises(ValueError, match="expected an integer"):
+        call()
+
+
 # -- inline accumulation against one add_into call per pair -----------------------
 
 _word_keys = _words_up_to(3)
@@ -583,6 +599,33 @@ def test_bilinear_matches_one_add_into_per_pair(name, data):
         assert new == oracle.bilinear(p, q, kernel, None if out is None else dict(out))
         assert 0 not in new.values()
     assert bilinear(p, q, kernel, {k: -c for k, c in full.items()}) == {}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_the_concat_branch_of_bilinear_matches_the_generic_loop(data):
+    # only concat_words itself takes the inline branch; a wrapper of it runs
+    # the generic loop, one kernel call per pair of terms
+    generic = lambda a, b: concat_words(a, b)
+    p = data.draw(st.dictionaries(_word_keys, _nonzero, max_size=5))
+    q = data.draw(st.dictionaries(_word_keys, _nonzero, max_size=5))
+    full = bilinear(p, q, generic)
+    hit = sorted(full)
+    cancel = data.draw(st.lists(st.sampled_from(hit), unique=True)) if hit else []
+    shift = data.draw(st.dictionaries(st.sampled_from(hit), _nonzero)) if hit else {}
+    partial = {**{k: -full[k] for k in cancel}, **shift, (9,): 7}
+    for out in (None, {}, partial, {k: -c for k, c in full.items()}):
+        new = bilinear(p, q, concat_words, None if out is None else dict(out))
+        assert new == bilinear(p, q, generic, None if out is None else dict(out))
+        assert 0 not in new.values()
+
+
+def test_the_concat_branch_of_bilinear_deletes_a_key_that_cancels():
+    # [1]·[1 1] and [1 1]·(-[1]) meet at [1 1 1] and cancel inside the product;
+    # [1]·(-[1]) cancels the preloaded [1 1]
+    p, q = {(1,): 1, (1, 1): 1}, {(1, 1): 1, (1,): -1}
+    assert bilinear(p, q, concat_words) == {(1, 1): -1, (1, 1, 1, 1): 1}
+    assert bilinear(p, q, concat_words, {(1, 1): 1, (2,): 3}) == {(1, 1, 1, 1): 1, (2,): 3}
 
 
 @settings(max_examples=80, deadline=None)

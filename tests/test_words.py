@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qshuffle.lyndon import lyndon_up_to
 from qshuffle.words import (
     Word,
     as_int,
@@ -22,6 +23,7 @@ from qshuffle.words import (
     stats,
     word_str,
     words_of_weight,
+    words_up_to,
 )
 
 compositions = st.lists(st.integers(1, 4), min_size=0, max_size=4).map(tuple)
@@ -123,6 +125,50 @@ def test_compositions_up_to_ordering():
     comps = compositions_up_to(3)
     assert comps[0] == ()
     assert [sum(c) for c in comps] == sorted(sum(c) for c in comps)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: compositions_of(-1),
+        lambda: compositions_of(2.0),
+        lambda: compositions_up_to(-2),
+        lambda: words_of_weight(-1),
+        lambda: words_of_weight(Fraction(2)),
+        lambda: words_up_to(-1),
+        lambda: words_up_to("3"),
+        lambda: lyndon_up_to(-1),
+        lambda: lyndon_up_to(2.0),
+    ],
+    ids=[
+        "compositions-negative", "compositions-float", "compositions-up-to", "words-negative",
+        "words-fraction", "words-up-to", "words-up-to-text", "lyndon-negative", "lyndon-float",
+    ],
+)
+def test_enumeration_bounds_must_be_integers_at_least_zero(call):
+    # words_up_to(-1) used to list the empty word and compositions_up_to(-2)
+    # the empty composition; the bound is read before the caches, so 2.0
+    # raises even with the entry for 2 cached
+    compositions_of(2), lyndon_up_to(2)
+    with pytest.raises(ValueError, match="expected an integer"):
+        call()
+
+
+def test_callers_cannot_corrupt_the_enumeration_caches():
+    expected = {
+        compositions_of: [(3,), (1, 2), (2, 1), (1, 1, 1)],
+        words_of_weight: [Word((3,)), Word((1, 2)), Word((2, 1)), Word((1, 1, 1))],
+        lyndon_up_to: [Word((1,)), Word((2,)), Word((2, 1)), Word((3,))],
+    }
+    for enumerate_, value in expected.items():
+        got = enumerate_(3)
+        assert got == value
+        got.reverse()
+        got.append(got[0])
+        del got[0]
+        assert enumerate_(3) == value
+        enumerate_(3).clear()
+        assert enumerate_(3) == value
 
 
 # -- the word order ---------------------------------------------------------
