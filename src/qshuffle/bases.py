@@ -20,8 +20,9 @@ the normalized shuffle product of its Lyndon factors elsewhere (Reutenauer,
 Free Lie Algebras, 1993, ch. 5).  The quasi-shuffle duals read no primal
 row: Pi^X_w = phi_X(p_w) for the concatenation morphism phi_X: y_n ->
 seed_X(n), so Sigma^X_w = Psi_X(s_w) with Psi_X the adjoint of phi_X^{-1}
-(`_lambda`, `_psi`; for Pi, phi^{-1} is Hoffman's exponential: Hoffman,
-"Quasi-shuffle products", J. Algebraic Combin. 11, 2000, Thm 2.5).
+(`_psi`), and phi_X^{-1} has a closed form on letters (`_lambda`; for Pi
+it is Hoffman's exponential: Hoffman, "Quasi-shuffle products", J. Algebraic
+Combin. 11, 2000, Thm 2.5), which no seed enters.
 
 pi1 and its inverse expansion run on the iterated stuffle coproduct: by
 <coproduct(w), u (x) v> = <w, u st v> their sums over word tuples need only
@@ -38,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import factorial, lcm, prod
 from types import MappingProxyType
 from typing import Mapping
@@ -216,19 +218,23 @@ def _value(family: str, letters: tuple) -> NCPolynomial:
     return out / den
 
 
+# primal family -> c(I) in lambda_n = sum over I |= n of y_I / c(I): l(I)! for
+# Pi (Hoffman's exponential), the product of the partial sums of I for PiR
+# (the identity `y_in_r_expansion` checks) and of I's mirror for PiL
+_LAMBDA_DEN = {
+    "Pi": lambda i: factorial(len(i)),
+    "PiL": lambda i: prod(accumulate(reversed(i))),
+    "PiR": lambda i: prod(accumulate(i)),
+}
+
+
 @lru_cache(maxsize=None)
 def _lambda(primal: str, n: int) -> NCPolynomial:
     """lambda_n = phi^{-1}(y_n), phi: y_m -> seed(m) the primal family's
-    concatenation morphism.  seed(n) is c·y_n plus words v of length >= 2,
-    and phi^{-1}(v) is the product of the lambdas of v's letters, all below
-    n; so lambda_n = (y_n - sum_v a_v phi^{-1}(v)) / c, and c = 0 raises."""
-    seed = _LETTER[primal](n)
-    if not (c := seed._nums.get((n,))):
-        raise ArithmeticError(f"the {primal} seed at y_{n} has no y_{n} term")
-    return NCPolynomial._sum([(_y(n), seed._den)] + [
-        (prod((_lambda(primal, m) for m in v), start=NCPolynomial.one()), -a)
-        for v, a in seed._nums.items() if v != (n,)
-    ]) / c
+    concatenation morphism, in the closed form of `_LAMBDA_DEN`."""
+    dens = {i: _LAMBDA_DEN[primal](i) for i in compositions_of(n)}
+    den = lcm(*dens.values())
+    return NCPolynomial._from({i: den // c for i, c in dens.items()}, den)
 
 
 @lru_cache(maxsize=None)
@@ -345,14 +351,14 @@ class TSeries(Graded):
         return self.coeffs.get(d, NCPolynomial.zero())
 
     def truncate(self, bound: int) -> "TSeries":
-        return self._like(self._buckets, self._den, min(bound, self.bound))
+        return self._like(self._buckets, self._den, min(as_natural(bound), self.bound))
 
     def derivative(self) -> "TSeries":
         buckets = {(d - 1,): {k: n * d for k, n in t.items()} for (d,), t in self._buckets.items() if d}
         return self._like(buckets, self._den, self.bound - 1)
 
     def same_up_to(self, other: "TSeries", degree: int | None = None) -> bool:
-        d_max = min(self.bound, other.bound, self.bound if degree is None else degree)
+        d_max = min(self.bound, other.bound, self.bound if degree is None else as_natural(degree))
         return self.truncate(d_max) == other.truncate(d_max)
 
     def __repr__(self) -> str:
@@ -388,7 +394,8 @@ def higher_series(k: int, bound: int) -> tuple[TSeries, TSeries]:
     each exact to the requested degree.  The derivative of a series of bound
     b has bound b - 1, and so has the sum, so the product runs at b - 1 and
     computes no t-degree the sum would drop.  The defining identities
-    cal_L_k * Y = Y^(k) = Y * cal_R_k are re-verified before returning."""
+    cal_L_k * Y = Y^(k) = Y * cal_R_k are re-verified to the full bound
+    before returning."""
     if k < 1:
         raise ValueError("k must be >= 1")
     pad = bound + k - 1
@@ -401,8 +408,8 @@ def higher_series(k: int, bound: int) -> tuple[TSeries, TSeries]:
     y_k = y_series(bound + k)
     for _ in range(k):
         y_k = y_k.derivative()
-    y = y_series(bound)
-    if not (cal_l * y).same_up_to(y_k, bound) or not (y * cal_r).same_up_to(y_k, bound):
+    y, exact = y_series(bound), cal_l.bound == cal_r.bound == bound
+    if not exact or not (cal_l * y).same_up_to(y_k, bound) or not (y * cal_r).same_up_to(y_k, bound):
         raise AssertionError(f"higher_series postcondition failed at k={k}, bound={bound}")
     return cal_l, cal_r
 

@@ -220,11 +220,11 @@ def _first_off_identity(rows: list, cols: list) -> tuple[int, int] | None:
 
 
 def _check_duality(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
-    # No dual reads a primal row: s comes from s_l = y_a·s_u and normalized
-    # shuffle products, and Sigma^X_w = Psi_X(s_w) from the seeds' letter
-    # maps alone.  So the identity pairing matrices check the paper's
-    # duality between two independent constructions, not a solve against
-    # its own system.  Every element is homogeneous of its word's weight, so
+    # No dual reads a primal row or a seed: s comes from s_l = y_a·s_u and
+    # normalized shuffle products, and Sigma^X_w = Psi_X(s_w) from closed-form
+    # letter maps.  So the identity pairing matrices check the paper's
+    # duality between two independent constructions, and a wrong seed fails
+    # them.  Every element is homogeneous of its word's weight, so
     # pairings across weights vanish and only the diagonal weight blocks
     # need computing, each as one sparse Gram product (`ncpoly.gram`).
     for dual, primal, _ in bases.PAIRS.values():

@@ -7,8 +7,8 @@ product (shuffle or quasi-shuffle) on the left tensor factor and with
 concatenation on the right.  Its factorization is the ordered product over
 Lyndon words, largest first, of exp(dual_l (x) primitive_l).
 
-A term u (x) v is stored as an int: the bit set of the partial sums of the
-word u·v, in the bucket of weights (|u|, |v|).  Concatenation is a shift and
+A term u (x) v is stored as an int, the partial-sum code `words._code` of
+the word u·v, in the bucket of weights (|u|, |v|).  Concatenation is a shift and
 an or, and bit |u| cuts the key back into u and v.  `times_exp` adds each
 factor's pieces over their own reduced denominator, and rescales the running
 product only when that denominator does not divide its own."""
@@ -16,7 +16,6 @@ product only when that denominator does not divide its own."""
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial, gcd, lcm
 
 from . import bases
@@ -33,36 +32,17 @@ from .ncpoly import (
     product,
 )
 from .symqsym import encode_M
-from .words import Word, as_natural, pairs_of_weight, word_str, words_of_weight, words_up_to
+from .words import Word, _code, _decode, as_natural, pairs_of_weight, word_str, words_of_weight, words_up_to
 
 PAIRS = tuple(bases.PAIRS)
 
 _LEFT_KERNELS = {kind: _PRODUCT_KERNELS[kind] for kind in ("shuffle", "stuffle")}
 
 
-@lru_cache(maxsize=None)
-def _code(w: tuple) -> int:
-    """The bit set of the partial sums of w: bit s is set when a nonempty
-    prefix of w has weight s, so the empty word is 0 and the code of a
-    concatenation u·v is _code(u) | _code(v) << sum(u)."""
-    code = s = 0
-    for a in w:
-        s += a
-        code |= 1 << s
-    return code
-
-
-@lru_cache(maxsize=None)
-def _letters(code: int) -> tuple:
-    """The word whose `_code` is code."""
-    sums = [s for s in range(1, code.bit_length()) if code >> s & 1]
-    return tuple(b - a for a, b in zip([0] + sums, sums))
-
-
 def _split(key: int, l: int) -> tuple[tuple, tuple]:
     # the (u, v) of the key _code(u·v) in a bucket of left weight l: bit l
     # ends u, and below it every set bit is a partial sum of u
-    return _letters(key & (2 << l) - 1), _letters(key >> l & ~1)
+    return _decode(key & (2 << l) - 1), _decode(key >> l & ~1)
 
 
 class GradedTensorSeries(Graded):
@@ -100,7 +80,7 @@ class GradedTensorSeries(Graded):
 
         def pair(a, b):
             v = (a >> l1 & ~1 | (b >> l2 & ~1) << r1) << at
-            return [(_code(w) | v, n) for w, n in kernel(_letters(a & m1), _letters(b & m2))]
+            return [(_code(w) | v, n) for w, n in kernel(_decode(a & m1), _decode(b & m2))]
 
         return pair
 
@@ -175,7 +155,7 @@ class GradedTensorSeries(Graded):
                 bs = [(b << L + r, y) for b, y in b_items]
                 for u, vs in rights.items():
                     if (left := lefts.get(u)) is None:
-                        uw = bilinear({_letters(u): 1}, a_pow, kernel)
+                        uw = bilinear({_decode(u): 1}, a_pow, kernel)
                         left = lefts[u] = [(_code(w), c * scale) for w, c in uw.items()]
                     for v, n in vs:
                         v <<= L

@@ -5,18 +5,20 @@ Sym carries five bases: complete (S), elementary (Lambda), power sums of the
 first (Psi) and second (Phi) kind, and ribbons (Rib).  QSym carries the
 monomial (M) and fundamental (F) bases.  Every conversion routes through the
 hub basis of its side, S or M.  The Lambda, Psi, Phi and F rows are
-concatenation products of one-part rows; the Rib rows are coarsening sums.
-The two sides pair by <S^I, M_J> = delta.  Composition tuples are the letter
-tuples of words, so the Hopf structure is the word algebra's read through the
-encodings defined at the bottom: the M side multiplies through
-`ncpoly.stuffle_words`, the Sym coproduct is the quasi-shuffle coproduct of
-words and the QSym coproduct is deconcatenation, both from `ncpoly.coproduct`.
+concatenation products of one-part rows, the Rib rows coarsening sums, both
+built on partial-sum codes (`words._code`).  The sides pair by <S^I, M_J> =
+delta.  Composition tuples are the letter tuples of words, so the Hopf
+structure is the word algebra's read through the encodings at the bottom:
+the M side multiplies through `ncpoly.stuffle_words`, the Sym coproduct is
+the quasi-shuffle coproduct of words and the QSym coproduct is
+deconcatenation, both from `ncpoly.coproduct`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import lcm
 from typing import Mapping
 
@@ -38,9 +40,10 @@ from .ncpoly import (
 from .words import (
     Composition,
     Word,
+    _code,
+    _decode,
     as_int,
     as_natural,
-    coarsenings,
     comp_str,
     compositions_of,
     compositions_up_to,
@@ -192,9 +195,10 @@ def element_to_json(x: _CompositionIndexed) -> dict:
 # tests for the per-refinement and mirror-statistics formulas kept as oracles)
 # ---------------------------------------------------------------------------
 
-# Rows are (((target, numerator), ...), denominator), for the change from a
-# basis to its hub basis (S or M) or back.  Each key is listed once: the keys
-# of a product row are the concatenations j + k, one per pair of factor keys.
+# Rows are (((target, numerator), ...), denominator, (code of target, ...)),
+# for the change from a basis to its hub basis (S or M) or back.  Each key is
+# listed once: a product row concatenates each pair of factor keys on their
+# codes, and decodes each result once, when the row is built.
 
 # basis -> (coefficient of hub_J in basis_(n), of basis_J in hub_(n)), s = stats(J)
 _ONE_PART = {
@@ -208,29 +212,41 @@ _ONE_PART = {
 @lru_cache(maxsize=None)
 def _hub_row(basis: str, comp: Composition, to_hub: bool) -> tuple:
     if basis in ("S", "M") or not comp:
-        return ((comp, 1),), 1
+        return ((comp, 1),), 1, (_code(comp),)
     if basis == "Rib":
         # Rib_I = sum over coarser-or-equal J of (-1)^(l(I)-l(J)) S^J and
-        # S^I = sum over coarser-or-equal J of Rib_J
-        return tuple((j, (-1) ** (len(comp) - len(j)) if to_hub else 1) for j in coarsenings(comp)), 1
+        # S^I = sum over coarser-or-equal J of Rib_J: the code of J keeps a
+        # sub-mask of I's inner partial sums, each one dropped merges two parts
+        row = [(_code(comp), 1)]
+        for s in accumulate(comp[:-1]):
+            row += [(c ^ 1 << s, -n if to_hub else n) for c, n in row]
+        return tuple((_decode(c), n) for c, n in row), 1, tuple(c for c, _ in row)
     if len(comp) == 1:
         coeff = _ONE_PART[basis][0 if to_hub else 1]
         nums, den = _integral((j, coeff(comp[0], stats(j))) for j in compositions_of(comp[0]))
-        return tuple(nums.items()), den
+        return tuple(nums.items()), den, tuple(map(_code, nums))
     # Lambda, Psi and Phi are multiplicative and the F/M coefficients are
     # products over the blocks of J: the row of I is the concatenation product
-    # of the rows of its halves (halves keep the recursion depth log l(I))
+    # of the rows of its halves (halves keep the recursion depth log l(I)),
+    # whose code is j | k << a for a the weight of the left half
     half = len(comp) // 2
-    (left, a), (right, b) = _hub_row(basis, comp[:half], to_hub), _hub_row(basis, comp[half:], to_hub)
-    return tuple((j + k, x * y) for j, x in left for k, y in right), a * b
+    (left, a, lc), (right, b, rc) = (_hub_row(basis, h, to_hub) for h in (comp[:half], comp[half:]))
+    shift = sum(comp[:half])
+    codes = tuple(j | k << shift for j in lc for k in rc)
+    return tuple(zip(map(_decode, codes), [x * y for _, x in left for _, y in right])), a * b, codes
 
 
 def _apply_rows(x: _CompositionIndexed, basis: str, to_hub: bool, target: str):
-    # sum over the terms n/d·I of x of n/d times row(I), over one denominator
+    # sum over the terms n/d·I of x of n/d times row(I), over one denominator;
+    # a one-term x (every point query) is its row, scaled
+    if len(x._nums) == 1:
+        ((comp, n),) = x._nums.items()
+        row, den, _ = _hub_row(basis, comp, to_hub)
+        return type(x)._in(target, dict(row) if n == 1 else {j: n * c for j, c in row}, x._den * den)
     rows = [(n, _hub_row(basis, comp, to_hub)) for comp, n in x._nums.items()]
-    den = lcm(*(d for _, (_, d) in rows))
+    den = lcm(*(d for _, (_, d, _) in rows))
     out: dict[Composition, int] = {}
-    for n, (row, d) in rows:
+    for n, (row, d, _) in rows:
         add_into(out, row, n * (den // d))
     return type(x)._in(target, out, x._den * den)
 
@@ -493,6 +509,6 @@ def cauchy_check(max_weight: int) -> bool:
     pair = lambda i, k: (((i, k), 1),)
     terms = []
     for j in comps:
-        (f_in_m, df), (rib_in_s, dr) = _hub_row("F", j, True), _hub_row("Rib", j, True)
+        (f_in_m, df, _), (rib_in_s, dr, _) = _hub_row("F", j, True), _hub_row("Rib", j, True)
         terms.append((Sparse._from(bilinear(dict(f_in_m), dict(rib_in_s), pair), df * dr), 1))
     return Sparse._from({(i, i): 1 for i in comps}) == Sparse._sum(terms)

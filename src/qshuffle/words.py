@@ -261,6 +261,31 @@ def stats(parts: Composition) -> CompositionStats:
 
 
 # ---------------------------------------------------------------------------
+# the partial-sum code of a word or composition
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _code(w: Composition) -> int:
+    """The bit set of the partial sums of w: bit s is set when a nonempty
+    prefix of w has weight s, so the empty word is 0, the top bit is the
+    weight, the code of a concatenation u·v is _code(u) | _code(v) << sum(u)
+    and J is coarser than I exactly when _code(J) is a subset of _code(I)
+    with the same top bit."""
+    code = s = 0
+    for a in w:
+        s += a
+        code |= 1 << s
+    return code
+
+
+@lru_cache(maxsize=None)
+def _decode(code: int) -> Composition:
+    """The word (composition) whose `_code` is code."""
+    sums = [s for s in range(1, code.bit_length()) if code >> s & 1]
+    return tuple(b - a for a, b in zip([0] + sums, sums))
+
+
+# ---------------------------------------------------------------------------
 # refinement order (J finer than I: J splits each part of I)
 # ---------------------------------------------------------------------------
 
@@ -347,22 +372,3 @@ def relative_stats(finer: Composition, coarser: Composition) -> RelativeStats:
         pi_u=prod(s.pi_u for s in bs) if bs else 1,
         sp=prod(s.sp for s in bs) if bs else 1,
     )
-
-
-def coarsenings(parts: Composition) -> list[Composition]:
-    """Every J coarser than or equal to I (i.e. every J that I refines),
-    obtained by merging runs of adjacent parts.  Sorted by (length, parts)."""
-    k = len(parts)
-    if k == 0:
-        return [()]
-    out = []
-    for gaps in itertools.product((False, True), repeat=k - 1):
-        merged = [parts[0]]
-        for boundary, x in zip(gaps, parts[1:]):
-            if boundary:
-                merged.append(x)
-            else:
-                merged[-1] += x
-        out.append(tuple(merged))
-    out.sort(key=lambda c: (len(c), c))
-    return out

@@ -17,16 +17,22 @@ running product, the way `factorization` ran it before it keyed terms by
 integer codes; and the recursion of the higher-order letter series with
 each product at the padded bound of its left operand, the way
 `bases.higher_series` ran it before it multiplied at the bound the sum
-keeps."""
+keeps; the coarsenings of a composition by merged runs of parts, the way
+`words` listed them before the ribbon rows enumerated sub-masks of
+partial-sum codes; and the letter maps lambda_n of the quasi-shuffle duals
+solved from their seeds by triangular recursion, the way `bases` computed
+them before it used their closed forms."""
 
+import itertools
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, prod
 
+from qshuffle import bases
 from qshuffle.bases import l_series, r_series
 from qshuffle.factorization import factorized_product
 from qshuffle.ncpoly import NCPolynomial, concat_words, shuffle_words, stuffle_words
 from qshuffle.symqsym import encode_M, encode_S
-from qshuffle.words import Word, coarsenings, refinements, relative_stats, stats, words_up_to
+from qshuffle.words import Word, refinements, relative_stats, stats, words_up_to
 
 
 def assert_canonical(x) -> None:
@@ -191,6 +197,28 @@ def higher_series(k: int, bound: int) -> tuple:
     return cal_l.truncate(bound), cal_r.truncate(bound)
 
 
+def lambda_triangular(primal: str, n: int) -> NCPolynomial:
+    """lambda_n = phi^{-1}(y_n), phi: y_m -> seed(m) the concatenation
+    morphism of the primal family, with the seeds read from `bases._LETTER`
+    at call time.  seed(m) is c·y_m plus words v of length >= 2, and
+    phi^{-1}(v) is the product of the lambdas of v's letters, all below m;
+    so lambda_m = (y_m - sum_v a_v phi^{-1}(v)) / c, and c = 0 raises."""
+    lam: dict = {}
+
+    def rec(m: int) -> NCPolynomial:
+        if m not in lam:
+            seed = bases._LETTER[primal](m)
+            if not (c := seed._nums.get((m,))):
+                raise ArithmeticError(f"the {primal} seed at y_{m} has no y_{m} term")
+            lam[m] = NCPolynomial._sum([(NCPolynomial.word((m,)), seed._den)] + [
+                (prod((rec(k) for k in v), start=NCPolynomial.one()), -a)
+                for v, a in seed._nums.items() if v != (m,)
+            ]) / c
+        return lam[m]
+
+    return rec(n)
+
+
 # -- truncated series in t ---------------------------------------------------------
 
 class TSeries:
@@ -278,6 +306,25 @@ def exp_ad(a: TSeries, b: TSeries) -> TSeries:
 
 
 # -- Sym / QSym ------------------------------------------------------------------
+
+def coarsenings(parts: tuple) -> list[tuple]:
+    """Every J coarser than or equal to I (i.e. every J that I refines),
+    obtained by merging runs of adjacent parts.  Sorted by (length, parts)."""
+    k = len(parts)
+    if k == 0:
+        return [()]
+    out = []
+    for gaps in itertools.product((False, True), repeat=k - 1):
+        merged = [parts[0]]
+        for boundary, x in zip(gaps, parts[1:]):
+            if boundary:
+                merged.append(x)
+            else:
+                merged[-1] += x
+        out.append(tuple(merged))
+    out.sort(key=lambda c: (len(c), c))
+    return out
+
 
 def _sign(e: int) -> int:
     return -1 if e % 2 else 1

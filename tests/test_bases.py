@@ -40,7 +40,7 @@ from qshuffle.ncpoly import (
     pairing,
     poly_str,
 )
-from qshuffle.words import Word, compositions_of, word_str, words_of_weight, words_up_to
+from qshuffle.words import Word, compositions_of, stats, word_str, words_of_weight, words_up_to
 
 one = NCPolynomial.one()
 
@@ -232,20 +232,32 @@ def test_dual_tables_match_the_dense_inverse_to_weight_6():
 
 
 def test_a_seed_without_its_letter_term_is_rejected(monkeypatch):
-    # lambda_n = phi^{-1}(y_n) divides by the y_n coefficient of seed(n)
+    # the triangular recursion for lambda_n = phi^{-1}(y_n) divides by the
+    # y_n coefficient of seed(n)
     seed = bases._LETTER["Pi"]
     monkeypatch.setitem(bases._LETTER, "Pi", lambda n: seed(n) - mono(2) if n == 2 else seed(n))
     with pytest.raises(ArithmeticError, match="the Pi seed at y_2 has no y_2 term"):
-        bases._lambda.__wrapped__("Pi", 2)
+        oracle.lambda_triangular("Pi", 2)
 
 
 # -- the letter maps lambda^X_n = phi_X^{-1}(y_n) -----------------------------------
 
-def test_pi_letter_map_is_hoffmans_exponential():
+_CLOSED_FORM_DEN = {
     # Hoffman, Quasi-shuffle products, Thm 2.5: phi^{-1}(y_n) = sum_I y_I / l(I)!
+    "Pi": lambda i: factorial(len(i)),
+    # y_n = sum_I R^I / pi_u(I) (`y_in_r_expansion`), and L_n is R_n mirrored
+    "PiL": lambda i: stats(stats(i).mirror).pi_u,
+    "PiR": lambda i: stats(i).pi_u,
+}
+
+
+@pytest.mark.parametrize("primal", ["Pi", "PiL", "PiR"])
+def test_pi_letter_map_is_hoffmans_exponential(primal):
+    # the closed forms of lambda_n, and the triangular recursion on the seeds
     for n in range(1, 9):
-        expected = NCPolynomial({i: Fraction(1, factorial(len(i))) for i in compositions_of(n)})
-        assert bases._lambda("Pi", n) == expected, n
+        expected = NCPolynomial({i: Fraction(1, _CLOSED_FORM_DEN[primal](i)) for i in compositions_of(n)})
+        assert bases._lambda(primal, n) == expected, n
+        assert oracle.lambda_triangular(primal, n) == expected, n
 
 
 def test_l_and_r_letter_maps_at_3():
@@ -511,6 +523,13 @@ def _same_series(new, old):
 def test_series_match_the_dict_of_polynomials_oracle(a, b, bounds, c, degree):
     x, y = TSeries(a, bounds[0]), TSeries(b, bounds[1])
     ox, oy = oracle.TSeries(a, bounds[0]), oracle.TSeries(b, bounds[1])
+    if degree < 0:
+        # the oracle keeps a negative degree; the series rejects it
+        with pytest.raises(ValueError, match="expected an integer"):
+            x.truncate(degree)
+        with pytest.raises(ValueError, match="expected an integer"):
+            x.same_up_to(y, degree)
+        degree = 0
     pairs = [
         (x, ox), (y, oy), (x + y, ox + oy), (x - y, ox - oy), (x - x, ox - ox), (-x, -ox),
         (x * c, ox * c), (c * x, c * ox), (x * y, ox * oy), (y * x, oy * ox), (x * x, ox * ox),
@@ -594,12 +613,17 @@ def test_higher_series_match_the_padded_bound_oracle(k):
         lambda: y_series(-1),
         lambda: l_series(-1),
         lambda: higher_series(1, -1),
+        lambda: y_series(4).truncate(2.5),
+        lambda: y_series(4).truncate(-3),
+        lambda: y_series(4).same_up_to(y_series(3) * 2, -1),
     ],
-    ids=["float", "negative", "text", "y_series", "l_series", "higher_series"],
+    ids=["float", "negative", "text", "y_series", "l_series", "higher_series",
+         "truncate-float", "truncate-negative", "same_up_to-negative"],
 )
 def test_series_bound_must_be_an_integer_at_least_zero(call):
-    # TSeries kept the bounds 2.5 and -1, and y_series(-1) returned a zero
-    # series of bound -1
+    # TSeries kept the bounds 2.5 and -1, y_series(-1) returned a zero
+    # series of bound -1, truncate kept the bounds 2.5 and -3, and
+    # same_up_to(other, -1) returned True for any two series
     with pytest.raises(ValueError, match="expected an integer"):
         call()
 
@@ -630,6 +654,16 @@ def test_higher_series_are_self_verified_up_to_k3():
     for k in (1, 2, 3):
         cal_l, cal_r = higher_series(k, 5)
         assert cal_l.bound == 5 and cal_r.bound == 5
+
+
+def test_higher_series_postcondition_rejects_a_short_bound(monkeypatch):
+    # letter series one degree short make a recursion whose result falls
+    # short of the bound; comparing only up to the smaller bound passed it
+    short = lambda series: lambda b: series(b - 1)
+    monkeypatch.setattr(bases, "l_series", short(l_series))
+    monkeypatch.setattr(bases, "r_series", short(r_series))
+    with pytest.raises(AssertionError, match="postcondition failed at k=2, bound=4"):
+        higher_series(2, 4)
 
 
 def test_higher_series_rejects_bad_order():

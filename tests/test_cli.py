@@ -234,6 +234,30 @@ def test_duality_check_rejects_an_inhomogeneous_element(monkeypatch):
     assert detail == "Sigma at 2 is not homogeneous of weight 2"
 
 
+@pytest.fixture
+def fresh_basis_caches():
+    # the cached basis values and letter maps, emptied before and after
+    caches = (bases._value, bases._lambda, bases._psi, bases._psi_den)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+@pytest.mark.parametrize("primal", ["Pi", "PiL", "PiR"])
+def test_duality_check_rejects_a_wrong_seed(monkeypatch, fresh_basis_caches, primal):
+    # the letter maps of the duals are closed forms that no seed enters, so
+    # a seed perturbed at n = 2 with its y_2 term kept breaks the duality;
+    # solved from the seed, lambda followed it and the check passed
+    seed = bases._LETTER[primal]
+    wrong = lambda n: seed(n) + NCPolynomial.word((1, 1)) if n == 2 else seed(n)
+    monkeypatch.setitem(bases._LETTER, primal, wrong)
+    ok, detail = cli._check_duality(3, 8, random.Random(0))
+    assert not ok
+    assert detail.startswith(f"duality {primal}/") and detail.endswith("fails at 2, 1 1")
+
+
 def _per_pair_duality_detail(w_max):
     # the per-pair loop that the Gram product replaced, kept as its oracle
     for dual, primal, _ in bases.PAIRS.values():

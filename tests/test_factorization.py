@@ -11,8 +11,6 @@ from qshuffle.bases import pi_basis, sigma_basis
 from qshuffle.factorization import (
     PAIRS,
     GradedTensorSeries,
-    _code,
-    _letters,
     _split,
     character_checks,
     diagonal,
@@ -29,7 +27,7 @@ from qshuffle.ncpoly import (
     shuffle_words,
     stuffle_words,
 )
-from qshuffle.words import Word, sort_key, word_str, words_of_weight, words_up_to
+from qshuffle.words import Word, _code, _decode, sort_key, word_str, words_of_weight, words_up_to
 
 import fraction_oracle as oracle
 
@@ -202,7 +200,7 @@ _words = st.lists(st.integers(1, 4), max_size=5).map(tuple)
 def test_codes_decode_and_split_back_into_their_words(u, v):
     # empty u or v included: the empty word is code 0, and a key of left
     # weight 0 is all right word
-    assert _letters(_code(u)) == u and _letters(_code(v)) == v
+    assert _decode(_code(u)) == u and _decode(_code(v)) == v
     key = _code(u + v)
     assert key == _code(u) | _code(v) << sum(u)
     assert _split(key, sum(u)) == (u, v)

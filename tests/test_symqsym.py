@@ -36,7 +36,7 @@ from qshuffle.symqsym import (
     sym_coproduct,
     _hub_row,
 )
-from qshuffle.words import Word, compositions_up_to, stats
+from qshuffle.words import Word, _code, compositions_up_to, stats
 
 S = lambda *parts: SymElement.single(tuple(parts), "S")
 M = lambda *parts: QSymElement.single(tuple(parts), "M")
@@ -561,16 +561,24 @@ def test_pairing_ext_matches_the_fraction_oracle(x_terms, y_terms, x_basis, y_ba
 @pytest.mark.parametrize("basis", SYM_BASES + QSYM_BASES)
 def test_product_rows_match_the_per_refinement_rows(basis):
     # every row, in both directions, against the per-refinement and
-    # coarsening formulas, exhaustively up to weight 7
+    # coarsening formulas, exhaustively up to weight 7; each stored
+    # partial-sum code is the code of its key
     to_hub, from_hub = (
         (oracle._to_s_row, oracle._from_s_row) if basis in SYM_BASES else (oracle._to_m_row, oracle._from_m_row)
     )
     for comp in compositions_up_to(7):
         for direction, expected in ((True, to_hub), (False, from_hub)):
-            row, den = _hub_row(basis, comp, direction)
+            row, den, codes = _hub_row(basis, comp, direction)
             got = {j: Fraction(n, den) for j, n in row}
             assert len(got) == len(row), (basis, comp, direction)
             assert got == dict(expected(basis, comp)), (basis, comp, direction)
+            assert codes == tuple(_code(j) for j, _ in row), (basis, comp, direction)
+
+
+def test_a_one_part_ribbon_of_large_weight_converts_at_once():
+    # its row has one term; a table over all 2^39 codes of weight 40 would not end
+    assert str(convert(SymElement.single((40,), "Rib"), "S")) == "S:(40)"
+    assert convert(SymElement.single((40,), "Rib"), "S") == SymElement.single((40,), "S")
 
 
 def test_non_integral_keys_are_rejected():

