@@ -26,7 +26,7 @@ Combin. 11, 2000, Thm 2.5), which no seed enters.
 
 pi1 and its inverse expansion run on the iterated stuffle coproduct: by
 <coproduct(w), u (x) v> = <w, u st v> their sums over word tuples need only
-its nonzero terms.
+its nonzero terms.  pi1 of a letter, the seed of Pi, is in closed form.
 
 The series side lives in `TSeries`, a t-truncated power series with
 polynomial coefficients on the bucketed core `ncpoly.Graded`: the letter
@@ -87,7 +87,13 @@ def _sum_iterated(letters: tuple, primitive: bool, coeff) -> NCPolynomial:
 @lru_cache(maxsize=None)
 def _pi1_word(letters: tuple) -> NCPolynomial:
     # pi1(w) = sum_k ((-1)^(k-1)/k) sum <w | u_1 st ... st u_k> u_1...u_k;
-    # the sum runs over tuples of nonempty words, so pi1 of the empty word is 0
+    # the sum runs over tuples of nonempty words, so pi1 of the empty word is 0.
+    # At a letter y_n only the compositions I of n split it, each once, so
+    # pi1(y_n) = sum over I |= n of (-1)^(l(I)-1)/l(I) y_I, over lcm(1..n)
+    if len(letters) == 1:
+        den = lcm(*range(1, letters[0] + 1))
+        nums = {i: (-1) ** (len(i) - 1) * (den // len(i)) for i in compositions_of(letters[0])}
+        return NCPolynomial._from(nums, den)
     return _sum_iterated(letters, False, lambda k: Fraction((-1) ** (k - 1), k))
 
 
@@ -319,9 +325,9 @@ class TSeries(Graded):
 
     `bound` records up to which t-degree the coefficients are trustworthy;
     binary operations propagate the weaker bound, and differentiation loses
-    one degree.  Comparisons should use same_up_to.  The bound and every
-    degree given to the constructor must be integers >= 0 (ValueError
-    otherwise); degrees above `bound` are dropped.
+    one degree (ValueError at bound 0).  Comparisons should use same_up_to.
+    The bound and every degree given to the constructor must be integers
+    >= 0 (ValueError otherwise); degrees above `bound` are dropped.
     """
 
     __slots__ = ()
@@ -354,6 +360,9 @@ class TSeries(Graded):
         return self._like(self._buckets, self._den, min(as_natural(bound), self.bound))
 
     def derivative(self) -> "TSeries":
+        # a series of bound 0 has no degree to lose
+        if not self.bound:
+            raise ValueError("the derivative of a series of bound 0 has no trustworthy degree")
         buckets = {(d - 1,): {k: n * d for k, n in t.items()} for (d,), t in self._buckets.items() if d}
         return self._like(buckets, self._den, self.bound - 1)
 

@@ -9,14 +9,17 @@ Lyndon words, largest first, of exp(dual_l (x) primitive_l).
 
 A term u (x) v is stored as an int, the partial-sum code `words._code` of
 the word u·v, in the bucket of weights (|u|, |v|).  Concatenation is a shift and
-an or, and bit |u| cuts the key back into u and v.  `times_exp` adds each
-factor's pieces over their own reduced denominator, and rescales the running
-product only when that denominator does not divide its own."""
+an or, and bit |u| cuts the key back into u and v.  `_exp_product` expands the
+ordered product by distributivity into one pure tensor S_w (x) P_w per word w:
+S_w the normalized left product and P_w the concatenation of the factors over
+the decreasing Lyndon factorization of w.  It flattens them into the buckets
+once, over one common denominator, instead of reducing a running product
+after every factor."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import lcm
 
 from . import bases
 from .lyndon import lyndon_up_to
@@ -107,81 +110,6 @@ class GradedTensorSeries(Graded):
             raise ValueError("cannot multiply series with different left products")
         return super().__mul__(other)
 
-    def times_exp(self, dual: NCPolynomial, primal: NCPolynomial) -> "GradedTensorSeries":
-        """self · exp(dual (x) primal), where exp(dual (x) primal) = sum_k
-        (dual^{*k} / k!) (x) primal^k, * is the `left_kind` product and
-        primal^k a concatenation power.
-
-        dual and primal must be nonzero and homogeneous of one weight m >= 1,
-        so k <= K = bound // m.  Each piece is one tensor product, so a left
-        word u with right part sum_v n_v v contributes (u * dual^{*k}) (x)
-        sum_v n_v v·primal^k: the left product is computed once per u and k
-        and crossed with the concatenations, accumulating straight into the
-        output buckets.  On codes, a term w (x) v·b of bucket (L, R) is the
-        int w | v << L | b << L + r, r the weight of v.  The pieces run over
-        the common denominator den · K! (d e)^K, with d and e those of dual
-        and primal."""
-        m = _homogeneous_weight(dual)
-        if not m or _homogeneous_weight(primal) != m:
-            raise ValueError(
-                "exp factor needs dual and primal nonzero and homogeneous of one weight >= 1"
-            )
-        kernel, bound = _LEFT_KERNELS[self.left_kind], self.bound
-        de, top = dual._den * primal._den, bound // m
-        s0 = factorial(top) * de**top
-        # the buckets that some piece k >= 1 reaches, as left code -> its
-        # (right code, numerator) list
-        groups: dict[tuple[int, int], dict] = {}
-        for (l, r), p in self._buckets.items():
-            if max(l, r) + m <= bound:
-                rights = groups[l, r] = {}
-                for t, n in p.items():
-                    rights.setdefault(t & (2 << l) - 1, []).append((t >> l & ~1, n))
-        # pieces k >= 1, over the common denominator den · s0
-        adds: dict[tuple[int, int], dict] = {}
-        a_pow, b_pow = {(): 1}, {(): 1}
-        for k in range(1, top + 1):
-            a_pow = bilinear(a_pow, dual._nums, kernel)
-            b_pow = bilinear(b_pow, primal._nums, concat_words)
-            scale = factorial(top) // factorial(k) * de ** (top - k)
-            b_items = [(_code(b), y) for b, y in b_pow.items()]
-            lefts: dict[int, list] = {}
-            for (l, r), rights in groups.items():
-                L, R = l + k * m, r + k * m
-                if max(L, R) > bound:
-                    continue
-                bucket = adds.setdefault((L, R), {})
-                get = bucket.get
-                bs = [(b << L + r, y) for b, y in b_items]
-                for u, vs in rights.items():
-                    if (left := lefts.get(u)) is None:
-                        uw = bilinear({_decode(u): 1}, a_pow, kernel)
-                        left = lefts[u] = [(_code(w), c * scale) for w, c in uw.items()]
-                    for v, n in vs:
-                        v <<= L
-                        for b, y in bs:
-                            vb, ny = v | b, n * y
-                            for w, c in left:
-                                t = w | vb
-                                bucket[t] = get(t, 0) + c * ny
-        # the pieces reduce by h to numerators x // h over e = den · s0 // h;
-        # self (k = 0) and they meet over d = lcm(den, e), so self is rescaled
-        # only when d != den, and otherwise only the buckets the pieces touch
-        # are copied, the others shared
-        h = gcd(self._den * s0, *(gcd(*p.values()) for p in adds.values()))
-        d = lcm(self._den, e := self._den * s0 // h)
-        f, g = d // self._den, d // e
-        out = {key: p if f == 1 else {t: n * f for t, n in p.items()} for key, p in self._buckets.items()}
-        for key, p in adds.items():
-            q = out[key] = dict(out.get(key, ()))
-            get = q.get
-            for t, x in p.items():
-                if n := get(t, 0) + x // h * g:
-                    q[t] = n
-                else:
-                    q.pop(t, None)
-        return self._like(out, d)
-
     def __eq__(self, other) -> bool:
         return super().__eq__(other) and self.left_kind == other.left_kind
 
@@ -208,6 +136,50 @@ def _homogeneous_weight(p: NCPolynomial) -> int | None:
     return weights.pop() if len(weights) == 1 else None
 
 
+def _exp_product(factors, bound: int, left_kind: str) -> GradedTensorSeries:
+    """The ordered product, leftmost first, of exp(dual (x) primal) over the
+    (dual, primal) pairs of `factors`, truncated at `bound`; each pair must
+    be nonzero and homogeneous of one weight m >= 1.
+
+    Expanded by distributivity, the product is a sum of pure tensors, one per
+    choice of a power k_j >= 0 of each factor j: (the *-product of the
+    dual_j^{*k_j}) / prod k_j! (x) the concatenation of the primal_j^{k_j}.
+    Each is an entry (weight, left numerators, right numerators,
+    denominator), extended factor by factor from 1 (x) 1; the denominator
+    takes d·e·k at power k, d and e those of dual and primal.  The entries
+    are flattened once, over the lcm of their denominators, into bucket
+    (w, w) as the keys _code(u) | _code(v) << w."""
+    unit, kernel = GradedTensorSeries.unit(bound, left_kind), _LEFT_KERNELS[left_kind]
+    entries = [(0, {(): 1}, {(): 1}, 1)]
+    for dual, primal in factors:
+        m = _homogeneous_weight(dual)
+        if not m or _homogeneous_weight(primal) != m:
+            raise ValueError(
+                "exp factor needs dual and primal nonzero and homogeneous of one weight >= 1"
+            )
+        de = dual._den * primal._den
+        for w, left, right, den in entries[:]:
+            for k in range(1, (unit.bound - w) // m + 1):
+                left = bilinear(left, dual._nums, kernel)
+                right = bilinear(right, primal._nums, concat_words)
+                den, w = den * de * k, w + m
+                entries.append((w, left, right, den))
+    den, buckets = lcm(*(e[3] for e in entries)), {}
+    while entries:
+        w, left, right, d = entries.pop()
+        bucket, f = buckets.setdefault((w, w), {}), den // d
+        get = bucket.get
+        rights = [(_code(v) << w, n * f) for v, n in right.items()]
+        for u, c in left.items():
+            u = _code(u)
+            for v, n in rights:
+                if x := get(t := u | v, 0) + c * n:
+                    bucket[t] = x
+                else:
+                    del bucket[t]
+    return unit._like(buckets, den)
+
+
 def lyndon_decreasing(max_weight: int) -> list[Word]:
     """Lyndon words of weight <= max_weight, largest first in the word order."""
     return sorted(lyndon_up_to(max_weight), reverse=True)
@@ -230,12 +202,10 @@ def factorized_product(
     max_weight, (dual, primal, kind) = as_natural(max_weight), bases.PAIRS[pair]
     if mismatch:
         primal = "Pi" if pair == "shuffle" else "p"
-    kind = left_kind or kind
-    acc = GradedTensorSeries.unit(max_weight, kind)
-    for l in lyndon_decreasing(max_weight):
-        dual_l, primal_l = (bases.basis_element(f, l).value for f in (dual, primal))
-        acc = acc.times_exp(dual_l, primal_l)
-    return acc
+    factors = [
+        [bases.basis_element(f, l).value for f in (dual, primal)] for l in lyndon_decreasing(max_weight)
+    ]
+    return _exp_product(factors, max_weight, left_kind or kind)
 
 
 def verify_factorization(

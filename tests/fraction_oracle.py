@@ -14,7 +14,8 @@ compositions, the way `symqsym` and `factorization` did before they read
 the word algebra through the encodings; `times_exp` on buckets keyed by
 (left letters, right letters) tuples, with a merge that rescales the whole
 running product, the way `factorization` ran it before it keyed terms by
-integer codes; and the recursion of the higher-order letter series with
+integer codes and expanded the ordered product into pure tensors; and the
+recursion of the higher-order letter series with
 each product at the padded bound of its left operand, the way
 `bases.higher_series` ran it before it multiplied at the bound the sum
 keeps; the coarsenings of a composition by merged runs of parts, the way

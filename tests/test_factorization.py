@@ -11,6 +11,7 @@ from qshuffle.bases import pi_basis, sigma_basis
 from qshuffle.factorization import (
     PAIRS,
     GradedTensorSeries,
+    _exp_product,
     _split,
     character_checks,
     diagonal,
@@ -96,12 +97,9 @@ def test_ordered_product_regrouping():
     full = factorized_product(n, "stuffle")
     ls = lyndon_decreasing(n)
     cut = len(ls) // 2
-    first = GradedTensorSeries.unit(n, "stuffle")
-    for l in ls[:cut]:
-        first = first.times_exp(sigma_basis(l), pi_basis(l))
-    second = GradedTensorSeries.unit(n, "stuffle")
-    for l in ls[cut:]:
-        second = second.times_exp(sigma_basis(l), pi_basis(l))
+    factors = [(sigma_basis(l), pi_basis(l)) for l in ls]
+    first = _exp_product(factors[:cut], n, "stuffle")
+    second = _exp_product(factors[cut:], n, "stuffle")
     assert first * second == full
 
 
@@ -123,19 +121,26 @@ def _all_pairs_product(a: GradedTensorSeries, b: GradedTensorSeries) -> dict:
     return out
 
 
+def _lyndon_factors(n: int, dual: str, primal: str) -> list[list[NCPolynomial]]:
+    # the (dual_l, primal_l) values in the order of the factorization
+    return [[bases.basis_element(f, l).value for f in (dual, primal)] for l in lyndon_decreasing(n)]
+
+
 def test_product_matches_the_all_pairs_oracle_along_the_factorization():
+    # the partial product after j + 1 factors is the literal product of the
+    # one after j factors with the (j + 1)-th exponential
     for pair in PAIRS:
         dual, primal, kind = bases.PAIRS[pair]
         for n in range(1, 6):
-            acc = GradedTensorSeries.unit(n, kind)
-            for l in lyndon_decreasing(n):
-                values = [bases.basis_element(f, l).value for f in (dual, primal)]
+            factors = _lyndon_factors(n, dual, primal)
+            acc = _exp_product([], n, kind)
+            for j, values in enumerate(factors, 1):
                 factor = GradedTensorSeries(_fraction_exp_factor(*values, n, kind), n, kind)
                 expected = _all_pairs_product(acc, factor)
-                acc = acc.times_exp(*values)
-                assert acc.terms == expected, (pair, n, l)
+                acc = _exp_product(factors[:j], n, kind)
+                assert acc.terms == expected, (pair, n, j)
                 _assert_canonical(acc)
-            assert acc == diagonal(n, kind)
+            assert acc == diagonal(n, kind) == factorized_product(n, pair)
 
 
 def test_product_matches_the_all_pairs_oracle_on_unequal_weights():
@@ -174,8 +179,8 @@ def _decoded(s: GradedTensorSeries) -> dict:
 
 
 @pytest.mark.parametrize("mismatch", [False, True], ids=["identity", "mismatch"])
-def test_times_exp_matches_the_tuple_keyed_oracle_step_by_step(mismatch):
-    # every intermediate product of the factorization, and of its mismatch
+def test_exp_product_matches_the_tuple_keyed_oracle_step_by_step(mismatch):
+    # every partial product of the factorization, and of its mismatch
     # negative control, has the oracle's denominator and, once decoded, its
     # buckets; the oracle chains its own outputs
     for pair in PAIRS:
@@ -183,13 +188,14 @@ def test_times_exp_matches_the_tuple_keyed_oracle_step_by_step(mismatch):
         if mismatch:
             primal = "Pi" if pair == "shuffle" else "p"
         for n in range(7):
-            acc = GradedTensorSeries.unit(n, kind)
+            factors = _lyndon_factors(n, dual, primal)
             buckets, den = {(0, 0): {((), ()): 1}}, 1
-            for l in lyndon_decreasing(n):
-                values = [bases.basis_element(f, l).value for f in (dual, primal)]
-                acc = acc.times_exp(*values)
-                buckets, den = oracle.times_exp(buckets, den, n, kind, *values)
-                assert (acc._den, _decoded(acc)) == (den, buckets), (pair, n, l)
+            for j in range(len(factors) + 1):
+                if j:
+                    buckets, den = oracle.times_exp(buckets, den, n, kind, *factors[j - 1])
+                acc = _exp_product(factors[:j], n, kind)
+                assert (acc._den, _decoded(acc)) == (den, buckets), (pair, n, j)
+            assert factorized_product(n, pair, mismatch=mismatch) == acc
 
 
 _words = st.lists(st.integers(1, 4), max_size=5).map(tuple)
@@ -265,8 +271,8 @@ def test_product_on_random_series_matches_the_oracle(kind, a_terms, b_terms, bou
 
 def _fraction_exp_factor(dual, primal, bound: int, left_kind: str) -> dict:
     # the Fraction-valued exponential, sum_k (dual^{*k} / k!) (x) primal^k
-    # built from TensorPolynomial.tensor of the powers; the oracle for
-    # `times_exp`
+    # built from TensorPolynomial.tensor of the powers; the oracle for one
+    # factor of `_exp_product`
     m = dual.max_weight()
     terms = {(Word(), Word()): Fraction(1)}
     dual_pow = primal_pow = NCPolynomial.one()
@@ -296,7 +302,8 @@ def _exp_inputs(draw) -> tuple[NCPolynomial, NCPolynomial]:
     c=_coeffs.filter(bool),
     exp_inputs=_exp_inputs(),
 )
-def test_times_exp_on_random_series_matches_the_oracle(kind, terms, bound, c, exp_inputs):
+def test_tuple_keyed_oracle_on_random_series_matches_the_series_product(kind, terms, bound, c, exp_inputs):
+    # the step of the oracle, x · exp(dual (x) primal), is x * factor;
     # c (1 - dual (x) primal) exp(dual (x) primal) has no piece of weight
     # (m, m): there the k = 1 piece of 1 (x) 1 cancels the k = 0 piece of
     # dual (x) primal, and the k = 1 piece of dual (x) primal adds the left
@@ -307,11 +314,27 @@ def test_times_exp_on_random_series_matches_the_oracle(kind, terms, bound, c, ex
     cancelling = GradedTensorSeries({**minus, (Word(), Word()): c}, bound, kind)
     factor = GradedTensorSeries(_fraction_exp_factor(dual, primal, bound, kind), bound, kind)
     for x in (_series(terms, bound, kind), cancelling):
-        got = x.times_exp(dual, primal)
-        assert got == x * factor
-        _assert_canonical(got)
-    got = cancelling.times_exp(dual, primal)
-    assert (m, m) not in got._buckets and got.coeff(Word(), Word()) == c
+        expected = x * factor
+        got = oracle.times_exp(_decoded(x), x._den, bound, kind, dual, primal)
+        assert got == (_decoded(expected), expected._den)
+    assert (m, m) not in expected._buckets and expected.coeff(Word(), Word()) == c
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["shuffle", "stuffle"]),
+    bound=st.integers(0, 6),
+    factors=st.lists(_exp_inputs(), max_size=3),
+)
+def test_exp_product_of_random_factors_matches_the_series_product(kind, bound, factors):
+    # factors of equal or different weights, in any order, with terms that
+    # cancel across the pure tensors of the expansion
+    expected = GradedTensorSeries.unit(bound, kind)
+    for values in factors:
+        expected = expected * GradedTensorSeries(_fraction_exp_factor(*values, bound, kind), bound, kind)
+    got = _exp_product(factors, bound, kind)
+    assert got == expected and got.bound == bound
+    _assert_canonical(got)
 
 
 def _log_power_loop(max_weight: int, kind: str) -> dict:
@@ -374,7 +397,7 @@ def test_exp_factor_matches_the_fraction_oracle():
         dual, primal, kind = bases.PAIRS[pair]
         for l in lyndon_up_to(5):
             values = [bases.basis_element(f, l).value for f in (dual, primal)]
-            got = GradedTensorSeries.unit(5, kind).times_exp(*values)
+            got = _exp_product([values], 5, kind)
             assert got.terms == _fraction_exp_factor(*values, 5, kind), (pair, l)
             _assert_canonical(got)
 
@@ -393,9 +416,12 @@ def test_exp_factor_matches_the_fraction_oracle():
 )
 def test_exp_factor_rejects_inputs_that_are_not_homogeneous_of_one_weight(dual, primal):
     # a zero or weight-0 input used to loop forever, a mixed-weight dual
-    # silently dropped its powers
+    # silently dropped its powers; a rejected factor is rejected after a
+    # valid one too
     with pytest.raises(ValueError):
-        GradedTensorSeries.unit(3, "stuffle").times_exp(dual, primal)
+        _exp_product([(dual, primal)], 3, "stuffle")
+    with pytest.raises(ValueError):
+        _exp_product([(pi_basis(Word((1,))),) * 2, (dual, primal)], 3, "stuffle")
 
 
 def test_terms_are_read_only_and_built_once():
