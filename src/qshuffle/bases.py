@@ -46,7 +46,7 @@ from typing import Mapping
 
 from .lyndon import lyndon_factorization, standard_factorization
 from .ncpoly import Graded, NCPolynomial, _series_sum, _word_coproduct, add_into, concat_words, product
-from .words import Word, as_natural, compositions_of, stats
+from .words import Word, as_int, as_natural, compositions_of, stats
 
 
 def _bracket(a: NCPolynomial, b: NCPolynomial) -> NCPolynomial:
@@ -135,17 +135,17 @@ def _lr(n: int, side: str) -> NCPolynomial:
 
 def x_elements(n_max: int) -> list[NCPolynomial]:
     """[X_1, ..., X_n] with X_0 = 1 implicit."""
-    return [_x(n) for n in range(1, n_max + 1)]
+    return [_x(n) for n in range(1, as_natural(n_max) + 1)]
 
 
 def l_elements(n_max: int) -> list[NCPolynomial]:
     """[L_1, ..., L_n]: L_n = sum_{i=0}^{n-1} (i+1) y_{i+1} X_{n-1-i}."""
-    return [_lr(n, "L") for n in range(1, n_max + 1)]
+    return [_lr(n, "L") for n in range(1, as_natural(n_max) + 1)]
 
 
 def r_elements(n_max: int) -> list[NCPolynomial]:
     """[R_1, ..., R_n]: R_n = sum_{i=0}^{n-1} (i+1) X_{n-1-i} y_{i+1}."""
-    return [_lr(n, "R") for n in range(1, n_max + 1)]
+    return [_lr(n, "R") for n in range(1, as_natural(n_max) + 1)]
 
 
 def y_in_r_expansion(n: int, use_partial_sums: bool = True) -> bool:
@@ -332,7 +332,8 @@ class TSeries(Graded):
 
     __slots__ = ()
     _unit = ((0,), ())
-    _kernel = staticmethod(lambda g, h: concat_words)
+    # concat_words itself, so that `bilinear` concatenates inline
+    _kernel = staticmethod(concat_words)
 
     def __init__(self, coeffs: Mapping[int, NCPolynomial], bound: int):
         coeffs = {as_natural(d): p for d, p in coeffs.items()}
@@ -377,19 +378,20 @@ class TSeries(Graded):
 
 def y_series(bound: int) -> TSeries:
     """1 + sum_{n>=1} y_n t^n, truncated at the given degree."""
+    bound = as_natural(bound)
     return TSeries({0: NCPolynomial.one(), **{n: _y(n) for n in range(1, bound + 1)}}, bound)
 
 
 def y_inverse_series(bound: int) -> TSeries:
-    return TSeries({n: _x(n) for n in range(bound + 1)}, bound)
+    return TSeries({n: _x(n) for n in range(as_natural(bound) + 1)}, bound)
 
 
 def l_series(bound: int) -> TSeries:
-    return TSeries(dict(enumerate(l_elements(bound + 1))), bound)
+    return TSeries(dict(enumerate(l_elements(as_natural(bound) + 1))), bound)
 
 
 def r_series(bound: int) -> TSeries:
-    return TSeries(dict(enumerate(r_elements(bound + 1))), bound)
+    return TSeries(dict(enumerate(r_elements(as_natural(bound) + 1))), bound)
 
 
 def log_y_series(bound: int) -> TSeries:
@@ -404,7 +406,8 @@ def higher_series(k: int, bound: int) -> tuple[TSeries, TSeries]:
     b has bound b - 1, and so has the sum, so the product runs at b - 1 and
     computes no t-degree the sum would drop.  The defining identities
     cal_L_k * Y = Y^(k) = Y * cal_R_k are re-verified to the full bound
-    before returning."""
+    before returning.  k must be an integer >= 1 and bound one >= 0."""
+    k, bound = as_int(k), as_natural(bound)
     if k < 1:
         raise ValueError("k must be >= 1")
     pad = bound + k - 1

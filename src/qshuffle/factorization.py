@@ -7,14 +7,15 @@ product (shuffle or quasi-shuffle) on the left tensor factor and with
 concatenation on the right.  Its factorization is the ordered product over
 Lyndon words, largest first, of exp(dual_l (x) primitive_l).
 
-A term u (x) v is stored as an int, the partial-sum code `words._code` of
-the word u·v, in the bucket of weights (|u|, |v|).  Concatenation is a shift and
-an or, and bit |u| cuts the key back into u and v.  `_exp_product` expands the
-ordered product by distributivity into one pure tensor S_w (x) P_w per word w:
-S_w the normalized left product and P_w the concatenation of the factors over
-the decreasing Lyndon factorization of w.  It flattens them into the buckets
-once, over one common denominator, instead of reducing a running product
-after every factor."""
+A term u (x) v is stored under the key (u, v) of letter tuples, in the bucket
+of weights (|u|, |v|).  `_exp_product` expands the ordered product by
+distributivity into one pure tensor S_w (x) P_w per word w: S_w the normalized
+left product and P_w the concatenation of the factors over the decreasing
+Lyndon factorization of w.  It flattens them into the buckets once, over one
+common denominator, instead of reducing a running product after every factor;
+inside that loop a key is the int partial-sum code of the word u·v (see
+`words`), whose concatenation is a shift and an or, and it is cut back into
+(u, v) once at the end."""
 
 from __future__ import annotations
 
@@ -29,23 +30,18 @@ from .ncpoly import (
     NCPolynomial,
     TensorPolynomial,
     _integral,
+    _word_pair,
     bilinear,
     concat_words,
     fraction_view,
     product,
 )
 from .symqsym import encode_M
-from .words import Word, _code, _decode, as_natural, pairs_of_weight, word_str, words_of_weight, words_up_to
+from .words import Word, _code, as_natural, compositions_of, pairs_of_weight, word_str, words_of_weight, words_up_to
 
 PAIRS = tuple(bases.PAIRS)
 
 _LEFT_KERNELS = {kind: _PRODUCT_KERNELS[kind] for kind in ("shuffle", "stuffle")}
-
-
-def _split(key: int, l: int) -> tuple[tuple, tuple]:
-    # the (u, v) of the key _code(u·v) in a bucket of left weight l: bit l
-    # ends u, and below it every set bit is a partial sum of u
-    return _decode(key & (2 << l) - 1), _decode(key >> l & ~1)
 
 
 class GradedTensorSeries(Graded):
@@ -53,21 +49,21 @@ class GradedTensorSeries(Graded):
     the left slot multiplies with `left_kind`, the right with concatenation.
 
     An `ncpoly.Graded` value graded by (left weight, right weight); inside
-    bucket (l, r) the term u (x) v is keyed by the int _code(u·v), which
-    bit l cuts back into u and v.  `==` also compares `left_kind`, and
-    `.terms` is a read-only (Word, Word) -> Fraction view."""
+    bucket (l, r) the term u (x) v is keyed by its letter tuples (u, v), as
+    in `TensorPolynomial`.  `==` also compares `left_kind`, and `.terms` is
+    a read-only (Word, Word) -> Fraction view."""
 
     __slots__ = ("left_kind",)
-    _unit = ((0, 0), 0)
+    _unit = ((0, 0), ((), ()))
 
     def __init__(self, terms, bound: int, left_kind: str):
         if left_kind not in _LEFT_KERNELS:
             raise ValueError(f"left_kind must be shuffle or stuffle, got {left_kind!r}")
         self.left_kind, bound = left_kind, as_natural(bound)
-        nums, den = _integral(((u.letters, v.letters), c) for (u, v), c in (terms or {}).items())
+        nums, den = _integral((_word_pair(k), c) for k, c in (terms or {}).items())
         buckets: dict = {}
         for (u, v), n in nums.items():
-            buckets.setdefault((sum(u), sum(v)), {})[_code(u + v)] = n
+            buckets.setdefault((sum(u), sum(v)), {})[u, v] = n
         self._set(buckets, den, bound)
 
     def _like(self, buckets: dict, den: int, bound: int | None = None) -> "GradedTensorSeries":
@@ -75,35 +71,25 @@ class GradedTensorSeries(Graded):
         out.left_kind = self.left_kind
         return out
 
-    def _kernel(self, g: tuple, h: tuple):
-        # (u1 v1)(u2 v2) = (u1 * u2) v1 v2 with * the left product, on the
-        # keys of buckets g and h
-        (l1, r1), l2 = g, h[0]
-        kernel, m1, m2, at = _LEFT_KERNELS[self.left_kind], (2 << l1) - 1, (2 << l2) - 1, l1 + l2
-
-        def pair(a, b):
-            v = (a >> l1 & ~1 | (b >> l2 & ~1) << r1) << at
-            return [(_code(w) | v, n) for w, n in kernel(_decode(a & m1), _decode(b & m2))]
-
-        return pair
+    def _kernel(self, a: tuple, b: tuple) -> list:
+        # (u1 (x) v1)(u2 (x) v2) = (u1 * u2) (x) v1 v2, * the left product
+        v = a[1] + b[1]
+        return [((w, v), n) for w, n in _LEFT_KERNELS[self.left_kind](a[0], b[0])]
 
     @classmethod
     def unit(cls, bound: int, left_kind: str) -> "GradedTensorSeries":
         return cls({(Word(), Word()): 1}, bound, left_kind)
 
-    def _pairs(self):
-        # ((u letters, v letters), numerator) for every term
-        return ((_split(t, l), n) for (l, _), p in self._buckets.items() for t, n in p.items())
-
     @property
     def terms(self):
         if self._terms is None:
-            self._terms = fraction_view(self._pairs(), self._den, TensorPolynomial._label)
+            items = (kv for p in self._buckets.values() for kv in p.items())
+            self._terms = fraction_view(items, self._den, TensorPolynomial._label)
         return self._terms
 
-    def coeff(self, u: Word, v: Word) -> Fraction:
-        t = self._buckets.get((u.weight, v.weight), {})
-        return Fraction(t.get(_code(u.letters + v.letters), 0), self._den)
+    def coeff(self, u, v) -> Fraction:
+        u, v = _word_pair((u, v))
+        return Fraction(self._buckets.get((sum(u), sum(v)), {}).get((u, v), 0), self._den)
 
     def __mul__(self, other):
         if isinstance(other, GradedTensorSeries) and self.left_kind != other.left_kind:
@@ -115,10 +101,12 @@ class GradedTensorSeries(Graded):
 
     def discrepancies(self, other: "GradedTensorSeries", limit: int = 20) -> list[tuple]:
         """Sorted list of (u, v, this coefficient, other coefficient) where the
-        two series differ up to the smaller bound, capped at `limit` entries."""
-        # the keys of the difference, by (sort_key(u), sort_key(v)) on letter tuples
+        two series differ up to the smaller bound, capped at `limit` entries;
+        ValueError when their left products differ."""
+        if self.left_kind != other.left_kind:
+            raise ValueError("cannot compare series with different left products")
         keys = sorted(
-            (k for k, _ in self._plus(other, -1)._pairs()),
+            (k for p in self._plus(other, -1)._buckets.values() for k in p),
             key=lambda k: (sum(k[0]), k[0], sum(k[1]), k[1]),
         )
         pairs = map(TensorPolynomial._label, keys[:limit])
@@ -148,7 +136,8 @@ def _exp_product(factors, bound: int, left_kind: str) -> GradedTensorSeries:
     denominator), extended factor by factor from 1 (x) 1; the denominator
     takes d·e·k at power k, d and e those of dual and primal.  The entries
     are flattened once, over the lcm of their denominators, into bucket
-    (w, w) as the keys _code(u) | _code(v) << w."""
+    (w, w), on the int keys _code(u) | _code(v) << w, which are cut back
+    into (u, v) at the end."""
     unit, kernel = GradedTensorSeries.unit(bound, left_kind), _LEFT_KERNELS[left_kind]
     entries = [(0, {(): 1}, {(): 1}, 1)]
     for dual, primal in factors:
@@ -164,10 +153,10 @@ def _exp_product(factors, bound: int, left_kind: str) -> GradedTensorSeries:
                 right = bilinear(right, primal._nums, concat_words)
                 den, w = den * de * k, w + m
                 entries.append((w, left, right, den))
-    den, buckets = lcm(*(e[3] for e in entries)), {}
+    den, coded = lcm(*(e[3] for e in entries)), {}
     while entries:
         w, left, right, d = entries.pop()
-        bucket, f = buckets.setdefault((w, w), {}), den // d
+        bucket, f = coded.setdefault(w, {}), den // d
         get = bucket.get
         rights = [(_code(v) << w, n * f) for v, n in right.items()]
         for u, c in left.items():
@@ -177,6 +166,12 @@ def _exp_product(factors, bound: int, left_kind: str) -> GradedTensorSeries:
                     bucket[t] = x
                 else:
                     del bucket[t]
+    buckets = {}
+    for w, bucket in coded.items():
+        # u and v have weight w: bit w ends u, and below it every set bit
+        # is a partial sum of u
+        word = {_code(x): x for x in compositions_of(w)}
+        buckets[w, w] = {(word[t & (2 << w) - 1], word[t >> w & ~1]): n for t, n in bucket.items()}
     return unit._like(buckets, den)
 
 
@@ -188,15 +183,13 @@ def lyndon_decreasing(max_weight: int) -> list[Word]:
 def factorized_product(
     max_weight: int,
     pair: str,
-    left_kind: str | None = None,
     mismatch: bool = False,
 ) -> GradedTensorSeries:
     """Ordered product over Lyndon words, largest leftmost, of
     exp(dual_l (x) primitive_l) for the requested dual pair.
 
-    `left_kind` overrides the pair's own commutative product and `mismatch`
-    swaps in the primitive family of the opposite side; both are negative
-    controls and break the identity at weight 2."""
+    `mismatch` swaps in the primitive family of the opposite side, a
+    negative control that breaks the identity at weight 2."""
     if pair not in PAIRS:
         raise ValueError(f"unknown pair {pair!r}; expected one of {PAIRS}")
     max_weight, (dual, primal, kind) = as_natural(max_weight), bases.PAIRS[pair]
@@ -205,7 +198,7 @@ def factorized_product(
     factors = [
         [bases.basis_element(f, l).value for f in (dual, primal)] for l in lyndon_decreasing(max_weight)
     ]
-    return _exp_product(factors, max_weight, left_kind or kind)
+    return _exp_product(factors, max_weight, kind)
 
 
 def verify_factorization(

@@ -26,7 +26,7 @@ from math import factorial, gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from .words import Word, as_natural, parse_coeff, parse_word, signed_str, signed_terms, sort_key, word_str
+from .words import Word, _letters, as_natural, parse_coeff, parse_word, signed_str, signed_terms, sort_key, word_str
 
 PRODUCT_KINDS = ("concat", "shuffle", "stuffle")
 COPRODUCT_KINDS = ("concat", "shuffle", "stuffle", "plus")
@@ -85,11 +85,6 @@ def _coeff(c) -> int | Fraction:
     if isinstance(c, str):
         return parse_coeff(c)
     raise TypeError(f"coefficients must be int or Fraction, got {type(c).__name__}")
-
-
-def _letters(w) -> tuple:
-    # a word or a composition as its validated tuple of parts >= 1
-    return w.letters if type(w) is Word else Word(w).letters
 
 
 def _integral(items) -> tuple[dict, int]:
@@ -238,9 +233,9 @@ class Graded:
     numerator}} over one positive denominator, a grade being a tuple of ints
     >= 0; reduced, with no zero numerator, no empty bucket and no grade part
     above `bound`.  A subclass sets `_unit` (grade and key of the series 1)
-    and `_kernel(g, h)` (the key product of `*` on buckets g and h), and
-    overrides `_like` when it carries more than its terms and bound.  `==`
-    ignores the bound."""
+    and `_kernel(a, b)` (the key product of `*`, as `bilinear` takes it),
+    and overrides `_like` when it carries more than its terms and bound.
+    `==` ignores the bound."""
 
     # _terms caches the read-only view a subclass builds on first read
     __slots__ = ("_buckets", "_den", "_terms", "bound")
@@ -280,15 +275,14 @@ class Graded:
         return self._like(out, den, bound)
 
     def _times(self, other: "Graded"):
-        """The product under self._kernel(g, h)(a, b) -> ((key, n), ...):
-        buckets g and h go into bucket g + h, added partwise, and pairs with
-        a part above the smaller bound are skipped without reading their
-        terms."""
+        """The product under self._kernel(a, b) -> ((key, n), ...): buckets
+        g and h go into bucket g + h, added partwise, and pairs with a part
+        above the smaller bound are skipped without reading their terms."""
         bound, out = min(self.bound, other.bound), {}
         for g, p in self._buckets.items():
             for h, q in other._buckets.items():
                 if max(grade := tuple(map(int.__add__, g, h))) <= bound:
-                    bilinear(p, q, self._kernel(g, h), out.setdefault(grade, {}))
+                    bilinear(p, q, self._kernel, out.setdefault(grade, {}))
         return self._like(out, self._den * other._den, bound)
 
     def log(self):

@@ -27,7 +27,6 @@ from .ncpoly import (
     Sparse,
     _coeff,
     _integral,
-    _letters,
     _lincomb,
     add_into,
     bilinear,
@@ -42,6 +41,7 @@ from .words import (
     Word,
     _code,
     _decode,
+    _letters,
     as_int,
     as_natural,
     comp_str,
@@ -303,12 +303,11 @@ def lambda_in_phi_oracle(comp: Composition, literal_sign: bool = False) -> SymEl
     return SymElement(terms, "Phi")
 
 
-def phi_in_lambda_oracle(comp: Composition, literal_sign: bool = False) -> SymElement:
+def phi_in_lambda_oracle(comp: Composition) -> SymElement:
     terms = []
     for j, _ in refinements(comp):
         rel = relative_stats(j, comp)
-        e = sum(j) - (len(comp) if literal_sign else len(j))
-        terms.append((j, Fraction((-1) ** e) * Fraction(stats(comp).pi, rel.l)))
+        terms.append((j, Fraction((-1) ** (sum(j) - len(j))) * Fraction(stats(comp).pi, rel.l)))
     return SymElement(terms, "Lambda")
 
 

@@ -91,6 +91,11 @@ class Word:
         return word_str(self)
 
 
+def _letters(w) -> Composition:
+    # a word or a composition as its validated tuple of parts >= 1
+    return w.letters if type(w) is Word else Word(w).letters
+
+
 def as_int(a) -> int:
     """a itself if it is an integer; ValueError for a float, Fraction or text."""
     try:
@@ -243,7 +248,7 @@ def stats(parts: Composition) -> CompositionStats:
     """Length, weight, last part, part product, partial-sum product and
     sp = pi * l!, together with the mirror image.  Empty-product conventions
     give pi = pi_u = sp = 1 on the empty composition."""
-    parts = tuple(parts)
+    parts = _letters(parts)
     pi = prod(parts) if parts else 1
     acc, pi_u = 0, 1
     for p in parts:
@@ -330,7 +335,7 @@ def refinements(parts: Composition) -> list[tuple[Composition, list[Composition]
     """Every J finer than or equal to I, with the block decomposition
     J = (J_1, ..., J_k), w(J_p) = i_p.  Results sorted by (length, parts);
     the relation is reflexive, so I itself is always listed."""
-    per_part = [compositions_of(p) for p in parts]
+    per_part = [compositions_of(p) for p in _letters(parts)]
     out = []
     for blocks in itertools.product(*per_part):
         flat = tuple(itertools.chain.from_iterable(blocks))
@@ -340,12 +345,12 @@ def refinements(parts: Composition) -> list[tuple[Composition, list[Composition]
 
 
 def refinement_count(parts: Composition) -> int:
-    return prod(2 ** (p - 1) for p in parts) if parts else 1
+    return prod(2 ** (p - 1) for p in _letters(parts))
 
 
 def blocks_of(finer: Composition, coarser: Composition) -> list[Composition]:
     """Block decomposition of J w.r.t. I; raises if J does not refine I."""
-    blocks = []
+    finer, coarser, blocks = _letters(finer), _letters(coarser), []
     pos = 0
     for part in coarser:
         acc, start = 0, pos
@@ -356,7 +361,7 @@ def blocks_of(finer: Composition, coarser: Composition) -> list[Composition]:
             pos += 1
         if acc != part:
             raise ValueError(f"{finer} does not refine {coarser}")
-        blocks.append(tuple(finer[start:pos]))
+        blocks.append(finer[start:pos])
     if pos != len(finer):
         raise ValueError(f"{finer} does not refine {coarser}")
     return blocks

@@ -640,14 +640,28 @@ def test_higher_series_match_the_padded_bound_oracle(k):
         lambda: y_series(4).truncate(2.5),
         lambda: y_series(4).truncate(-3),
         lambda: y_series(4).same_up_to(y_series(3) * 2, -1),
+        lambda: y_series(2.5),
+        lambda: y_inverse_series(2.5),
+        lambda: l_series(2.5),
+        lambda: r_series(2.5),
+        lambda: log_y_series(2.5),
+        lambda: higher_series(1, 2.5),
+        lambda: higher_series(1.5, 3),
+        lambda: x_elements(-1),
+        lambda: l_elements(-1),
+        lambda: r_elements(-1),
     ],
     ids=["float", "negative", "text", "y_series", "l_series", "higher_series",
-         "truncate-float", "truncate-negative", "same_up_to-negative"],
+         "truncate-float", "truncate-negative", "same_up_to-negative",
+         "y_series-float", "y_inverse_series-float", "l_series-float", "r_series-float",
+         "log_y_series-float", "higher_series-float", "higher_series-float-order",
+         "x_elements", "l_elements", "r_elements"],
 )
 def test_series_bound_must_be_an_integer_at_least_zero(call):
     # TSeries kept the bounds 2.5 and -1, y_series(-1) returned a zero
     # series of bound -1, truncate kept the bounds 2.5 and -3, and
-    # same_up_to(other, -1) returned True for any two series
+    # same_up_to(other, -1) returned True for any two series; the letter
+    # series raised TypeError at 2.5 and x_elements(-1) returned []
     with pytest.raises(ValueError, match="expected an integer"):
         call()
 

@@ -12,7 +12,6 @@ from qshuffle.factorization import (
     PAIRS,
     GradedTensorSeries,
     _exp_product,
-    _split,
     character_checks,
     diagonal,
     factorized_product,
@@ -83,10 +82,16 @@ def test_negative_control_families_mismatch():
     assert not ok and report
 
 
+def _swapped_left(n: int) -> GradedTensorSeries:
+    # the quasi-shuffle pair's factors under the shuffle left product
+    return _exp_product(_lyndon_factors(n, "Sigma", "Pi"), n, "shuffle")
+
+
 def test_negative_control_swapped_left_product():
-    got = factorized_product(2, "stuffle", left_kind="shuffle")
-    assert got != diagonal(2, "stuffle")
-    diffs = diagonal(2, "stuffle").discrepancies(got)
+    # the terms differ from the diagonal's, not only the left product
+    got = _swapped_left(2)
+    assert got.terms != diagonal(2, "stuffle").terms
+    diffs = diagonal(2, "shuffle").discrepancies(got)
     assert diffs and diffs[0][0].weight == 2
 
 
@@ -158,24 +163,17 @@ def test_product_matches_the_all_pairs_oracle_on_unequal_weights():
 def _assert_canonical(s: GradedTensorSeries) -> None:
     # buckets of nonzero int numerators keyed by their weights, within the
     # bound, over a positive denominator sharing no factor with all of them;
-    # a key is the code of u·v and decodes to a u of weight l and a v of
-    # weight r
+    # a key is a pair (u, v) of letter tuples, u of weight l and v of weight r
     assert type(s._den) is int and s._den > 0
     numerators = []
     for (l, r), bucket in s._buckets.items():
         assert bucket
-        for key, n in bucket.items():
-            u, v = _split(key, l)
-            assert key == _code(u + v)
+        for (u, v), n in bucket.items():
+            assert Word(u).letters == u and Word(v).letters == v
             assert (sum(u), sum(v)) == (l, r) and max(l, r) <= s.bound
             assert type(n) is int and n != 0
             numerators.append(n)
     assert gcd(s._den, *numerators) == 1
-
-
-def _decoded(s: GradedTensorSeries) -> dict:
-    # the buckets with every key cut back into its (u, v) letter tuples
-    return {(l, r): {_split(t, l): n for t, n in p.items()} for (l, r), p in s._buckets.items()}
 
 
 @pytest.mark.parametrize("mismatch", [False, True], ids=["identity", "mismatch"])
@@ -194,7 +192,7 @@ def test_exp_product_matches_the_tuple_keyed_oracle_step_by_step(mismatch):
                 if j:
                     buckets, den = oracle.times_exp(buckets, den, n, kind, *factors[j - 1])
                 acc = _exp_product(factors[:j], n, kind)
-                assert (acc._den, _decoded(acc)) == (den, buckets), (pair, n, j)
+                assert (acc._den, acc._buckets) == (den, buckets), (pair, n, j)
             assert factorized_product(n, pair, mismatch=mismatch) == acc
 
 
@@ -205,11 +203,11 @@ _words = st.lists(st.integers(1, 4), max_size=5).map(tuple)
 @given(u=_words, v=_words)
 def test_codes_decode_and_split_back_into_their_words(u, v):
     # empty u or v included: the empty word is code 0, and a key of left
-    # weight 0 is all right word
+    # weight 0 is all right word; `_exp_product` cuts its keys with these masks
     assert _decode(_code(u)) == u and _decode(_code(v)) == v
-    key = _code(u + v)
-    assert key == _code(u) | _code(v) << sum(u)
-    assert _split(key, sum(u)) == (u, v)
+    key, w = _code(u + v), sum(u)
+    assert key == _code(u) | _code(v) << w
+    assert (_decode(key & (2 << w) - 1), _decode(key >> w & ~1)) == (u, v)
 
 
 @pytest.mark.parametrize(
@@ -315,8 +313,8 @@ def test_tuple_keyed_oracle_on_random_series_matches_the_series_product(kind, te
     factor = GradedTensorSeries(_fraction_exp_factor(dual, primal, bound, kind), bound, kind)
     for x in (_series(terms, bound, kind), cancelling):
         expected = x * factor
-        got = oracle.times_exp(_decoded(x), x._den, bound, kind, dual, primal)
-        assert got == (_decoded(expected), expected._den)
+        got = oracle.times_exp(x._buckets, x._den, bound, kind, dual, primal)
+        assert got == (expected._buckets, expected._den)
     assert (m, m) not in expected._buckets and expected.coeff(Word(), Word()) == c
 
 
@@ -450,7 +448,7 @@ def test_negative_control_output_is_pinned(capsys, argv, golden):
 
 
 def test_swapped_left_product_is_pinned():
-    got = factorized_product(3, "stuffle", left_kind="shuffle").terms
+    got = _swapped_left(3).terms
     keys = sorted(got, key=lambda k: (sort_key(k[0]), sort_key(k[1])))
     lines = [f"({word_str(u)}) (x) ({word_str(v)}): {got[(u, v)]}\n" for u, v in keys]
     assert "".join(lines) == (DATA / "factorized_w3_stuffle_left_shuffle.txt").read_text()
@@ -468,6 +466,25 @@ def test_graded_tensor_series_guards():
         factorized_product(2, "sh")
     with pytest.raises(ValueError):
         verify_factorization(2, "sh")
+
+
+def test_series_keys_and_coeff_read_words_or_letter_tuples():
+    # tuple keys and tuple arguments of coeff raised AttributeError, and so
+    # did a letter 0
+    s = GradedTensorSeries({((1,), (1,)): 1, (Word((2,)), (2,)): "1/2"}, 2, "stuffle")
+    assert s.terms == {(Word((1,)), Word((1,))): 1, (Word((2,)), Word((2,))): Fraction(1, 2)}
+    assert s.coeff((2,), Word((2,))) == Fraction(1, 2) and s.coeff((1,), (2,)) == 0
+    assert diagonal(2, "stuffle").coeff((1,), (1,)) == 1
+    with pytest.raises(ValueError):
+        GradedTensorSeries({((0,), ()): 1}, 2, "stuffle")
+    with pytest.raises(ValueError):
+        s.coeff((1, 0), ())
+
+
+def test_discrepancies_of_different_left_products_are_rejected():
+    # they returned [] while == said the two series differ
+    with pytest.raises(ValueError):
+        diagonal(3, "stuffle").discrepancies(diagonal(3, "shuffle"))
 
 
 def test_discrepancy_report_is_sorted_and_bounded():

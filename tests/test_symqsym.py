@@ -164,6 +164,15 @@ def test_mirror_oracles_match_s_routed_conversions():
         assert phi_in_lambda_oracle(comp) == convert(phi, "Lambda"), comp
 
 
+@pytest.mark.parametrize(
+    "mirror_oracle", [lambda_in_psi_oracle, psi_in_lambda_oracle, lambda_in_phi_oracle, phi_in_lambda_oracle]
+)
+def test_mirror_oracles_reject_a_part_below_one(mirror_oracle):
+    # lambda_in_psi_oracle((0,)) raised TypeError from inside
+    with pytest.raises(ValueError):
+        mirror_oracle((0,))
+
+
 def test_literal_printed_sign_fails_at_weight_2():
     lam2 = SymElement.single((2,), "Lambda")
     assert lambda_in_psi_oracle((2,), literal_sign=True) != convert(lam2, "Psi")

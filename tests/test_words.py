@@ -83,6 +83,28 @@ def test_relative_stats_111_over_12():
     assert (r.l, r.lp, r.pi_u, r.sp) == (2, 1, 2, 2)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: stats((1.5,)),
+        lambda: stats((0, -1)),
+        lambda: refinements((0,)),
+        lambda: refinement_count((0,)),
+        lambda: blocks_of((0, 1), (1,)),
+        lambda: blocks_of((1,), (1, 0)),
+        lambda: relative_stats((0, 1), (1,)),
+    ],
+    ids=["stats-float", "stats-negative", "refinements", "refinement_count", "blocks-finer",
+         "blocks-coarser", "relative_stats"],
+)
+def test_composition_parts_must_be_integers_at_least_one(call):
+    # refinement_count((0,)) returned 0.5, refinements((0,)) [((), [()])],
+    # stats float and negative statistics, and blocks_of took a zero part
+    with pytest.raises(ValueError):
+        call()
+    assert stats(()).l == 0 and refinement_count(()) == 1
+
+
 def test_relative_stats_requires_refinement():
     with pytest.raises(ValueError):
         relative_stats((3,), (2, 1))
