@@ -13,9 +13,9 @@ distributivity into one pure tensor S_w (x) P_w per word w: S_w the normalized
 left product and P_w the concatenation of the factors over the decreasing
 Lyndon factorization of w.  It flattens them into the buckets once, over one
 common denominator, instead of reducing a running product after every factor;
-inside that loop a key is the int partial-sum code of the word u·v (see
-`words`), whose concatenation is a shift and an or, and it is cut back into
-(u, v) once at the end."""
+each left part S_w is packed into one int (`ncpoly._pack`), so the flatten is
+one big-int multiply-add per right term, and only the nonzero slots are read
+back."""
 
 from __future__ import annotations
 
@@ -30,6 +30,9 @@ from .ncpoly import (
     NCPolynomial,
     TensorPolynomial,
     _integral,
+    _pack,
+    _unpack,
+    _width,
     _word_pair,
     bilinear,
     concat_words,
@@ -136,8 +139,9 @@ def _exp_product(factors, bound: int, left_kind: str) -> GradedTensorSeries:
     denominator), extended factor by factor from 1 (x) 1; the denominator
     takes d·e·k at power k, d and e those of dual and primal.  The entries
     are flattened once, over the lcm of their denominators, into bucket
-    (w, w), on the int keys _code(u) | _code(v) << w, which are cut back
-    into (u, v) at the end."""
+    (w, w): per weight w, each left part is packed into one int with a slot
+    per left word, sized by the L1 bound of the weight's entries, and that
+    int times each right numerator is added into one int per right word."""
     unit, kernel = GradedTensorSeries.unit(bound, left_kind), _LEFT_KERNELS[left_kind]
     entries = [(0, {(): 1}, {(): 1}, 1)]
     for dual, primal in factors:
@@ -153,25 +157,19 @@ def _exp_product(factors, bound: int, left_kind: str) -> GradedTensorSeries:
                 right = bilinear(right, primal._nums, concat_words)
                 den, w = den * de * k, w + m
                 entries.append((w, left, right, den))
-    den, coded = lcm(*(e[3] for e in entries)), {}
+    den, bounds, rows, buckets = lcm(*(e[3] for e in entries)), {}, {}, {}
+    for w, left, right, d in entries:
+        bounds[w] = bounds.get(w, 0) + sum(map(abs, left.values())) * sum(map(abs, right.values())) * (den // d)
     while entries:
         w, left, right, d = entries.pop()
-        bucket, f = coded.setdefault(w, {}), den // d
-        get = bucket.get
-        rights = [(_code(v) << w, n * f) for v, n in right.items()]
-        for u, c in left.items():
-            u = _code(u)
-            for v, n in rights:
-                if x := get(t := u | v, 0) + c * n:
-                    bucket[t] = x
-                else:
-                    del bucket[t]
-    buckets = {}
-    for w, bucket in coded.items():
-        # u and v have weight w: bit w ends u, and below it every set bit
-        # is a partial sum of u
-        word = {_code(x): x for x in compositions_of(w)}
-        buckets[w, w] = {(word[t & (2 << w) - 1], word[t >> w & ~1]): n for t, n in bucket.items()}
+        # slot of u: the partial sums of u below its weight w, in [0, 2^(w-1))
+        width, acc = _width(bounds[w]), rows.setdefault(w, {})
+        packed = _pack((((_code(u) & (1 << w) - 2) >> 1, n) for u, n in left.items()), width) * (den // d)
+        for v, n in right.items():
+            acc[v] = acc.get(v, 0) + packed * n
+    for w, acc in rows.items():
+        word, width = {(_code(x) & (1 << w) - 2) >> 1: x for x in compositions_of(w)}, _width(bounds[w])
+        buckets[w, w] = {(word[s], v): n for v, x in acc.items() for s, n in _unpack(x, width).items()}
     return unit._like(buckets, den)
 
 

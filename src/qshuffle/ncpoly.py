@@ -15,7 +15,8 @@ pairings run on ints.  `fractions.Fraction` values appear only where a
 value is read through `.terms`, `coeff` or a pairing; everything is exact.
 `Graded` is the same core split into buckets by grade, for the truncated
 series: the diagonal series of `factorization` and the letter series of
-`bases`.
+`bases`.  `gram` and the flatten of the factorization, sums of outer
+products, run on ints packed by Kronecker substitution (`_pack`, `_unpack`).
 """
 
 from __future__ import annotations
@@ -360,19 +361,49 @@ def dot(a: Sparse, b: Sparse) -> Fraction:
     return Fraction(sum(n * get(k, 0) for k, n in small.items()), a._den * b._den)
 
 
-def gram(rows: Iterable[Sparse], cols: list[Sparse]) -> Iterator[dict[int, int]]:
+def gram(rows: list[Sparse], cols: list[Sparse]) -> Iterator[dict[int, int]]:
     """Per row, {j: n} with dot(row, cols[j]) == Fraction(n, row._den * cols[j]._den), j absent
-    if they share no key; one index of the columns by key serves every row."""
+    when that pairing is 0.  The columns are packed once by key, slot j of key k holding
+    the numerator of cols[j] at k, so a row is one int, the sum of n·packed[k] over its
+    terms, which `_unpack` reads back."""
+    # |a pairing| <= L1(row)·max |column numerator|
+    top = max((abs(n) for col in cols for n in col._nums.values()), default=0)
+    width = _width(top * max((sum(map(abs, row._nums.values())) for row in rows), default=0))
     index: dict[tuple, list] = {}
     for j, col in enumerate(cols):
         for k, n in col._nums.items():
             index.setdefault(k, []).append((j, n))
+    get = {k: _pack(items, width) for k, items in index.items()}.get
     for row in rows:
-        acc: dict[int, int] = {}
-        for k, n in row._nums.items():
-            for j, m in index.get(k, ()):
-                acc[j] = acc.get(j, 0) + n * m
-        yield acc
+        yield _unpack(sum(n * get(k, 0) for k, n in row._nums.items()), width)
+
+
+def _width(bound: int) -> int:
+    """The least slot width that holds every |total| <= bound as a signed
+    residue; a sum of outer products a_i (x) b_i has bound sum L1(a_i)·L1(b_i)."""
+    return bound.bit_length() + 1
+
+
+def _pack(items: Iterable, width: int) -> int:
+    """Kronecker substitution: sum of n·2^(width·s) over the (slot s, n)
+    items.  Sums of packed ints times ints add slot by slot, exactly while
+    every slot total fits its width (`_width`)."""
+    return sum(n << width * s for s, n in items)
+
+
+def _unpack(x: int, width: int) -> dict[int, int]:
+    """{slot: total} of a packed int, zero totals left out: the lowest slot
+    is read as a signed residue, subtracted and shifted out; a run of zero
+    slots is skipped by the trailing-zero count."""
+    out, s, mask = {}, 0, (1 << width) - 1
+    while x:
+        skip = ((x & -x).bit_length() - 1) // width
+        x, s = x >> width * skip, s + skip
+        if (n := x & mask) >> width - 1:
+            n -= mask + 1
+        out[s] = n
+        x, s = (x - n) >> width, s + 1
+    return out
 
 
 # ---------------------------------------------------------------------------

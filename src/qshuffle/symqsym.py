@@ -177,8 +177,9 @@ def parse_element(s: str, default_basis: str | None = None):
     basis = basis or default_basis
     if basis is None:
         raise ValueError("cannot infer basis from element text; tag terms like S:(1,2)")
-    cls = SymElement if basis in SYM_BASES else QSymElement
-    return cls(terms, basis)
+    if basis not in SYM_BASES + QSYM_BASES:
+        raise ValueError(f"unknown basis {basis!r}; expected one of {SYM_BASES + QSYM_BASES}")
+    return (SymElement if basis in SYM_BASES else QSymElement)(terms, basis)
 
 
 def element_to_json(x: _CompositionIndexed) -> dict:
@@ -294,12 +295,11 @@ def psi_in_lambda_oracle(comp: Composition) -> SymElement:
     return SymElement(terms, "Lambda")
 
 
-def lambda_in_phi_oracle(comp: Composition, literal_sign: bool = False) -> SymElement:
+def lambda_in_phi_oracle(comp: Composition) -> SymElement:
     terms = []
     for j, _ in refinements(comp):
         rel = relative_stats(j, comp)
-        e = sum(j) - (len(comp) if literal_sign else len(j))
-        terms.append((j, Fraction((-1) ** e, rel.sp)))
+        terms.append((j, Fraction((-1) ** (sum(j) - len(j)), rel.sp)))
     return SymElement(terms, "Phi")
 
 

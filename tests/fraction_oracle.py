@@ -20,20 +20,24 @@ each product at the padded bound of its left operand, the way
 `bases.higher_series` ran it before it multiplied at the bound the sum
 keeps; the coarsenings of a composition by merged runs of parts, the way
 `words` listed them before the ribbon rows enumerated sub-masks of
-partial-sum codes; and the letter maps lambda_n of the quasi-shuffle duals
+partial-sum codes; the letter maps lambda_n of the quasi-shuffle duals
 solved from their seeds by triangular recursion, the way `bases` computed
-them before it used their closed forms."""
+them before it used their closed forms; and the flatten of the ordered
+exponential product on int-coded keys and the Gram product on an index of
+the columns by key, one dict update per pair of terms, the way
+`factorization` and `ncpoly.gram` ran before they packed one side of each
+outer product into one int."""
 
 import itertools
 from fractions import Fraction
-from math import factorial, gcd, prod
+from math import factorial, gcd, lcm, prod
 
 from qshuffle import bases
 from qshuffle.bases import l_series, r_series
-from qshuffle.factorization import factorized_product
+from qshuffle.factorization import GradedTensorSeries, factorized_product
 from qshuffle.ncpoly import NCPolynomial, concat_words, shuffle_words, stuffle_words
 from qshuffle.symqsym import encode_M, encode_S
-from qshuffle.words import Word, refinements, relative_stats, stats, words_up_to
+from qshuffle.words import Word, _code, compositions_of, refinements, relative_stats, stats, words_up_to
 
 
 def assert_canonical(x) -> None:
@@ -481,3 +485,53 @@ def times_exp(buckets: dict, den: int, bound: int, left_kind: str, dual, primal)
     out, den = {key: p for key, p in out.items() if p}, den * f
     g = gcd(den, *(n for p in out.values() for n in p.values()))
     return {key: {t: n // g for t, n in p.items()} for key, p in out.items()}, den // g
+
+
+# -- the factorization flatten and the Gram product, one dict update per pair --------
+
+def exp_product(factors, bound: int, left_kind: str):
+    # `factorization._exp_product` with its entries flattened on the int keys
+    # _code(u) | _code(v) << w, one dict update per (left term, right term)
+    # pair, and cut back into (u, v) at the end
+    unit = GradedTensorSeries.unit(bound, left_kind)
+    kernel = shuffle_words if left_kind == "shuffle" else stuffle_words
+    entries = [(0, {(): 1}, {(): 1}, 1)]
+    for dual, primal in factors:
+        (m,) = dual.weights()
+        de = dual._den * primal._den
+        for w, left, right, den in entries[:]:
+            for k in range(1, (bound - w) // m + 1):
+                left = bilinear(left, dual._nums, kernel)
+                right = bilinear(right, primal._nums, concat_words)
+                den, w = den * de * k, w + m
+                entries.append((w, left, right, den))
+    den, coded = lcm(*(e[3] for e in entries)), {}
+    for w, left, right, d in entries:
+        bucket, f = coded.setdefault(w, {}), den // d
+        rights = [(_code(v) << w, n * f) for v, n in right.items()]
+        for u, c in left.items():
+            for v, n in rights:
+                t = _code(u) | v
+                bucket[t] = bucket.get(t, 0) + c * n
+    buckets = {}
+    for w, bucket in coded.items():
+        word = {_code(x): x for x in compositions_of(w)}
+        buckets[w, w] = {(word[t & (2 << w) - 1], word[t >> w & ~1]): n for t, n in bucket.items() if n}
+    return unit._like(buckets, den)
+
+
+def gram(rows: list, cols: list) -> list[dict]:
+    # per row, {j: integer pairing} over the columns that share a key with it,
+    # from an index of the columns by key
+    index: dict = {}
+    for j, col in enumerate(cols):
+        for k, n in col._nums.items():
+            index.setdefault(k, []).append((j, n))
+    out = []
+    for row in rows:
+        acc: dict = {}
+        for k, n in row._nums.items():
+            for j, m in index.get(k, ()):
+                acc[j] = acc.get(j, 0) + n * m
+        out.append(acc)
+    return out

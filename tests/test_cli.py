@@ -617,3 +617,13 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
     assert captured.out == ""
     error = [line for line in captured.err.splitlines() if "error:" in line]
     assert len(error) == 1 and argv[-2] in error[0]
+
+
+@pytest.mark.parametrize("element", ["X:(1)", "2 S:(1)", "m:(1) + m:(2)"])
+def test_unknown_element_tag_names_all_seven_bases(capsys, element):
+    # the tag of "2 S:(1)" parses as '2 S'; an unknown tag used to fall
+    # through to QSymElement, whose message listed only ('M', 'F')
+    code = main(["convert", "--from", "Lambda", "--to", "Psi", "--element", element])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "expected one of ('S', 'Lambda', 'Psi', 'Phi', 'Rib', 'M', 'F')" in err

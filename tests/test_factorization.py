@@ -196,6 +196,24 @@ def test_exp_product_matches_the_tuple_keyed_oracle_step_by_step(mismatch):
             assert factorized_product(n, pair, mismatch=mismatch) == acc
 
 
+@pytest.mark.parametrize("variant", ["identity", "mismatch", "swapped"])
+def test_packed_flatten_matches_the_dict_flatten_oracle(variant):
+    # term by term, with the denominator and the bound, at N = 0..8: the four
+    # pairs, their mismatch negative control, and each pair's factors under
+    # the other left product
+    for pair in PAIRS:
+        dual, primal, kind = bases.PAIRS[pair]
+        if variant == "mismatch":
+            primal = "Pi" if pair == "shuffle" else "p"
+        elif variant == "swapped":
+            kind = "shuffle" if kind == "stuffle" else "stuffle"
+        for n in range(9):
+            factors = _lyndon_factors(n, dual, primal)
+            got, expected = _exp_product(factors, n, kind), oracle.exp_product(factors, n, kind)
+            assert (got._den, got._buckets, got.bound) == (expected._den, expected._buckets, n), (pair, n)
+            _assert_canonical(got)
+
+
 _words = st.lists(st.integers(1, 4), max_size=5).map(tuple)
 
 

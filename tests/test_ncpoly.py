@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from qshuffle.ncpoly import (
     NCPolynomial,
+    _pack,
     _series_sum,
+    _unpack,
+    _width,
     TensorPolynomial,
     add_into,
     bilinear,
@@ -411,6 +414,7 @@ def test_sparse_core_drops_zeros_and_is_bilinear(kind, a, b, c):
 # -- the integer core against the Fraction oracle ---------------------------------
 
 import fraction_oracle as oracle  # noqa: E402
+from qshuffle import bases  # noqa: E402
 from qshuffle.bases import pi1  # noqa: E402
 
 
@@ -509,6 +513,60 @@ def test_gram_matches_the_per_pair_pairing(rows, cols):
 def test_gram_of_no_rows_or_no_columns():
     assert list(gram([], [one])) == []
     assert list(gram([one, mono(1)], [])) == [{}, {}]
+
+
+def test_gram_matches_the_per_key_oracle_on_the_duality_blocks():
+    # the four pairing matrices up to weight 8, both ways round, against
+    # one dict update per (row term, column) pair; zero entries dropped
+    for dual, primal, _ in bases.PAIRS.values():
+        for n in range(1, 9):
+            ws = words_of_weight(n)
+            primals = [bases.basis_element(primal, u).value for u in ws]
+            duals = [bases.basis_element(dual, v).value for v in ws]
+            for rows, cols in ((primals, duals), (duals, primals)):
+                expected = [{j: x for j, x in acc.items() if x} for acc in oracle.gram(rows, cols)]
+                assert list(gram(rows, cols)) == expected, (primal, dual, n)
+
+
+_slot_values = st.one_of(
+    st.integers(-50, 50), st.integers(2**100, 2**130), st.integers(-(2**130), -(2**100))
+)
+_slot_vectors = st.dictionaries(st.integers(0, 12), _slot_values, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(st.tuples(_slot_vectors, _slot_values), max_size=5),
+    data=st.data(),
+)
+def test_packed_sums_of_scaled_rows_unpack_to_their_exact_totals(rows, data):
+    # sum_i c_i·a_i with negative and huge entries; some rows recur with the
+    # opposite scale, so totals cancel, and a zero total is left out
+    if rows:
+        rows = rows + [(a, -c) for a, c in data.draw(st.lists(st.sampled_from(rows), max_size=len(rows)))]
+    totals: dict = {}
+    for a, c in rows:
+        for s, n in a.items():
+            totals[s] = totals.get(s, 0) + c * n
+    width = _width(sum(sum(map(abs, a.values())) * abs(c) for a, c in rows))
+    got = _unpack(sum(_pack(a.items(), width) * c for a, c in rows), width)
+    assert got == {s: t for s, t in totals.items() if t}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    width=st.integers(1, 160),
+    signs=st.lists(st.sampled_from((-1, 0, 1)), max_size=12),
+    shift=_slot_values,
+)
+def test_totals_at_the_width_limit_unpack_exactly(width, signs, shift):
+    # every total is 0 or +-(2^(width-1) - 1), the largest a slot of this
+    # width holds, reached through terms that overflow it on their own
+    top = (1 << width - 1) - 1
+    assert _width(top) == width and _width(top + 1) == width + 1
+    totals = {s: e * top for s, e in enumerate(signs)}
+    x = _pack(((s, t + shift) for s, t in totals.items()), width) - _pack(((s, shift) for s in totals), width)
+    assert _unpack(x, width) == {s: t for s, t in totals.items() if t}
 
 
 # -- one coefficient coercion, read-only terms ------------------------------------

@@ -36,7 +36,7 @@ from qshuffle.symqsym import (
     sym_coproduct,
     _hub_row,
 )
-from qshuffle.words import Word, _code, compositions_up_to, stats
+from qshuffle.words import Word, _code, compositions_up_to, refinements, relative_stats, stats
 
 S = lambda *parts: SymElement.single(tuple(parts), "S")
 M = lambda *parts: QSymElement.single(tuple(parts), "M")
@@ -176,7 +176,13 @@ def test_mirror_oracles_reject_a_part_below_one(mirror_oracle):
 def test_literal_printed_sign_fails_at_weight_2():
     lam2 = SymElement.single((2,), "Lambda")
     assert lambda_in_psi_oracle((2,), literal_sign=True) != convert(lam2, "Psi")
-    assert lambda_in_phi_oracle((2,), literal_sign=True) != convert(lam2, "Phi")
+    # the Phi variant with the printed exponent w(J) - l(I)
+    comp = (2,)
+    literal = SymElement(
+        [(j, Fraction((-1) ** (sum(j) - len(comp)), relative_stats(j, comp).sp)) for j, _ in refinements(comp)],
+        "Phi",
+    )
+    assert literal != lambda_in_phi_oracle(comp) == convert(lam2, "Phi")
 
 
 # -- products -------------------------------------------------------------------
