@@ -430,9 +430,10 @@ def exp_ad(a: TSeries, b: TSeries) -> TSeries:
     """sum_n ad_a^n(b) / n! with ad_a(x) = a x - x a, truncated.
 
     a must have no t^0 coefficient (ValueError otherwise): each ad
-    application then raises the minimum t-degree, so the sum is finite."""
+    application then raises the minimum t-degree, so the sum is finite.  It
+    is evaluated as the conjugation e^a · b · e^(-a) (Reutenauer, Free Lie
+    Algebras, 1993, ch. 3), each exponential one `_series_sum`."""
     if not a.coeff(0).is_zero():
         raise ValueError("exp_ad requires a series without a t^0 coefficient")
-    b = b.truncate(a.bound)
-    ad = lambda x: a * x - x * a
-    return b + _series_sum(ad(b), ad, lambda n: Fraction(1, factorial(n)))
+    exp = lambda x: TSeries.one(x.bound) + _series_sum(x, lambda p: p * x, lambda n: Fraction(1, factorial(n)))
+    return exp(a) * b.truncate(a.bound) * exp(-a)

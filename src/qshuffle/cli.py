@@ -311,21 +311,30 @@ def _check_pi1(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
     return True, f"inverse expansion reproduces every word of weight <= {cap}"
 
 
+def _round_trips(basis: str, n: int, to_hub: bool):
+    """Per composition I of weight n, in order, whether basis^I (to_hub) or
+    hub^I converts there and back to itself: the first step's `_hub_row`s times
+    the rows back, packed over their lcm D, give d_I·D at I and 0 elsewhere."""
+    comps, mask = words.compositions_of(n), (1 << n) - 2
+    first, back = ([symqsym._hub_row(basis, i, side) for i in comps] for side in (to_hub, not to_hub))
+    den = lcm(*(d for _, d, _ in back))
+    matrix = {j: [((c & mask) >> 1, m * (den // d)) for (_, m), c in zip(row, codes)]
+              for j, (row, d, codes) in zip(comps, back)}
+    for i, (_, d, _), got in zip(comps, first, ncpoly._packed_product([row for row, _, _ in first], matrix)):
+        yield got == {(words._code(i) & mask) >> 1: d * den}
+
+
 def _check_sym_roundtrips(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
-    for basis in ("Lambda", "Psi", "Phi", "Rib"):
-        for comp in words.compositions_up_to(w_max):
-            e = symqsym.SymElement.single(comp, "S")
-            if symqsym.convert(symqsym.convert(e, basis), "S") != e:
-                return False, f"S <-> {basis} round trip fails at {comp}"
-            b = symqsym.SymElement.single(comp, basis)
-            if symqsym.convert(symqsym.convert(b, "S"), basis) != b:
-                return False, f"{basis} <-> S round trip fails at {comp}"
-    for basis in ("M", "F"):
-        for comp in words.compositions_up_to(w_max):
-            e = symqsym.QSymElement.single(comp, basis)
-            other = "F" if basis == "M" else "M"
-            if symqsym.convert(symqsym.convert(e, other), basis) != e:
-                return False, f"{basis} <-> {other} round trip fails at {comp}"
+    # (rows, directions interleaved per composition); QSym runs M -> F -> M
+    # over every weight before F -> M -> F
+    groups = [(b, ((f"S <-> {b}", False), (f"{b} <-> S", True))) for b in ("Lambda", "Psi", "Phi", "Rib")]
+    for basis, directions in groups + [("F", (("M <-> F", False),)), ("F", (("F <-> M", True),))]:
+        for n in range(w_max + 1):
+            trips = [_round_trips(basis, n, to_hub) for _, to_hub in directions]
+            for comp, *oks in zip(words.compositions_of(n), *trips):
+                for (name, _), ok in zip(directions, oks):
+                    if not ok:
+                        return False, f"{name} round trip fails at {comp}"
     one_s = symqsym.SymElement.single((1,), "S")
     for basis in ("Lambda", "Psi", "Phi"):
         if symqsym.convert(symqsym.SymElement.single((1,), basis), "S") != one_s:

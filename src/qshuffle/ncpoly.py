@@ -15,8 +15,8 @@ pairings run on ints.  `fractions.Fraction` values appear only where a
 value is read through `.terms`, `coeff` or a pairing; everything is exact.
 `Graded` is the same core split into buckets by grade, for the truncated
 series: the diagonal series of `factorization` and the letter series of
-`bases`.  `gram` and the flatten of the factorization, sums of outer
-products, run on ints packed by Kronecker substitution (`_pack`, `_unpack`).
+`bases`.  `gram`, the factorization flatten and the round trips of `verify`,
+sums of outer products, run on ints packed by Kronecker substitution.
 """
 
 from __future__ import annotations
@@ -363,19 +363,26 @@ def dot(a: Sparse, b: Sparse) -> Fraction:
 
 def gram(rows: list[Sparse], cols: list[Sparse]) -> Iterator[dict[int, int]]:
     """Per row, {j: n} with dot(row, cols[j]) == Fraction(n, row._den * cols[j]._den), j absent
-    when that pairing is 0.  The columns are packed once by key, slot j of key k holding
-    the numerator of cols[j] at k, so a row is one int, the sum of n·packed[k] over its
-    terms, which `_unpack` reads back."""
-    # |a pairing| <= L1(row)·max |column numerator|
-    top = max((abs(n) for col in cols for n in col._nums.values()), default=0)
-    width = _width(top * max((sum(map(abs, row._nums.values())) for row in rows), default=0))
+    when that pairing is 0: the transpose of the columns, key k -> [(j, numerator of
+    cols[j] at k)], times the rows by `_packed_product`."""
     index: dict[tuple, list] = {}
     for j, col in enumerate(cols):
         for k, n in col._nums.items():
             index.setdefault(k, []).append((j, n))
-    get = {k: _pack(items, width) for k, items in index.items()}.get
+    return _packed_product([row._nums.items() for row in rows], index)
+
+
+def _packed_product(rows: list, matrix: dict[tuple, list]) -> Iterator[dict[int, int]]:
+    """Per row, an iterable of (key, n) pairs, the {slot: total} of the sum of n·matrix[key]
+    over its pairs, zero totals left out, matrix[key] being a list of (slot, int) pairs with
+    distinct slots.  Each key's list is packed once into one int (`_pack`), so a row is one
+    int sum, which `_unpack` reads back."""
+    # |a total| <= L1(row)·max |matrix entry|
+    top = max((abs(n) for items in matrix.values() for _, n in items), default=0)
+    width = _width(top * max((sum(abs(n) for _, n in row) for row in rows), default=0))
+    get = {k: _pack(items, width) for k, items in matrix.items()}.get
     for row in rows:
-        yield _unpack(sum(n * get(k, 0) for k, n in row._nums.items()), width)
+        yield _unpack(sum(n * get(k, 0) for k, n in row), width)
 
 
 def _width(bound: int) -> int:
@@ -394,7 +401,9 @@ def _pack(items: Iterable, width: int) -> int:
 def _unpack(x: int, width: int) -> dict[int, int]:
     """{slot: total} of a packed int, zero totals left out: the lowest slot
     is read as a signed residue, subtracted and shifted out; a run of zero
-    slots is skipped by the trailing-zero count."""
+    slots is skipped by the trailing-zero count; width must be >= 2."""
+    if width < 2 and x:
+        raise ValueError(f"a packed int needs a slot width >= 2, got {width}")
     out, s, mask = {}, 0, (1 << width) - 1
     while x:
         skip = ((x & -x).bit_length() - 1) // width

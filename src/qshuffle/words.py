@@ -247,8 +247,12 @@ def mirror(parts: Composition) -> Composition:
 def stats(parts: Composition) -> CompositionStats:
     """Length, weight, last part, part product, partial-sum product and
     sp = pi * l!, together with the mirror image.  Empty-product conventions
-    give pi = pi_u = sp = 1 on the empty composition."""
-    parts = _letters(parts)
+    give pi = pi_u = sp = 1 on the empty composition.  Cached; frozen."""
+    return _stats(_letters(parts))
+
+
+@lru_cache(maxsize=None)
+def _stats(parts: Composition) -> CompositionStats:
     pi = prod(parts) if parts else 1
     acc, pi_u = 0, 1
     for p in parts:

@@ -4,7 +4,8 @@ written directly on {Word or composition: Fraction} dicts, the way the
 package computed them before its containers stored integer numerators over
 one denominator; the truncated t-series as a dict of NCPolynomial
 coefficients, the way the package held it before `ncpoly.Graded`, with
-`exp_ad` as the bounded loop it ran before `ncpoly._series_sum`; the
+`exp_ad` as the bounded loop of ad steps it ran before `ncpoly._series_sum`
+and the conjugation e^a·b·e^(-a); the
 accumulate step with one `add_into` call per pair of terms, the way
 `ncpoly.bilinear` ran before it accumulated inline; the X_n, L_n and
 R_n of the letter series built as whole lists per bound, the way `bases`
@@ -26,18 +27,29 @@ them before it used their closed forms; and the flatten of the ordered
 exponential product on int-coded keys and the Gram product on an index of
 the columns by key, one dict update per pair of terms, the way
 `factorization` and `ncpoly.gram` ran before they packed one side of each
-outer product into one int."""
+outer product into one int; and `verify`'s Sym/QSym round trips as the loop
+of `convert` calls it ran before each basis, weight and direction became one
+packed product of conversion rows."""
 
 import itertools
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
 
-from qshuffle import bases
+from qshuffle import bases, symqsym
 from qshuffle.bases import l_series, r_series
 from qshuffle.factorization import GradedTensorSeries, factorized_product
 from qshuffle.ncpoly import NCPolynomial, concat_words, shuffle_words, stuffle_words
-from qshuffle.symqsym import encode_M, encode_S
-from qshuffle.words import Word, _code, compositions_of, refinements, relative_stats, stats, words_up_to
+from qshuffle.symqsym import QSymElement, SymElement, encode_M, encode_S
+from qshuffle.words import (
+    Word,
+    _code,
+    compositions_of,
+    compositions_up_to,
+    refinements,
+    relative_stats,
+    stats,
+    words_up_to,
+)
 
 
 def assert_canonical(x) -> None:
@@ -389,6 +401,29 @@ def convert(terms: dict, source: str, target: str) -> dict:
     if source in ("M", "F"):
         return _apply(_apply(terms, _to_m_row, source), _from_m_row, target)
     return _apply(_apply(terms, _to_s_row, source), _from_s_row, target)
+
+
+def sym_roundtrips(w_max: int) -> tuple[bool, str]:
+    # `cli._check_sym_roundtrips`, one pair of `convert` calls per element
+    for basis in ("Lambda", "Psi", "Phi", "Rib"):
+        for comp in compositions_up_to(w_max):
+            e = SymElement.single(comp, "S")
+            if symqsym.convert(symqsym.convert(e, basis), "S") != e:
+                return False, f"S <-> {basis} round trip fails at {comp}"
+            b = SymElement.single(comp, basis)
+            if symqsym.convert(symqsym.convert(b, "S"), basis) != b:
+                return False, f"{basis} <-> S round trip fails at {comp}"
+    for basis in ("M", "F"):
+        for comp in compositions_up_to(w_max):
+            e = QSymElement.single(comp, basis)
+            other = "F" if basis == "M" else "M"
+            if symqsym.convert(symqsym.convert(e, other), basis) != e:
+                return False, f"{basis} <-> {other} round trip fails at {comp}"
+    one_s = SymElement.single((1,), "S")
+    for basis in ("Lambda", "Psi", "Phi"):
+        if symqsym.convert(SymElement.single((1,), basis), "S") != one_s:
+            return False, f"degree-one generators differ in {basis}"
+    return True, f"all basis changes invert exactly up to weight {w_max}"
 
 
 def pairing_ext(x: dict, x_basis: str, y: dict, y_basis: str) -> Fraction:

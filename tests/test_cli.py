@@ -15,6 +15,8 @@ from qshuffle.ncpoly import NCPolynomial, parse_poly, poly_from_json
 from qshuffle.symqsym import QSymElement, SymElement, convert
 from qshuffle.words import Word, parse_word
 
+import fraction_oracle as oracle
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -516,6 +518,58 @@ def test_adjunction_check_rejects_a_coproduct_term_no_pair_reads(monkeypatch):
                                                         lambda t: t + _TENSOR({((1,), ()): 1})))
     assert _per_pair_adjunction(4)[0]
     assert cli._check_adjunction(4, 8, random.Random(0)) == (False, "adjunction fails for shuffle at 2; 1, e")
+
+
+@pytest.mark.parametrize("w_max", range(1, 7))
+def test_sym_roundtrips_check_matches_the_per_element_loop(w_max):
+    assert cli._check_sym_roundtrips(w_max, 8, random.Random(0)) == oracle.sym_roundtrips(w_max)
+    assert oracle.sym_roundtrips(w_max)[0]
+
+
+@pytest.fixture
+def fresh_hub_rows():
+    # rows built while `_hub_row` is patched (a product row reads its halves
+    # through the module name) must not outlive the test
+    rows = symqsym._hub_row
+    rows.cache_clear()
+    yield
+    rows.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "basis, comp, to_hub, detail",
+    [
+        # a one-part row that lists the perturbed composition fails first:
+        # S^(3) -> Lambda reads the doubled Lambda^(1,2) -> S row on the way back
+        ("Lambda", (1, 2), True, "S <-> Lambda round trip fails at (3,)"),
+        ("Lambda", (1, 2), False, "Lambda <-> S round trip fails at (3,)"),
+        ("Psi", (1, 2), True, "S <-> Psi round trip fails at (3,)"),
+        ("Psi", (2, 1, 1), False, "Psi <-> S round trip fails at (4,)"),
+        ("Phi", (2, 1, 1), True, "S <-> Phi round trip fails at (4,)"),
+        ("Phi", (1, 2), False, "Phi <-> S round trip fails at (3,)"),
+        # ribbon rows list coarser compositions, which come earlier
+        ("Rib", (2, 1, 1), True, "S <-> Rib round trip fails at (2, 1, 1)"),
+        ("Rib", (1, 2), False, "S <-> Rib round trip fails at (1, 2)"),
+        # M -> F -> M runs over every weight before F -> M -> F
+        ("F", (2, 1, 1), True, "M <-> F round trip fails at (4,)"),
+        ("F", (1, 2), False, "M <-> F round trip fails at (1, 2)"),
+    ],
+)
+def test_sym_roundtrips_check_fails_where_the_per_element_loop_fails(
+    monkeypatch, fresh_hub_rows, basis, comp, to_hub, detail
+):
+    # the last entry of one conversion row doubled; `convert` reads the same rows
+    real = symqsym._hub_row
+
+    def perturbed(b, c, t):
+        row, den, codes = real(b, c, t)
+        if (b, c, t) == (basis, comp, to_hub):
+            row = row[:-1] + ((row[-1][0], 2 * row[-1][1]),)
+        return row, den, codes
+
+    monkeypatch.setattr(symqsym, "_hub_row", perturbed)
+    assert oracle.sym_roundtrips(5) == (False, detail)
+    assert cli._check_sym_roundtrips(5, 8, random.Random(0)) == (False, detail)
 
 
 def test_products_check_rejects_an_inhomogeneous_product(monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+import signal
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from qshuffle.ncpoly import (
     NCPolynomial,
     _pack,
+    _packed_product,
     _series_sum,
     _unpack,
     _width,
@@ -567,6 +569,49 @@ def test_totals_at_the_width_limit_unpack_exactly(width, signs, shift):
     totals = {s: e * top for s, e in enumerate(signs)}
     x = _pack(((s, t + shift) for s, t in totals.items()), width) - _pack(((s, shift) for s in totals), width)
     assert _unpack(x, width) == {s: t for s, t in totals.items() if t}
+
+
+def test_a_slot_width_below_2_raises_instead_of_looping():
+    # width 1 holds no nonzero signed residue: _unpack(1, 1) read slot 0 as
+    # -1 and shifted 1 back in forever, growing its result; the timer turns
+    # such a hang into a failure
+    def hang(signum, frame):
+        raise TimeoutError("_unpack did not return")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, 0.2)
+    try:
+        for x, width in ((1, 1), (-1, 1), (6, 1), (2**100 + 1, 1), (5, 0)):
+            with pytest.raises(ValueError, match="width >= 2"):
+                _unpack(x, width)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    # bound 0: every total is 0, so the packed int is 0 at width 1
+    assert _width(0) == 1 and _unpack(0, 1) == {} and _unpack(0, 0) == {}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(st.dictionaries(st.integers(0, 5), _slot_values, max_size=5), max_size=5),
+    slots=st.dictionaries(st.integers(0, 6), st.dictionaries(st.integers(0, 9), _slot_values, max_size=5)),
+)
+def test_packed_product_matches_the_dict_matmul(rows, slots):
+    # negative and huge entries and row keys the matrix lacks; key 7 repeats
+    # the list of key 0, so a row that adds n at key 0 and -n at key 7
+    # cancels slot by slot, and a zero total is left out
+    matrix = {k: list(items.items()) for k, items in slots.items()}
+    matrix[7] = matrix.get(0, [])
+    rows = rows + [{**row, 7: -row[0]} for row in rows if 0 in row] + [{0: 3, 7: -3}]
+    expected = []
+    for row in rows:
+        acc: dict = {}
+        for k, n in row.items():
+            for s, m in matrix.get(k, ()):
+                acc[s] = acc.get(s, 0) + n * m
+        expected.append({s: t for s, t in acc.items() if t})
+    assert expected[-1] == {}
+    assert list(_packed_product([row.items() for row in rows], matrix)) == expected
 
 
 # -- one coefficient coercion, read-only terms ------------------------------------

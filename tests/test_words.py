@@ -53,6 +53,17 @@ def test_stats_single():
     assert (s.l, s.w, s.lp, s.pi, s.pi_u, s.sp) == (1, 3, 3, 3, 3, 3)
 
 
+def test_stats_are_cached_per_validated_composition():
+    # a word and its letter tuple share one frozen value; the parts are
+    # checked before the cache is read, so bad parts still raise
+    assert stats(Word((1, 2))) is stats((1, 2)) is stats([1, 2])
+    with pytest.raises(AttributeError):
+        stats((1, 2)).pi = 0
+    for bad in ((0,), (1, -2), (1.5,), ("2",)):
+        with pytest.raises(ValueError):
+            stats(bad)
+
+
 def test_refinements_of_2():
     assert refinements((2,)) == [((2,), [(2,)]), ((1, 1), [(1, 1)])]
 
