@@ -24,9 +24,9 @@ seed_X(n), so Sigma^X_w = Psi_X(s_w) with Psi_X the adjoint of phi_X^{-1}
 it is Hoffman's exponential: Hoffman, "Quasi-shuffle products", J. Algebraic
 Combin. 11, 2000, Thm 2.5), which no seed enters.
 
-pi1 and its inverse expansion run on the iterated stuffle coproduct: by
-<coproduct(w), u (x) v> = <w, u st v> their sums over word tuples need only
-its nonzero terms.  pi1 of a letter, the seed of Pi, is in closed form.
+pi1 of a letter, the seed of Pi, is in closed form; at longer words it is
+read off one table per weight, the transpose sum_k ((-1)^(k-1)/k) u_1 st ...
+st u_k over the cuts of a word into k nonempty words (`_pi1_table`).
 
 The series side lives in `TSeries`, a t-truncated power series with
 polynomial coefficients on the bucketed core `ncpoly.Graded`: the letter
@@ -37,7 +37,6 @@ truncated log/ad-exponentials.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import factorial, lcm, prod
@@ -45,7 +44,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .lyndon import lyndon_factorization, standard_factorization
-from .ncpoly import Graded, NCPolynomial, _series_sum, _word_coproduct, add_into, concat_words, product
+from .ncpoly import Graded, NCPolynomial, add_into, bilinear, concat_words, product, stuffle_words
 from .words import Word, as_int, as_natural, compositions_of, stats
 
 
@@ -62,39 +61,38 @@ def _y(n: int) -> NCPolynomial:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _iterated(letters: tuple, k: int, primitive: bool) -> NCPolynomial:
-    # sum over ordered k-tuples (u_1..u_k) of nonempty words of
-    # <w | u_1 st ... st u_k> f(u_1)...f(u_k), with f = pi1 if `primitive`
-    # and f = id otherwise.  By <coproduct(w), u (x) v> = <w, u st v> only the
-    # nonzero terms of the iterated stuffle coproduct of w contribute.
-    f = _pi1_word if primitive else NCPolynomial.word
-    if k == 1:
-        return f(letters)
-    return NCPolynomial._sum(
-        (f(u) * _iterated(v, k - 1, primitive), n)
-        for (u, v), n in _word_coproduct(letters, "stuffle")
-        if u and v
-    )
+def _pi1_table(n: int) -> MappingProxyType:
+    """Read-only {w: pi1(w)} over the words w of weight n.  The coefficient of
+    v in pi1(w) is that of w in pi1^T(v) = sum_k ((-1)^(k-1)/k) G_k(v), with
+    G_1(v) = v and G_k(v) the sum over cuts v = u·v' (u, v' nonempty) of
+    u st G_{k-1}(v'); numerators over lcm(1..n), G cached for this build."""
+    den, memo, table = lcm(*range(1, n + 1)), {}, {w: {} for w in compositions_of(n)}
 
+    def g(v: tuple, k: int) -> dict:
+        if k == 1:
+            return {v: 1}
+        if (v, k) not in memo:
+            memo[v, k] = {}
+            for i in range(1, len(v) - k + 2):
+                bilinear({v[:i]: 1}, g(v[i:], k - 1), stuffle_words, memo[v, k])
+        return memo[v, k]
 
-def _sum_iterated(letters: tuple, primitive: bool, coeff) -> NCPolynomial:
-    # sum_k coeff(k) _iterated(w, k, primitive); a k-tuple needs k <= weight
-    return NCPolynomial._sum(
-        (_iterated(letters, k, primitive), coeff(k)) for k in range(1, sum(letters) + 1)
-    )
+    for v in table:
+        terms = ((w, (-1) ** (k - 1) * (den // k) * c) for k in range(1, len(v) + 1) for w, c in g(v, k).items())
+        for w, c in add_into({}, terms).items():
+            table[w][v] = c
+    return MappingProxyType({w: NCPolynomial._from(nums, den) for w, nums in table.items()})
 
 
 @lru_cache(maxsize=None)
 def _pi1_word(letters: tuple) -> NCPolynomial:
-    # pi1(w) = sum_k ((-1)^(k-1)/k) sum <w | u_1 st ... st u_k> u_1...u_k;
-    # the sum runs over tuples of nonempty words, so pi1 of the empty word is 0.
-    # At a letter y_n only the compositions I of n split it, each once, so
-    # pi1(y_n) = sum over I |= n of (-1)^(l(I)-1)/l(I) y_I, over lcm(1..n)
-    if len(letters) == 1:
-        den = lcm(*range(1, letters[0] + 1))
-        nums = {i: (-1) ** (len(i) - 1) * (den // len(i)) for i in compositions_of(letters[0])}
-        return NCPolynomial._from(nums, den)
-    return _sum_iterated(letters, False, lambda k: Fraction((-1) ** (k - 1), k))
+    # a longer word reads its table; a letter y_n is split only by the
+    # compositions I of n, each once: sum over I |= n of (-1)^(l(I)-1)/l(I) y_I
+    if len(letters) != 1:
+        return _pi1_table(sum(letters))[letters]
+    den = lcm(*range(1, letters[0] + 1))
+    nums = {i: (-1) ** (len(i) - 1) * (den // len(i)) for i in compositions_of(letters[0])}
+    return NCPolynomial._from(nums, den)
 
 
 def pi1(p: NCPolynomial | Word) -> NCPolynomial:
@@ -103,13 +101,6 @@ def pi1(p: NCPolynomial | Word) -> NCPolynomial:
     if isinstance(p, Word):
         return _pi1_word(p.letters)
     return NCPolynomial._sum((_pi1_word(w), n) for w, n in p._nums.items()) / p._den
-
-
-def pi1_inverse_check(w: Word) -> bool:
-    """Checks that w equals
-    sum_k (1/k!) sum <w | u_1 st ... st u_k> pi1(u_1)...pi1(u_k)."""
-    expansion = _sum_iterated(w.letters, True, lambda k: Fraction(1, factorial(k)))
-    return w.weight == 0 or expansion == NCPolynomial.word(w)
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +423,5 @@ def exp_ad(a: TSeries, b: TSeries) -> TSeries:
     a must have no t^0 coefficient (ValueError otherwise): each ad
     application then raises the minimum t-degree, so the sum is finite.  It
     is evaluated as the conjugation e^a · b · e^(-a) (Reutenauer, Free Lie
-    Algebras, 1993, ch. 3), each exponential one `_series_sum`."""
-    if not a.coeff(0).is_zero():
-        raise ValueError("exp_ad requires a series without a t^0 coefficient")
-    exp = lambda x: TSeries.one(x.bound) + _series_sum(x, lambda p: p * x, lambda n: Fraction(1, factorial(n)))
-    return exp(a) * b.truncate(a.bound) * exp(-a)
+    Algebras, 1993, ch. 3), each exponential one `Graded.exp`."""
+    return a.exp() * b.truncate(a.bound) * (-a).exp()

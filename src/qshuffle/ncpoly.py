@@ -287,13 +287,19 @@ class Graded:
         return self._like(out, self._den * other._den, bound)
 
     def log(self):
-        """log(1 + z) = sum_k (-1)^(k-1) z^k / k for z = self - 1; the
-        bucket of grade 0 must be the unit."""
+        """log(1 + z) = sum_k (-1)^(k-1) z^k / k for z = self - 1; the grade of 1 must hold just 1."""
         grade, key = self._unit
         if self._buckets.get(grade) != {key: self._den}:
             raise ValueError("log requires constant coefficient 1")
         z = self._like({g: t for g, t in self._buckets.items() if g != grade}, self._den)
         return _series_sum(z, lambda x: x * z, lambda k: Fraction((-1) ** (k - 1), k))
+
+    def exp(self):
+        """exp(z) = 1 + sum_k z^k / k! for z = self, with no term in the grade of 1."""
+        g, key = self._unit
+        if g in self._buckets:
+            raise ValueError("exp requires no term in the grade of 1")
+        return self._like({g: {key: 1}}, 1) + _series_sum(self, self.__mul__, lambda k: Fraction(1, factorial(k)))
 
     __add__ = _plus
     __rmul__ = _scaled

@@ -27,12 +27,16 @@ them before it used their closed forms; and the flatten of the ordered
 exponential product on int-coded keys and the Gram product on an index of
 the columns by key, one dict update per pair of terms, the way
 `factorization` and `ncpoly.gram` ran before they packed one side of each
-outer product into one int; and `verify`'s Sym/QSym round trips as the loop
+outer product into one int; `verify`'s Sym/QSym round trips as the loop
 of `convert` calls it ran before each basis, weight and direction became one
-packed product of conversion rows."""
+packed product of conversion rows; and pi1 and its inverse expansion summed
+word by word over the iterated stuffle coproduct, the way `bases` ran them
+before it read pi1 off one transposed table per weight and `verify` checked
+the inverse as one series exponential."""
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, gcd, lcm, prod
 
 from qshuffle import bases, symqsym
@@ -234,6 +238,45 @@ def lambda_triangular(primal: str, n: int) -> NCPolynomial:
         return lam[m]
 
     return rec(n)
+
+
+# -- the primitive projection, word by word --------------------------------------
+
+@lru_cache(maxsize=None)
+def _iterated(letters: tuple, k: int, primitive: bool) -> NCPolynomial:
+    # sum over ordered k-tuples (u_1..u_k) of nonempty words of
+    # <w | u_1 st ... st u_k> f(u_1)...f(u_k), with f = `bases._pi1_word`
+    # (read at call time) if `primitive` and f = id otherwise.  By
+    # <coproduct(w), u (x) v> = <w, u st v> only the nonzero terms of the
+    # iterated stuffle coproduct of w, from this module's `_word_coproduct`,
+    # contribute.
+    f = bases._pi1_word if primitive else NCPolynomial.word
+    if k == 1:
+        return f(letters)
+    return NCPolynomial._sum(
+        (f(u.letters) * _iterated(v.letters, k - 1, primitive), n)
+        for (u, v), n in _word_coproduct(Word._raw(letters), "stuffle").items()
+        if u and v
+    )
+
+
+def _sum_iterated(letters: tuple, primitive: bool, coeff) -> NCPolynomial:
+    # sum_k coeff(k) _iterated(w, k, primitive); a k-tuple needs k <= weight
+    return NCPolynomial._sum(
+        (_iterated(letters, k, primitive), coeff(k)) for k in range(1, sum(letters) + 1)
+    )
+
+
+def pi1(letters: tuple) -> NCPolynomial:
+    # sum_k ((-1)^(k-1)/k) sum <w | u_1 st ... st u_k> u_1...u_k
+    return _sum_iterated(letters, False, lambda k: Fraction((-1) ** (k - 1), k))
+
+
+def pi1_inverse_check(w: Word) -> bool:
+    """Checks that w equals
+    sum_k (1/k!) sum <w | u_1 st ... st u_k> pi1(u_1)...pi1(u_k)."""
+    expansion = _sum_iterated(w.letters, True, lambda k: Fraction(1, factorial(k)))
+    return w.weight == 0 or expansion == NCPolynomial.word(w)
 
 
 # -- truncated series in t ---------------------------------------------------------

@@ -18,7 +18,6 @@ from qshuffle.bases import (
     log_y_series,
     p_basis,
     pi1,
-    pi1_inverse_check,
     pi_basis,
     pi_s_basis,
     r_elements,
@@ -137,11 +136,25 @@ def test_pi1_on_letters():
 @pytest.mark.parametrize("n", range(1, 10))
 def test_pi1_of_a_letter_matches_the_iterated_stuffle_coproduct(n):
     # the closed form sum over I |= n of (-1)^(l(I)-1)/l(I) y_I against the
-    # sum over the iterated coproduct that pi1 runs at longer words
-    got = pi1(Word((n,)))
-    iterated = bases._sum_iterated((n,), False, lambda k: Fraction((-1) ** (k - 1), k))
+    # per-word sum over the iterated stuffle coproduct, the oracle
+    got, iterated = pi1(Word((n,))), oracle.pi1((n,))
     assert (got._nums, got._den) == (iterated._nums, iterated._den)
     assert basis_element("Pi", Word((n,))).value is got
+
+
+def test_pi1_table_matches_the_per_word_oracle():
+    # every word of weight <= 7, term by term; a longer word reads the table
+    # of its weight, and the table holds every word of that weight
+    for n in range(8):
+        table = bases._pi1_table(n)
+        assert sorted(table) == sorted(w.letters for w in words_of_weight(n))
+        for w in words_of_weight(n):
+            got, want = pi1(w), oracle.pi1(w.letters)
+            assert (got._nums, got._den) == (want._nums, want._den), w
+            if len(w) > 1:
+                assert got is table[w.letters]
+    with pytest.raises(TypeError):
+        table[(7,)] = NCPolynomial.zero()
 
 
 def test_pi1_extends_linearly():
@@ -184,11 +197,12 @@ def test_pi1_matches_the_ordered_tuple_formula():
 
 
 def test_pi1_inverse_expansion():
-    assert pi1_inverse_check(Word((2,)))
-    assert pi1_inverse_check(Word((1,)))
-    assert pi1_inverse_check(Word((2, 1)))
+    # the per-word oracle of the pi1-inverse check, on the table's pi1
+    assert oracle.pi1_inverse_check(Word((2,)))
+    assert oracle.pi1_inverse_check(Word((1,)))
+    assert oracle.pi1_inverse_check(Word((2, 1)))
     for w in words_up_to(5):
-        assert pi1_inverse_check(w), w
+        assert oracle.pi1_inverse_check(w), w
 
 
 # -- quasi-shuffle pair -----------------------------------------------------------
@@ -606,6 +620,23 @@ def test_exp_ad_rejects_a_constant_coefficient():
         exp_ad(TSeries({0: y1}, 3), TSeries({0: y2}, 3))
     with pytest.raises(ValueError):
         exp_ad(TSeries({0: y1, 1: y2}, 3), TSeries({}, 3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=_no_constant, b=_series_coeffs, bound=st.integers(0, 5))
+def test_series_exp_and_log_invert_each_other(a, b, bound):
+    z, x = TSeries(a, bound), TSeries({**b, 0: one}, bound)
+    assert z.exp().log() == z and x.log().exp() == x
+    assert z.exp().bound == bound and z.exp().coeff(0) == one
+    oracle.assert_graded_canonical(z.exp())
+
+
+def test_series_exp_rejects_a_term_at_t0():
+    y1 = NCPolynomial.word((1,))
+    for coeffs in ({0: one}, {0: y1}, {0: one, 1: y1}):
+        with pytest.raises(ValueError, match="grade of 1"):
+            TSeries(coeffs, 3).exp()
+    assert TSeries({}, 3).exp() == TSeries.one(3) and y_series(4).log().exp() == y_series(4)
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qshuffle import bases, cli, ncpoly, symqsym, words
+from qshuffle import bases, cli, factorization, ncpoly, symqsym, words
 from qshuffle.cli import main
 from qshuffle.ncpoly import NCPolynomial, parse_poly, poly_from_json
 from qshuffle.symqsym import QSymElement, SymElement, convert
@@ -518,6 +518,34 @@ def test_adjunction_check_rejects_a_coproduct_term_no_pair_reads(monkeypatch):
                                                         lambda t: t + _TENSOR({((1,), ()): 1})))
     assert _per_pair_adjunction(4)[0]
     assert cli._check_adjunction(4, 8, random.Random(0)) == (False, "adjunction fails for shuffle at 2; 1, e")
+
+
+@pytest.mark.parametrize("word, extra", [((1, 2), (2, 1)), ((2, 1), (3,)), ((3,), (1, 1, 1)), ((1, 1, 1), (1, 2))])
+def test_pi1_inverse_check_fails_where_the_per_word_loop_fails(monkeypatch, word, extra):
+    # one weight-3 coefficient of one pi1 value perturbed: the series
+    # exponential and the per-word oracle name the same first word
+    real = bases._pi1_word
+    wrong = lambda letters: real(letters) + NCPolynomial.word(extra) if letters == word else real(letters)
+    monkeypatch.setattr(bases, "_pi1_word", wrong)
+    oracle._iterated.cache_clear()
+    try:
+        w = next(w for w in words.words_up_to(4) if not oracle.pi1_inverse_check(w))
+        assert cli._check_pi1(4, 8, random.Random(0)) == (False, f"inverse expansion fails at {w}")
+    finally:
+        oracle._iterated.cache_clear()
+
+
+def test_verify_catches_a_broken_monomial_encoding_in_the_characters_row(monkeypatch, capsys):
+    # encode_M with every coefficient set to 1: y1 st y1 = 2·y1y1 + y2 then
+    # encodes to M_(1,1) + M_(2), not M_(1)·M_(1); `characters` (a) is the one
+    # row that checks the character property
+    real = symqsym.encode_M
+    broken = lambda p: real(p) if isinstance(p, Word) else QSymElement._in("M", dict.fromkeys(p._nums, 1))
+    for module in (symqsym, factorization):
+        monkeypatch.setattr(module, "encode_M", broken)
+    assert main(["verify", "--max-weight", "4"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert failed == ["FAIL  characters            character-morphism: fails at u=1, v=1"]
 
 
 @pytest.mark.parametrize("w_max", range(1, 7))

@@ -16,6 +16,7 @@ from qshuffle.factorization import (
     diagonal,
     factorized_product,
     lyndon_decreasing,
+    pi1_series,
     verify_factorization,
 )
 from qshuffle.lyndon import lyndon_up_to
@@ -406,6 +407,36 @@ def test_log_on_random_series_matches_the_oracle(kind, terms, bound):
     for c in (0, 2, Fraction(1, 2)):
         with pytest.raises(ValueError):
             _series({**terms, ((), ()): c}, bound, kind).log()
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["shuffle", "stuffle"]), terms=_series_terms, bound=st.integers(0, 4))
+def test_exp_and_log_on_random_series_invert_each_other(kind, terms, bound):
+    # z without a unit term, x with the unit term 1
+    z = _series({k: c for k, c in terms.items() if k != ((), ())}, bound, kind)
+    x = _series({**terms, ((), ()): 1}, bound, kind)
+    assert z.exp().log() == z and x.log().exp() == x
+    assert (z.exp().bound, z.exp().left_kind) == (bound, kind)
+    _assert_canonical(z.exp())
+    for c in (1, -1, Fraction(1, 2)):
+        with pytest.raises(ValueError, match="grade of 1"):
+            _series({**terms, ((), ()): c}, bound, kind).exp()
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_pi1_series_is_the_log_of_the_diagonal(n):
+    # characters (b) and the pi1-inverse check, one series each way
+    got = pi1_series(n)
+    assert got == diagonal(n, "stuffle").log() and got.exp() == diagonal(n, "stuffle")
+    assert (got.bound, got.left_kind) == (n, "stuffle")
+    assert got.terms == {(w, x): c for w in words_up_to(n, include_empty=False) for x, c in bases.pi1(w).terms.items()}
+    _assert_canonical(got)
+
+
+@pytest.mark.parametrize("n", [-1, 1.5, "2"])
+def test_pi1_series_rejects_a_bound_that_is_not_a_natural_number(n):
+    with pytest.raises(ValueError):
+        pi1_series(n)
 
 
 def test_exp_factor_matches_the_fraction_oracle():
