@@ -37,6 +37,7 @@ truncated log/ad-exponentials.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import factorial, lcm, prod
@@ -148,12 +149,8 @@ def y_in_r_expansion(n: int, use_partial_sums: bool = True) -> bool:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    total = NCPolynomial.zero()
-    for comp in compositions_of(n):
-        term = prod((_lr(j, "R") for j in comp), start=NCPolynomial.one())
-        st = stats(comp)
-        total = total + term / (st.pi_u if use_partial_sums else st.pi)
-    return total == _y(n)
+    terms = ((prod((_lr(j, "R") for j in c), start=NCPolynomial.one()), stats(c)) for c in compositions_of(n))
+    return NCPolynomial._sum((r, Fraction(1, st.pi_u if use_partial_sums else st.pi)) for r, st in terms) == _y(n)
 
 
 # ---------------------------------------------------------------------------
@@ -389,32 +386,36 @@ def log_y_series(bound: int) -> TSeries:
     return y_series(bound).log()
 
 
+def _higher_chain(k: int, bound: int):
+    """Yields (cal_L_j, cal_R_j) of `higher_series` to the bound for j = 1..k,
+    one chain from pad = bound + k - 1, each order checked before its yield."""
+    k, bound = as_int(k), as_natural(bound)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    cal_l, cal_r = l_series(bound + k - 1), r_series(bound + k - 1)
+    y, y_j = y_series(bound), y_series(bound + k)
+    for j in range(1, k + 1):
+        y_j = y_j.derivative()
+        out_l, out_r, want = cal_l.truncate(bound), cal_r.truncate(bound), y_j.truncate(bound)
+        if not out_l.bound == out_r.bound == bound or not out_l * y == want == y * out_r:
+            raise AssertionError(f"higher_series postcondition failed at k={j}, bound={bound}")
+        yield out_l, out_r
+        if j < k:
+            cal_l = cal_l.derivative() + cal_l * l_series(cal_l.bound - 1)
+            cal_r = cal_r.derivative() + r_series(cal_r.bound - 1) * cal_r
+
+
 def higher_series(k: int, bound: int) -> tuple[TSeries, TSeries]:
     """The order-k analogues of the L/R series, via the recursions
     next = d/dt(previous) + previous * L  (left side)
     next = d/dt(previous) + R * previous  (right side),
-    each exact to the requested degree.  The derivative of a series of bound
-    b has bound b - 1, and so has the sum, so the product runs at b - 1 and
-    computes no t-degree the sum would drop.  The defining identities
-    cal_L_k * Y = Y^(k) = Y * cal_R_k are re-verified to the full bound
-    before returning.  k must be an integer >= 1 and bound one >= 0."""
-    k, bound = as_int(k), as_natural(bound)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    pad = bound + k - 1
-    cal_l, cal_r = l_series(pad), r_series(pad)
-    for _ in range(k - 1):
-        cal_l = cal_l.derivative() + cal_l * l_series(cal_l.bound - 1)
-        cal_r = cal_r.derivative() + r_series(cal_r.bound - 1) * cal_r
-    cal_l, cal_r = cal_l.truncate(bound), cal_r.truncate(bound)
-
-    y_k = y_series(bound + k)
-    for _ in range(k):
-        y_k = y_k.derivative()
-    y, exact = y_series(bound), cal_l.bound == cal_r.bound == bound
-    if not exact or not (cal_l * y).same_up_to(y_k, bound) or not (y * cal_r).same_up_to(y_k, bound):
-        raise AssertionError(f"higher_series postcondition failed at k={k}, bound={bound}")
-    return cal_l, cal_r
+    each exact to the requested degree, as the last pair of one chain over
+    the orders 1..k (`_higher_chain`); each product runs at b - 1, the bound
+    of the derivative it is added to.  cal_L_j * Y = Y^(j) = Y * cal_R_j is
+    re-verified to the full bound at every order j <= k, and AssertionError
+    names the first j that fails.  k must be an integer >= 1, bound >= 0."""
+    *_, last = _higher_chain(k, bound)
+    return last
 
 
 def exp_ad(a: TSeries, b: TSeries) -> TSeries:

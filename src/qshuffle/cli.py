@@ -287,9 +287,12 @@ def _check_series(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
     for n in range(1, d + 1):
         if logy.coeff(n) != bases.pi1(Word((n,))):
             return False, f"log coefficient differs from pi1 at n={n}"
-    for k in (1, 2, 3):
-        cal_l, cal_r = bases.higher_series(k, d)  # re-verifies its own postcondition
-        if not bases.exp_ad(logy, cal_r).same_up_to(cal_l, d):
+    # exp_ad(log Y, cal_R_k) = e^a·cal_R_k·e^(-a) = cal_L_k on one chain of orders (each checked
+    # cal_L_k·Y = Y^(k) = Y·cal_R_k) with one pair of exponentials; the exp_ad definition
+    # stays pinned by test_exp_ad_matches_the_loop_oracle and the CI oracle step
+    e, e_inv = logy.exp(), (-logy).exp()
+    for k, (cal_l, cal_r) in enumerate(bases._higher_chain(3, d), 1):
+        if not (e * cal_r.truncate(d) * e_inv).same_up_to(cal_l, d):
             return False, f"ad-exponential formula fails at k={k}"
     return True, f"inverse, derivative, and conjugation identities to degree {d}"
 
@@ -381,13 +384,10 @@ def _check_encodings(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
         got = _core(symqsym.sym_coproduct(symqsym.encode_S(NCPolynomial.word(u))))
         if got != _core(ncpoly.coproduct(NCPolynomial.word(u), "stuffle")):
             return False, f"S encoding does not intertwine the coproducts at {u}"
-    rs = bases.r_elements(w_max)
+    rs, r_words, pi_words = bases.r_elements(w_max), {(): NCPolynomial.one()}, {(): NCPolynomial.one()}
     for comp in words.compositions_up_to(w_max, include_empty=False):
-        r_word = NCPolynomial.one()
-        pi_word = NCPolynomial.one()
-        for part in comp:
-            r_word = r_word * rs[part - 1]
-            pi_word = pi_word * bases.pi1(Word((part,)))
+        r_word = r_words[comp] = r_words[comp[:-1]] * rs[comp[-1] - 1]
+        pi_word = pi_words[comp] = pi_words[comp[:-1]] * bases.pi1(Word((comp[-1],)))
         psi = symqsym.convert(symqsym.SymElement.single(comp, "Psi"), "S")
         if symqsym.encode_S(r_word) != psi:
             return False, f"R-monomial encoding misses the first power sums at {comp}"

@@ -562,10 +562,9 @@ def pairing(p: NCPolynomial, q: NCPolynomial) -> Fraction:
 
 
 def is_primitive(p: NCPolynomial, kind: str) -> bool:
-    expected = TensorPolynomial.tensor(p, NCPolynomial.one()) + TensorPolynomial.tensor(
-        NCPolynomial.one(), p
-    )
-    return coproduct(p, kind) == expected
+    """coproduct(p) == p (x) 1 + 1 (x) p, on reduced integer cores built from p's numerators."""
+    expected = add_into({}, (pair for w, n in p._nums.items() for pair in (((w, ()), n), (((), w), n))))
+    return coproduct(p, kind) == TensorPolynomial._from(expected, p._den)
 
 
 # ---------------------------------------------------------------------------

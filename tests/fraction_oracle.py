@@ -32,14 +32,16 @@ of `convert` calls it ran before each basis, weight and direction became one
 packed product of conversion rows; and pi1 and its inverse expansion summed
 word by word over the iterated stuffle coproduct, the way `bases` ran them
 before it read pi1 off one transposed table per weight and `verify` checked
-the inverse as one series exponential."""
+the inverse as one series exponential; and the primitivity test against
+p (x) 1 + 1 (x) p built as the sum of two tensor products, the way
+`ncpoly.is_primitive` ran before it compared integer cores."""
 
 import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm, prod
 
-from qshuffle import bases, symqsym
+from qshuffle import bases, ncpoly, symqsym
 from qshuffle.bases import l_series, r_series
 from qshuffle.factorization import GradedTensorSeries, factorized_product
 from qshuffle.ncpoly import NCPolynomial, concat_words, shuffle_words, stuffle_words
@@ -277,6 +279,13 @@ def pi1_inverse_check(w: Word) -> bool:
     sum_k (1/k!) sum <w | u_1 st ... st u_k> pi1(u_1)...pi1(u_k)."""
     expansion = _sum_iterated(w.letters, True, lambda k: Fraction(1, factorial(k)))
     return w.weight == 0 or expansion == NCPolynomial.word(w)
+
+
+def is_primitive(p: NCPolynomial, kind: str) -> bool:
+    # coproduct(p) against p (x) 1 + 1 (x) p, the sum of two tensor products
+    one = NCPolynomial.one()
+    expected = ncpoly.TensorPolynomial.tensor(p, one) + ncpoly.TensorPolynomial.tensor(one, p)
+    return ncpoly.coproduct(p, kind) == expected
 
 
 # -- truncated series in t ---------------------------------------------------------

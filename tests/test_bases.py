@@ -659,6 +659,17 @@ def test_higher_series_match_the_padded_bound_oracle(k):
             assert (new._buckets, new._den, new.bound) == (old._buckets, old._den, old.bound)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_higher_chain_matches_the_oracle_at_every_order(k):
+    # one chain padded for order k returns every lower order to the same bound
+    for bound in range(8):
+        chain = list(bases._higher_chain(k, bound))
+        assert len(chain) == k
+        for j, pair in enumerate(chain, 1):
+            for new, old in zip(pair, oracle.higher_series(j, bound)):
+                assert (new._buckets, new._den, new.bound) == (old._buckets, old._den, old.bound)
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -733,6 +744,22 @@ def test_higher_series_postcondition_rejects_a_short_bound(monkeypatch):
     monkeypatch.setattr(bases, "r_series", short(r_series))
     with pytest.raises(AssertionError, match="postcondition failed at k=2, bound=4"):
         higher_series(2, 4)
+
+
+@pytest.mark.parametrize("at, order", [(6, 1), (5, 2)])
+def test_higher_chain_names_the_lower_order_that_fails(monkeypatch, at, order):
+    # the k=3, bound=4 chain reads the L series at bound 6 for order 1 and at
+    # bound 5 for the product of order 2; a t^1 term added there breaks that
+    # order, which is checked and named before any higher one is built
+    real = l_series
+    monkeypatch.setattr(bases, "l_series", lambda b: real(b) + TSeries({1: mono(1)}, b) if b == at else real(b))
+    chain = bases._higher_chain(3, 4)
+    for _ in range(order - 1):
+        next(chain)
+    with pytest.raises(AssertionError, match=f"postcondition failed at k={order}, bound=4"):
+        next(chain)
+    with pytest.raises(AssertionError, match=f"postcondition failed at k={order}, bound=4"):
+        higher_series(3, 4)
 
 
 def test_higher_series_rejects_bad_order():

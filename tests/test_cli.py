@@ -609,6 +609,35 @@ def test_products_check_rejects_an_inhomogeneous_product(monkeypatch):
     assert cli._check_products(5, 8, random.Random(0)) == (False, f"shuffle not weight-homogeneous at {u}, {u}")
 
 
+@pytest.mark.parametrize(
+    "name, key, failures",
+    [
+        ("_lr", (3, "R"), ["R_3 not primitive", "n y_n identity fails at n=3", "partial-sum expansion fails at n=3",
+                           "R-monomial encoding misses the first power sums at (3,)"]),
+        ("_lr", (3, "L"), ["L_3 not primitive", "n y_n identity fails at n=3", None, None]),
+        ("_pi1_word", ((3,),), ["pi1(y_3) not primitive", "log coefficient differs from pi1 at n=3", None,
+                                "pi1-monomial encoding misses the second power sums at (3,)"]),
+    ],
+)
+def test_series_and_monomial_checks_fail_where_the_per_order_loops_failed(
+    monkeypatch, fresh_basis_caches, name, key, failures
+):
+    # one coefficient of R_3, L_3 or pi1(y_3) raised by one; the details
+    # (None: the row passes) are those of the per-order series loop, the
+    # tensor-sum primitivity test and the per-part monomials
+    real = getattr(bases, name)
+    value = real(*key)
+    first = min(value._nums)
+    wrong = NCPolynomial._from({**value._nums, first: value._nums[first] + 1}, value._den)
+    monkeypatch.setattr(bases, name, lambda *args: wrong if args == key else real(*args))
+    checks = dict(cli.CHECKS)
+    rows = ("primitivity", "series-identities", "letters-in-r", "encodings")
+    got = [checks[row](6, 8, random.Random(0)) for row in rows]
+    assert [None if ok else detail for ok, detail in got] == failures
+    monkeypatch.setattr(ncpoly, "is_primitive", oracle.is_primitive)
+    assert cli._check_primitivity(6, 8, random.Random(0)) == got[0]
+
+
 def test_primitivity_and_hall_littlewood_state_the_weights_covered():
     assert cli._check_primitivity(6, 8, random.Random(0)) == (
         True, "primitive seeds up to weight 6, Lyndon PBW elements up to weight 5")

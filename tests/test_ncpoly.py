@@ -3,7 +3,7 @@ import signal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qshuffle.ncpoly import (
@@ -418,6 +418,7 @@ def test_sparse_core_drops_zeros_and_is_bilinear(kind, a, b, c):
 import fraction_oracle as oracle  # noqa: E402
 from qshuffle import bases  # noqa: E402
 from qshuffle.bases import pi1  # noqa: E402
+from qshuffle.lyndon import lyndon_up_to  # noqa: E402
 
 
 def _words_up_to(n, include_empty=True):
@@ -481,6 +482,46 @@ def test_exp_and_log_match_the_fraction_oracle(a):
     l = log_trunc(one + p, 4)
     assert l.terms == oracle.log_trunc(oracle.accumulate([*pd.items(), (Word(), Fraction(1))]), 4)
     _assert_equality_follows_terms(e, l, p)
+
+
+def _primitive_pool(kind):
+    # elements primitive for the kind (none for the contraction coproduct,
+    # whose letters split into pairs of letters)
+    if kind in ("concat", "plus"):
+        return [mono(n) for n in range(1, 5)]
+    lyndon = lyndon_up_to(4)
+    if kind == "shuffle":
+        return [bases.p_basis(l) for l in lyndon]
+    return [bases.pi_basis(l) for l in lyndon] + [pi1(Word((n,))) for n in range(1, 5)]
+
+
+@pytest.mark.parametrize("kind", ["concat", "shuffle", "stuffle", "plus"])
+@settings(max_examples=40, deadline=None)
+@given(terms=rational_terms(), pick=st.integers(0, 11), c=st.fractions(min_value=-3, max_value=3, max_denominator=4))
+@example(terms=[], pick=0, c=Fraction(0))  # the zero polynomial
+@example(terms=[((), Fraction(1, 2))], pick=0, c=Fraction(1))  # a nonzero constant term
+@example(terms=[((1, 2), Fraction(1))], pick=1, c=Fraction(2))  # a primitive plus a non-primitive word
+def test_is_primitive_matches_the_tensor_sum_oracle(kind, terms, pick, c):
+    if kind == "plus":  # the contraction coproduct takes letters only
+        terms = [((sum(w),), a) for w, a in terms if w]
+    pool = _primitive_pool(kind)
+    prim, p = pool[pick % len(pool)], NCPolynomial([(Word(w), a) for w, a in terms])
+    assert is_primitive(prim, kind) is (kind != "plus")
+    for x in (p, prim * c, prim * c + p):
+        assert is_primitive(x, kind) is oracle.is_primitive(x, kind)
+
+
+def test_is_primitive_counts_a_constant_term_twice():
+    # p (x) 1 + 1 (x) p holds 2c at e (x) e for a constant term c, the
+    # coproduct c, so no nonzero constant is primitive
+    for kind in ("concat", "shuffle", "stuffle"):
+        for p in (one / 2, one * 3, pi1(Word((2,))) + one):
+            assert not is_primitive(p, kind) and not oracle.is_primitive(p, kind)
+        assert is_primitive(NCPolynomial.zero(), kind) and oracle.is_primitive(NCPolynomial.zero(), kind)
+    for p in (one, mono(1, 1)):
+        for test in (is_primitive, oracle.is_primitive):
+            with pytest.raises(ValueError):
+                test(p, "plus")
 
 
 def test_pairing_is_one_integer_dot_returning_a_fraction():
