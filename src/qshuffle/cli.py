@@ -678,24 +678,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: argparse makes a formatter per argument; parse_args leaves it unchanged.
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if "max_weight" in args:
         if args.max_weight < 0:
-            parser.error("--max-weight must be nonnegative")
+            _PARSER.error("--max-weight must be nonnegative")
         if args.max_weight > WEIGHT_CAP and not args.unsafe_weight:
-            parser.error(
+            _PARSER.error(
                 f"--max-weight {args.max_weight} exceeds the cap of {WEIGHT_CAP}; "
                 "pass --unsafe-weight to override"
             )
         if args.command == "verify" and args.max_weight < 1:
-            parser.error("verify needs --max-weight >= 1")
+            _PARSER.error("verify needs --max-weight >= 1")
     if "q_degree" in args:
         if args.q_degree < 1:
-            parser.error("--q-degree must be >= 1")
+            _PARSER.error("--q-degree must be >= 1")
         if args.q_degree > Q_DEGREE_CAP and not args.unsafe_weight:
-            parser.error(
+            _PARSER.error(
                 f"--q-degree {args.q_degree} exceeds the cap of {Q_DEGREE_CAP}; "
                 "pass --unsafe-weight to override"
             )

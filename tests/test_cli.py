@@ -738,3 +738,69 @@ def test_unknown_element_tag_names_all_seven_bases(capsys, element):
     err = capsys.readouterr().err
     assert code == 2
     assert "expected one of ('S', 'Lambda', 'Psi', 'Phi', 'Rib', 'M', 'F')" in err
+
+
+def test_main_parses_with_the_parser_built_at_import(monkeypatch, capsys):
+    def no_build():
+        raise AssertionError("main rebuilt the parser")
+
+    monkeypatch.setattr(cli, "_build_parser", no_build)
+    assert main(["lyndon", "--max-weight", "2"]) == 0
+    assert capsys.readouterr().out == "1\n2\n"
+
+
+def test_golden_records_replayed_in_reverse_share_no_state():
+    from test_cli_golden import invoke, records
+
+    for command, expected in reversed(records()):
+        assert invoke(command) == expected, command
+
+
+def _exit(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_calls_in_between_leave_no_state_in_the_shared_parser(capsys):
+    def between():
+        assert _exit(["factorize", "--max-weight", "-1"]) == 2
+        assert _exit(["factorize", "--help"]) == 0
+        capsys.readouterr()
+
+    assert run(capsys, "product", "--word", "1", "--word", "2") == (0, "[1 2] + [2 1] + [3]\n")
+    between()
+    # the append action starts from no words again
+    assert run(capsys, "product", "--word", "3", "--word", "4") == (0, "[3 4] + [4 3] + [7]\n")
+    code, out = run(capsys, "factorize", "--max-weight", "2", "--negative-control")
+    assert code == 1 and out.startswith("MISMATCH")
+    between()
+    assert run(capsys, "factorize", "--max-weight", "2") == (
+        0, "OK: pair stuffle reproduces the diagonal series up to weight 2\n")
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+@pytest.mark.parametrize(
+    "command", [[]] + [[row[0]] for row in cli.COMMANDS], ids=["top"] + [row[0] for row in cli.COMMANDS]
+)
+def test_help_of_the_shared_parser_matches_a_fresh_one(monkeypatch, capsys, columns, command):
+    # argparse reads the terminal width when it formats, not when it builds
+    monkeypatch.setenv("COLUMNS", columns)
+    helps = []
+    for parse in (main, cli._build_parser().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse([*command, "--help"])
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1]
+
+
+def test_importing_the_library_leaves_the_cli_and_argparse_unloaded():
+    root = Path(__file__).parent.parent
+    got = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qshuffle; print(sorted({'qshuffle.cli', 'argparse'} & set(sys.modules)))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert got.returncode == 0 and got.stdout == "[]\n", got.stderr
