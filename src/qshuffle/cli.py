@@ -288,11 +288,13 @@ def _check_series(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
         if logy.coeff(n) != bases.pi1(Word((n,))):
             return False, f"log coefficient differs from pi1 at n={n}"
     # exp_ad(log Y, cal_R_k) = e^a·cal_R_k·e^(-a) = cal_L_k on one chain of orders (each checked
-    # cal_L_k·Y = Y^(k) = Y·cal_R_k) with one pair of exponentials; the exp_ad definition
-    # stays pinned by test_exp_ad_matches_the_loop_oracle and the CI oracle step
-    e, e_inv = logy.exp(), (-logy).exp()
+    # cal_L_k·Y = Y^(k) = Y·cal_R_k): e^a is checked to be Y, so e^(-a) is the checked Y^-1;
+    # the exp_ad definition stays pinned by test_exp_ad_matches_the_loop_oracle and the CI oracle step
+    e = logy.exp()
+    if e != y:
+        return False, "exp(log Y) != Y"
     for k, (cal_l, cal_r) in enumerate(bases._higher_chain(3, d), 1):
-        if not (e * cal_r.truncate(d) * e_inv).same_up_to(cal_l, d):
+        if not (e * cal_r.truncate(d) * yi).same_up_to(cal_l, d):
             return False, f"ad-exponential formula fails at k={k}"
     return True, f"inverse, derivative, and conjugation identities to degree {d}"
 
@@ -324,9 +326,9 @@ def _round_trips(basis: str, n: int, to_hub: bool):
     comps, mask = words.compositions_of(n), (1 << n) - 2
     first, back = ([symqsym._hub_row(basis, i, side) for i in comps] for side in (to_hub, not to_hub))
     den = lcm(*(d for _, d, _ in back))
-    matrix = {j: [((c & mask) >> 1, m * (den // d)) for (_, m), c in zip(row, codes)]
+    matrix = {j: [((c & mask) >> 1, m * (den // d)) for m, c in zip(row.values(), codes)]
               for j, (row, d, codes) in zip(comps, back)}
-    for i, (_, d, _), got in zip(comps, first, ncpoly._packed_product([row for row, _, _ in first], matrix)):
+    for i, (_, d, _), got in zip(comps, first, ncpoly._packed_product([row.items() for row, _, _ in first], matrix)):
         yield got == {(words._code(i) & mask) >> 1: d * den}
 
 

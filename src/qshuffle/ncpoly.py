@@ -141,7 +141,8 @@ def fraction_view(items, den: int, label=lambda k: k) -> MappingProxyType:
 
 class Sparse:
     """The coefficient core: tuple key -> integer numerator over one positive
-    denominator, in reduced form.  Values never change after construction;
+    denominator, in reduced form.  Values never change after construction, so
+    a value may share its numerator dict with a cache, never mutated either;
     `.terms` is a read-only view of key -> Fraction, built on first read.
 
     A subclass sets `_key` (an outside key -> the stored tuple, validating
@@ -521,13 +522,13 @@ def concat_pairs(s: tuple, t: tuple) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _word_coproduct(letters: tuple, kind: str) -> tuple:
+def _word_coproduct(letters: tuple, kind: str) -> dict:
     """Coproduct of a single word for the shuffle/stuffle kinds, extended as a
-    morphism for concatenation."""
+    morphism for concatenation: {(u, v): numerator} over 1, shared, never mutated."""
     pairs: dict[tuple[tuple, tuple], int] = {((), ()): 1}
     for a in letters:
         pairs = bilinear(pairs, dict(_letter_coproduct(a, kind)), concat_pairs)
-    return tuple(pairs.items())
+    return pairs
 
 
 def coproduct(p: NCPolynomial, kind: str) -> TensorPolynomial:
@@ -537,9 +538,14 @@ def coproduct(p: NCPolynomial, kind: str) -> TensorPolynomial:
     multiplicatively, and "plus" is the contraction coproduct
     y_n -> sum y_i (x) y_{n-i}, defined on single letters only (it is not a
     morphism for concatenation, so extending it silently would be wrong).
+    A one-term shuffle/stuffle coproduct shares its word's cached dict.
     """
     if kind not in COPRODUCT_KINDS:
         raise ValueError(f"unknown coproduct kind {kind!r}")
+    if len(p._nums) == 1 and kind in ("shuffle", "stuffle"):
+        ((ls, n),) = p._nums.items()
+        row = _word_coproduct(ls, kind)
+        return TensorPolynomial._from(row if n == 1 else {k: n * c for k, c in row.items()}, p._den)
     out: dict[tuple[tuple, tuple], int] = {}
     for ls, n in p._nums.items():
         if kind == "concat":
@@ -551,7 +557,7 @@ def coproduct(p: NCPolynomial, kind: str) -> TensorPolynomial:
                 )
             items = [(((i,), (ls[0] - i,)), 1) for i in range(1, ls[0])]
         else:
-            items = _word_coproduct(ls, kind)
+            items = _word_coproduct(ls, kind).items()
         add_into(out, items, n)
     return TensorPolynomial._from(out, p._den)
 

@@ -196,11 +196,6 @@ def element_to_json(x: _CompositionIndexed) -> dict:
 # tests for the per-refinement and mirror-statistics formulas kept as oracles)
 # ---------------------------------------------------------------------------
 
-# Rows are (((target, numerator), ...), denominator, (code of target, ...)),
-# for the change from a basis to its hub basis (S or M) or back.  Each key is
-# listed once: a product row concatenates each pair of factor keys on their
-# codes, and decodes each result once, when the row is built.
-
 # basis -> (coefficient of hub_J in basis_(n), of basis_J in hub_(n)), s = stats(J)
 _ONE_PART = {
     "Lambda": (lambda n, s: (-1) ** (n - s.l),) * 2,
@@ -212,8 +207,12 @@ _ONE_PART = {
 
 @lru_cache(maxsize=None)
 def _hub_row(basis: str, comp: Composition, to_hub: bool) -> tuple:
+    """The row of basis^I in its hub basis S or M (to_hub) or back, as ({target: numerator},
+    denominator, (code of target, ...)), codes in dict order: a `Sparse` core that one-term
+    conversions share, so it never changes once built.  A product row concatenates each pair
+    of factor keys on their codes, and decodes each result once, when the row is built."""
     if basis in ("S", "M") or not comp:
-        return ((comp, 1),), 1, (_code(comp),)
+        return {comp: 1}, 1, (_code(comp),)
     if basis == "Rib":
         # Rib_I = sum over coarser-or-equal J of (-1)^(l(I)-l(J)) S^J and
         # S^I = sum over coarser-or-equal J of Rib_J: the code of J keeps a
@@ -221,11 +220,11 @@ def _hub_row(basis: str, comp: Composition, to_hub: bool) -> tuple:
         row = [(_code(comp), 1)]
         for s in accumulate(comp[:-1]):
             row += [(c ^ 1 << s, -n if to_hub else n) for c, n in row]
-        return tuple((_decode(c), n) for c, n in row), 1, tuple(c for c, _ in row)
+        return {_decode(c): n for c, n in row}, 1, tuple(c for c, _ in row)
     if len(comp) == 1:
         coeff = _ONE_PART[basis][0 if to_hub else 1]
         nums, den = _integral((j, coeff(comp[0], stats(j))) for j in compositions_of(comp[0]))
-        return tuple(nums.items()), den, tuple(map(_code, nums))
+        return nums, den, tuple(map(_code, nums))
     # Lambda, Psi and Phi are multiplicative and the F/M coefficients are
     # products over the blocks of J: the row of I is the concatenation product
     # of the rows of its halves (halves keep the recursion depth log l(I)),
@@ -234,21 +233,21 @@ def _hub_row(basis: str, comp: Composition, to_hub: bool) -> tuple:
     (left, a, lc), (right, b, rc) = (_hub_row(basis, h, to_hub) for h in (comp[:half], comp[half:]))
     shift = sum(comp[:half])
     codes = tuple(j | k << shift for j in lc for k in rc)
-    return tuple(zip(map(_decode, codes), [x * y for _, x in left for _, y in right])), a * b, codes
+    return dict(zip(map(_decode, codes), [x * y for x in left.values() for y in right.values()])), a * b, codes
 
 
 def _apply_rows(x: _CompositionIndexed, basis: str, to_hub: bool, target: str):
     # sum over the terms n/d·I of x of n/d times row(I), over one denominator;
-    # a one-term x (every point query) is its row, scaled
+    # a one-term x (every point query) is its row, scaled, or the cached row when n = 1
     if len(x._nums) == 1:
         ((comp, n),) = x._nums.items()
         row, den, _ = _hub_row(basis, comp, to_hub)
-        return type(x)._in(target, dict(row) if n == 1 else {j: n * c for j, c in row}, x._den * den)
+        return type(x)._in(target, row if n == 1 else {j: n * c for j, c in row.items()}, x._den * den)
     rows = [(n, _hub_row(basis, comp, to_hub)) for comp, n in x._nums.items()]
     den = lcm(*(d for _, (_, d, _) in rows))
     out: dict[Composition, int] = {}
     for n, (row, d, _) in rows:
-        add_into(out, row, n * (den // d))
+        add_into(out, row.items(), n * (den // d))
     return type(x)._in(target, out, x._den * den)
 
 
@@ -509,5 +508,5 @@ def cauchy_check(max_weight: int) -> bool:
     terms = []
     for j in comps:
         (f_in_m, df, _), (rib_in_s, dr, _) = _hub_row("F", j, True), _hub_row("Rib", j, True)
-        terms.append((Sparse._from(bilinear(dict(f_in_m), dict(rib_in_s), pair), df * dr), 1))
+        terms.append((Sparse._from(bilinear(f_in_m, rib_in_s, pair), df * dr), 1))
     return Sparse._from({(i, i): 1 for i in comps}) == Sparse._sum(terms)

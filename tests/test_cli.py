@@ -586,13 +586,15 @@ def fresh_hub_rows():
 def test_sym_roundtrips_check_fails_where_the_per_element_loop_fails(
     monkeypatch, fresh_hub_rows, basis, comp, to_hub, detail
 ):
-    # the last entry of one conversion row doubled; `convert` reads the same rows
+    # the numerator of the last key of one conversion row doubled, in a new
+    # dict; `convert` reads the same rows
     real = symqsym._hub_row
 
     def perturbed(b, c, t):
         row, den, codes = real(b, c, t)
         if (b, c, t) == (basis, comp, to_hub):
-            row = row[:-1] + ((row[-1][0], 2 * row[-1][1]),)
+            last = next(reversed(row))
+            row = {**row, last: 2 * row[last]}
         return row, den, codes
 
     monkeypatch.setattr(symqsym, "_hub_row", perturbed)
@@ -636,6 +638,14 @@ def test_series_and_monomial_checks_fail_where_the_per_order_loops_failed(
     assert [None if ok else detail for ok, detail in got] == failures
     monkeypatch.setattr(ncpoly, "is_primitive", oracle.is_primitive)
     assert cli._check_primitivity(6, 8, random.Random(0)) == got[0]
+
+
+def test_series_check_fails_where_exp_of_log_y_is_not_y(monkeypatch):
+    # e^(log Y) is checked against Y before the checked Y^-1 stands in for
+    # e^(-log Y) in the conjugation
+    real = bases.TSeries.exp
+    monkeypatch.setattr(bases.TSeries, "exp", lambda s: real(s) + bases.TSeries({2: NCPolynomial.word((1,))}, s.bound))
+    assert cli._check_series(4, 8, random.Random(0)) == (False, "exp(log Y) != Y")
 
 
 def test_primitivity_and_hall_littlewood_state_the_weights_covered():

@@ -473,6 +473,16 @@ def test_coproducts_match_the_fraction_oracle(kind, data):
     _assert_equality_follows_terms(got, coproduct(p + p, kind), got - got)
 
 
+@pytest.mark.parametrize("kind", ["concat", "shuffle", "stuffle"])
+@pytest.mark.parametrize("c", [1, 3, Fraction(-1, 2)])
+def test_one_term_coproducts_match_the_fraction_oracle(kind, c):
+    # the one-term path wraps the cached word coproduct; every word of weight <= 6
+    for w in words_up_to(6):
+        got = coproduct(NCPolynomial.word(w, c), kind)
+        assert got.terms == oracle.coproduct({w: Fraction(c)}, kind), w
+        oracle.assert_canonical(got)
+
+
 @settings(max_examples=30, deadline=None)
 @given(a=rational_terms(keys=_words_up_to(3, include_empty=False)))
 def test_exp_and_log_match_the_fraction_oracle(a):

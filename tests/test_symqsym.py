@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qshuffle.bases import pi1, r_elements
-from qshuffle.ncpoly import NCPolynomial, coproduct, product
+from qshuffle.ncpoly import NCPolynomial, _word_coproduct, coproduct, product
 from qshuffle.symqsym import (
     QSYM_BASES,
     SYM_BASES,
@@ -573,6 +573,64 @@ def test_pairing_ext_matches_the_fraction_oracle(x_terms, y_terms, x_basis, y_ba
     assert got == oracle.pairing_ext(xd, x_basis, yd, y_basis)
 
 
+_ORDERED_PAIRS = [(cls, a, b) for cls, names in ((SymElement, SYM_BASES), (QSymElement, QSYM_BASES))
+                  for a, b in itertools.permutations(names, 2)]
+_COEFFS = (1, 3, Fraction(-1, 2))
+
+
+@pytest.mark.parametrize("cls, source, target", _ORDERED_PAIRS)
+def test_one_term_conversions_match_the_fraction_oracle(cls, source, target):
+    # the one-term path wraps the cached row; every composition of weight <= 6
+    for comp, c in itertools.product(compositions_up_to(6), _COEFFS):
+        got = convert(cls.single(comp, source, c), target)
+        assert got.terms == oracle.convert({comp: Fraction(c)}, source, target), (comp, c)
+        oracle.assert_canonical(got)
+
+
+@pytest.mark.parametrize("x_basis", SYM_BASES)
+def test_one_term_pairings_match_the_fraction_oracle(x_basis):
+    for y_basis, (i, j), (c, d) in itertools.product(
+        QSYM_BASES, itertools.product(compositions_up_to(4), repeat=2), zip(_COEFFS, _COEFFS[::-1])
+    ):
+        got = pairing_ext(SymElement.single(i, x_basis, c), QSymElement.single(j, y_basis, d))
+        assert got == oracle.pairing_ext({i: Fraction(c)}, x_basis, {j: Fraction(d)}, y_basis), (i, j, y_basis)
+
+
+def test_shared_rows_and_word_coproducts_stay_unchanged():
+    # one-term conversions and coproducts share their cached dicts: no
+    # operation on the values they return may change the cache
+    rows = [(b, comp, t) for b, comp in (("Psi", (2, 1, 3)), ("Rib", (1, 2, 1)), ("Phi", (3,)), ("F", (1, 3)))
+            for t in (True, False)]
+    words = [((1, 2, 1), "stuffle"), ((2, 2), "shuffle"), ((3,), "stuffle")]
+    snapshot = lambda: ([(dict(r), d, codes) for r, d, codes in (_hub_row(*key) for key in rows)],
+                        [dict(_word_coproduct(*key)) for key in words])
+    before = snapshot()
+    for basis, comp, to_hub in rows:
+        cls, hub = (SymElement, "S") if basis in SYM_BASES else (QSymElement, "M")
+        source, target = (basis, hub) if to_hub else (hub, basis)
+        x = convert(cls.single(comp, source), target)
+        for y in (x + x, x - x, -x, 3 * x, x / 2, convert(x, source), x):
+            assert y.terms is not None
+        sym, qsym = (x, QSymElement.single(comp, "M")) if cls is SymElement else (SymElement.single(comp, "S"), x)
+        pairing_ext(sym, qsym)
+        sym_coproduct(sym)
+    for w, kind in words:
+        t = coproduct(NCPolynomial.word(w), kind)
+        for u in (t + t, t - t, -t, 3 * t, t / 2, t * t, t):
+            assert u.terms is not None
+        sym_coproduct(SymElement.single(w, "S"))
+    assert snapshot() == before
+
+
+def test_one_term_queries_wrap_the_cached_dict():
+    comp, w = (2, 1, 3), (1, 2, 1)
+    assert _hub_row("Psi", comp, True)[1] == _hub_row("F", comp, True)[1] == 1
+    assert convert(SymElement.single(comp, "Psi"), "S")._nums is _hub_row("Psi", comp, True)[0]
+    assert convert(QSymElement.single(comp, "F"), "M")._nums is _hub_row("F", comp, True)[0]
+    assert coproduct(NCPolynomial.word(w), "stuffle")._nums is _word_coproduct(w, "stuffle")
+    assert coproduct(NCPolynomial.word(w), "shuffle")._nums is _word_coproduct(w, "shuffle")
+
+
 @pytest.mark.parametrize("basis", SYM_BASES + QSYM_BASES)
 def test_product_rows_match_the_per_refinement_rows(basis):
     # every row, in both directions, against the per-refinement and
@@ -584,10 +642,11 @@ def test_product_rows_match_the_per_refinement_rows(basis):
     for comp in compositions_up_to(7):
         for direction, expected in ((True, to_hub), (False, from_hub)):
             row, den, codes = _hub_row(basis, comp, direction)
-            got = {j: Fraction(n, den) for j, n in row}
-            assert len(got) == len(row), (basis, comp, direction)
+            got = {j: Fraction(n, den) for j, n in row.items()}
+            # a dict merges a repeated key silently: one distinct code per key
+            assert len(row) == len(codes), (basis, comp, direction)
             assert got == dict(expected(basis, comp)), (basis, comp, direction)
-            assert codes == tuple(_code(j) for j, _ in row), (basis, comp, direction)
+            assert codes == tuple(map(_code, row)), (basis, comp, direction)
 
 
 def test_a_one_part_ribbon_of_large_weight_converts_at_once():
