@@ -3,9 +3,10 @@ composition-indexed algebras.
 
 Sym carries five bases: complete (S), elementary (Lambda), power sums of the
 first (Psi) and second (Phi) kind, and ribbons (Rib).  QSym carries the
-monomial (M) and fundamental (F) bases.  Every conversion routes through the
-hub basis of its side, S or M.  The Lambda, Psi, Phi and F rows are
-concatenation products of one-part rows, the Rib rows coarsening sums, both
+monomial (M) and fundamental (F) bases.  Every conversion is one step over
+cached rows: with the hub basis of its side, S or M, at one end, a hub row;
+between two other Sym bases, a direct row.  Rows of more than one part are
+products of the rows of their halves, the hub Rib rows coarsening sums, all
 built on partial-sum codes (`words._code`).  The sides pair by <S^I, M_J> =
 delta.  Composition tuples are the letter tuples of words, so the Hopf
 structure is the word algebra's read through the encodings at the bottom:
@@ -28,6 +29,7 @@ from .ncpoly import (
     _coeff,
     _integral,
     _lincomb,
+    _reduced,
     add_into,
     bilinear,
     concat_words,
@@ -225,29 +227,59 @@ def _hub_row(basis: str, comp: Composition, to_hub: bool) -> tuple:
         coeff = _ONE_PART[basis][0 if to_hub else 1]
         nums, den = _integral((j, coeff(comp[0], stats(j))) for j in compositions_of(comp[0]))
         return nums, den, tuple(map(_code, nums))
-    # Lambda, Psi and Phi are multiplicative and the F/M coefficients are
-    # products over the blocks of J: the row of I is the concatenation product
-    # of the rows of its halves (halves keep the recursion depth log l(I)),
-    # whose code is j | k << a for a the weight of the left half
+    # Lambda, Psi and Phi are multiplicative and the F/M coefficients are products
+    # over the blocks of J: the row of I is the product of the rows of its halves
+    codes, prods, den, _ = _halves_product(lambda h: _hub_row(basis, h, to_hub), comp)
+    return dict(zip(map(_decode, codes), prods)), den, tuple(codes)
+
+
+def _halves_product(row, comp: Composition) -> tuple:
+    # the concatenation product of row(I) and row(J), I and J the halves of comp (halves keep
+    # the recursion depth log l(comp)), as (codes, numerators, denominator, a), the code of
+    # each term j | k << a for a the weight of I
     half = len(comp) // 2
-    (left, a, lc), (right, b, rc) = (_hub_row(basis, h, to_hub) for h in (comp[:half], comp[half:]))
-    shift = sum(comp[:half])
-    codes = tuple(j | k << shift for j in lc for k in rc)
-    return dict(zip(map(_decode, codes), [x * y for x in left.values() for y in right.values()])), a * b, codes
+    (left, a, lc), (right, b, rc) = map(row, (comp[:half], comp[half:]))
+    shift, prods = sum(comp[:half]), [x * y for x in left.values() for y in right.values()]
+    return [j | k << shift for j in lc for k in rc], prods, a * b, shift
 
 
-def _apply_rows(x: _CompositionIndexed, basis: str, to_hub: bool, target: str):
-    # sum over the terms n/d·I of x of n/d times row(I), over one denominator;
-    # a one-term x (every point query) is its row, scaled, or the cached row when n = 1
+@lru_cache(maxsize=None)
+def _row(source: str, target: str, comp: Composition) -> tuple:
+    """The row of source^I in target, two Sym bases other than S, as `_hub_row` gives it
+    but reduced, so that a one-term conversion wraps its dict.  A longer row is the product
+    of its halves' rows, as in `_hub_row`, corrected by Rib_I·Rib_J = Rib_(I·J) + Rib_(I⊙J),
+    I⊙J joining the last part of I to the first of J (Gelfand et al., Adv. Math. 112, 1995):
+    a ribbon target takes each term twice, under code c and c ^ 1 << a, which differ in bit
+    a, and a ribbon source subtracts the row of Rib_(I⊙J), which has one part fewer."""
+    if len(comp) <= 1:
+        # the identity, or the hub row of source_n read back into target
+        x = convert(convert(SymElement.single(comp, source), "S"), target)
+        return x._nums, x._den, tuple(map(_code, x._nums))
+    codes, prods, den, shift = _halves_product(lambda h: _row(source, target, h), comp)
+    if target == "Rib":
+        codes, prods = codes + [c ^ 1 << shift for c in codes], prods * 2
+    nums = dict(zip(map(_decode, codes), prods))
+    if source == "Rib":
+        near, d, _ = _row(source, target, _decode(_code(comp) ^ 1 << shift))
+        if (f := lcm(den, d) // den) != 1:
+            nums, den = {j: n * f for j, n in nums.items()}, den * f
+        nums, codes = add_into(nums, near.items(), -(den // d)), None
+    (nums,), den = _reduced([nums], den)
+    return nums, den, tuple(codes or map(_code, nums))
+
+
+def _apply_rows(x: _CompositionIndexed, target: str, row):
+    # sum over the terms n/d·I of x of n/d times row(I), the cached row of I in target, over
+    # one denominator; a one-term x (every point query) is its row, scaled, or the row when n = 1
     if len(x._nums) == 1:
         ((comp, n),) = x._nums.items()
-        row, den, _ = _hub_row(basis, comp, to_hub)
-        return type(x)._in(target, row if n == 1 else {j: n * c for j, c in row.items()}, x._den * den)
-    rows = [(n, _hub_row(basis, comp, to_hub)) for comp, n in x._nums.items()]
+        nums, den, _ = row(comp)
+        return type(x)._in(target, nums if n == 1 else {j: n * c for j, c in nums.items()}, x._den * den)
+    rows = [(n, row(comp)) for comp, n in x._nums.items()]
     den = lcm(*(d for _, (_, d, _) in rows))
     out: dict[Composition, int] = {}
-    for n, (row, d, _) in rows:
-        add_into(out, row.items(), n * (den // d))
+    for n, (nums, d, _) in rows:
+        add_into(out, nums.items(), n * (den // d))
     return type(x)._in(target, out, x._den * den)
 
 
@@ -256,8 +288,8 @@ _ROUTES = {SymElement: ("Sym", SYM_BASES, "S"), QSymElement: ("QSym", QSYM_BASES
 
 
 def convert(x: SymElement | QSymElement, target: str):
-    """Exact basis change; non-S to non-S (and F/M) conversions route through
-    the S (resp. M) basis."""
+    """Exact basis change in one step for any number of terms: the `_hub_row`s when S
+    (resp. M) is one end, the direct `_row`s between two other Sym bases."""
     if type(x) not in _ROUTES:
         raise TypeError(f"cannot convert {type(x).__name__}")
     name, valid, hub = _ROUTES[type(x)]
@@ -265,8 +297,11 @@ def convert(x: SymElement | QSymElement, target: str):
         raise ValueError(f"{target!r} is not a {name} basis")
     if x.basis == target:
         return x
-    in_hub = x if x.basis == hub else _apply_rows(x, x.basis, True, hub)
-    return in_hub if target == hub else _apply_rows(in_hub, target, False, target)
+    if target == hub:
+        return _apply_rows(x, target, lambda comp: _hub_row(x.basis, comp, True))
+    if x.basis == hub:
+        return _apply_rows(x, target, lambda comp: _hub_row(target, comp, False))
+    return _apply_rows(x, target, lambda comp: _row(x.basis, target, comp))
 
 
 # ---------------------------------------------------------------------------

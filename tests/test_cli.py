@@ -557,11 +557,14 @@ def test_sym_roundtrips_check_matches_the_per_element_loop(w_max):
 @pytest.fixture
 def fresh_hub_rows():
     # rows built while `_hub_row` is patched (a product row reads its halves
-    # through the module name) must not outlive the test
-    rows = symqsym._hub_row
-    rows.cache_clear()
+    # through the module name, and a direct row reads hub rows) must not
+    # outlive the test
+    caches = (symqsym._hub_row, symqsym._row)
+    for rows in caches:
+        rows.cache_clear()
     yield
-    rows.cache_clear()
+    for rows in caches:
+        rows.cache_clear()
 
 
 @pytest.mark.parametrize(

@@ -35,6 +35,7 @@ from qshuffle.symqsym import (
     specialize_Mq,
     sym_coproduct,
     _hub_row,
+    _row,
 )
 from qshuffle.words import Word, _code, compositions_up_to, refinements, relative_stats, stats
 
@@ -587,6 +588,50 @@ def test_one_term_conversions_match_the_fraction_oracle(cls, source, target):
         oracle.assert_canonical(got)
 
 
+_DIRECT_PAIRS = list(itertools.permutations(SYM_BASES[1:], 2))
+
+
+@pytest.mark.parametrize("source, target", _DIRECT_PAIRS)
+def test_direct_rows_match_the_fraction_oracle(source, target):
+    # the rows built by halves against the two-step sum, at every composition of
+    # weight <= 7; each row is reduced and stores the code of each key
+    for comp in compositions_up_to(7):
+        row, den, codes = _row(source, target, comp)
+        oracle.assert_canonical(SymElement._in(target, row, den))
+        assert codes == tuple(map(_code, row)), comp
+        for c in _COEFFS:
+            got = convert(SymElement.single(comp, source, c), target)
+            assert got.terms == oracle.convert({comp: Fraction(c)}, source, target), (comp, c)
+            oracle.assert_canonical(got)
+
+
+_MANY_TERMS = [
+    # mixed weights, the empty composition among them
+    {(): 2, (1,): -1, (2, 1): Fraction(3, 2), (1, 1, 2): 1, (3, 2, 1): Fraction(-2, 5), (1, 2, 1, 2): 7},
+    # coefficients that sum to zero, within one weight and across weights
+    {(1, 2): 1, (2, 1): -1, (3,): 1, (1, 1, 1): -1},
+    {(4,): Fraction(1, 3), (1, 3): Fraction(-1, 3), (2,): 5, (1, 1): -5},
+    {},
+]
+
+
+@pytest.mark.parametrize("source, target", _DIRECT_PAIRS)
+def test_many_term_direct_conversions_match_the_fraction_oracle(source, target):
+    for terms in _MANY_TERMS:
+        x = SymElement(terms, source)
+        got = convert(x, target)
+        assert got.terms == oracle.convert(dict(x.terms), source, target), terms
+        oracle.assert_canonical(got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms=element_terms, pair=st.sampled_from(_ORDERED_PAIRS))
+def test_conversions_invert_each_other(terms, pair):
+    cls, source, target = pair
+    x = cls(terms, source)
+    assert convert(convert(x, target), source) == x
+
+
 @pytest.mark.parametrize("x_basis", SYM_BASES)
 def test_one_term_pairings_match_the_fraction_oracle(x_basis):
     for y_basis, (i, j), (c, d) in itertools.product(
@@ -601,10 +646,17 @@ def test_shared_rows_and_word_coproducts_stay_unchanged():
     # operation on the values they return may change the cache
     rows = [(b, comp, t) for b, comp in (("Psi", (2, 1, 3)), ("Rib", (1, 2, 1)), ("Phi", (3,)), ("F", (1, 3)))
             for t in (True, False)]
+    direct = [(a, b, comp) for (a, b), comp in itertools.product(_DIRECT_PAIRS, ((2, 1, 3), (3,), (1, 2, 1)))]
     words = [((1, 2, 1), "stuffle"), ((2, 2), "shuffle"), ((3,), "stuffle")]
     snapshot = lambda: ([(dict(r), d, codes) for r, d, codes in (_hub_row(*key) for key in rows)],
+                        [(dict(r), d, codes) for r, d, codes in (_row(*key) for key in direct)],
                         [dict(_word_coproduct(*key)) for key in words])
     before = snapshot()
+    for source, target, comp in direct:
+        x = convert(SymElement.single(comp, source), target)
+        for y in (x + x, x - x, -x, 3 * x, x / 2, x * x, convert(x, source), convert(x, "S"), x):
+            assert y.terms is not None
+        pairing_ext(x, QSymElement.single(comp, "F"))
     for basis, comp, to_hub in rows:
         cls, hub = (SymElement, "S") if basis in SYM_BASES else (QSymElement, "M")
         source, target = (basis, hub) if to_hub else (hub, basis)
@@ -627,6 +679,9 @@ def test_one_term_queries_wrap_the_cached_dict():
     assert _hub_row("Psi", comp, True)[1] == _hub_row("F", comp, True)[1] == 1
     assert convert(SymElement.single(comp, "Psi"), "S")._nums is _hub_row("Psi", comp, True)[0]
     assert convert(QSymElement.single(comp, "F"), "M")._nums is _hub_row("F", comp, True)[0]
+    for source, target in _DIRECT_PAIRS:
+        assert convert(SymElement.single(comp, source), target)._nums is _row(source, target, comp)[0]
+    assert _row("Psi", "Phi", comp)[1] > 1 and _row("Rib", "Phi", comp)[1] > 1
     assert coproduct(NCPolynomial.word(w), "stuffle")._nums is _word_coproduct(w, "stuffle")
     assert coproduct(NCPolynomial.word(w), "shuffle")._nums is _word_coproduct(w, "shuffle")
 
