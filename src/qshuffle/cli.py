@@ -321,10 +321,12 @@ def _check_pi1(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
 
 def _round_trips(basis: str, n: int, to_hub: bool):
     """Per composition I of weight n, in order, whether basis^I (to_hub) or
-    hub^I converts there and back to itself: the first step's `_hub_row`s times
+    hub^I converts there and back to itself: the first step's `_row`s times
     the rows back, packed over their lcm D, give d_I·D at I and 0 elsewhere."""
     comps, mask = words.compositions_of(n), (1 << n) - 2
-    first, back = ([symqsym._hub_row(basis, i, side) for i in comps] for side in (to_hub, not to_hub))
+    hub = "M" if basis == "F" else "S"
+    ends = (basis, hub) if to_hub else (hub, basis)
+    first, back = ([symqsym._row(*pair, i) for i in comps] for pair in (ends, ends[::-1]))
     den = lcm(*(d for _, d, _ in back))
     matrix = {j: [((c & mask) >> 1, m * (den // d)) for m, c in zip(row.values(), codes)]
               for j, (row, d, codes) in zip(comps, back)}

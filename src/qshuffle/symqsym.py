@@ -4,22 +4,21 @@ composition-indexed algebras.
 Sym carries five bases: complete (S), elementary (Lambda), power sums of the
 first (Psi) and second (Phi) kind, and ribbons (Rib).  QSym carries the
 monomial (M) and fundamental (F) bases.  Every conversion is one step over
-cached rows: with the hub basis of its side, S or M, at one end, a hub row;
-between two other Sym bases, a direct row.  Rows of more than one part are
-products of the rows of their halves, the hub Rib rows coarsening sums, all
-built on partial-sum codes (`words._code`).  The sides pair by <S^I, M_J> =
-delta.  Composition tuples are the letter tuples of words, so the Hopf
-structure is the word algebra's read through the encodings at the bottom:
-the M side multiplies through `ncpoly.stuffle_words`, the Sym coproduct is
-the quasi-shuffle coproduct of words and the QSym coproduct is
-deconcatenation, both from `ncpoly.coproduct`.
+cached rows, one per (source, target, composition).  Rows of more than one
+part are products of the rows of their halves, corrected by the
+near-concatenation of ribbons, all built on partial-sum codes
+(`words._code`).  The sides pair by <S^I, M_J> = delta.  Composition tuples
+are the letter tuples of words, so the Hopf structure is the word algebra's
+read through the encodings at the bottom: the M side multiplies through
+`ncpoly.stuffle_words`, the Sym coproduct is the quasi-shuffle coproduct of
+words and the QSym coproduct is deconcatenation, both from
+`ncpoly.coproduct`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 from math import lcm
 from typing import Mapping
 
@@ -194,43 +193,20 @@ def element_to_json(x: _CompositionIndexed) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# basis changes (products of one-part rows, ribbon coarsening sums; see
-# tests for the per-refinement and mirror-statistics formulas kept as oracles)
+# basis changes (products of one-part rows, corrected for ribbons; see tests
+# for the per-refinement and mirror-statistics formulas kept as oracles)
 # ---------------------------------------------------------------------------
 
-# basis -> (coefficient of hub_J in basis_(n), of basis_J in hub_(n)), s = stats(J)
+# (source, target), S or M at one end -> coefficient of target_J in source_(n), s = stats(J)
 _ONE_PART = {
-    "Lambda": (lambda n, s: (-1) ** (n - s.l),) * 2,
-    "Psi": (lambda n, s: (-1) ** (s.l - 1) * s.lp, lambda n, s: Fraction(1, s.pi_u)),
-    "Phi": (lambda n, s: (-1) ** (s.l - 1) * Fraction(n, s.l), lambda n, s: Fraction(1, s.sp)),
-    "F": (lambda n, s: 1, lambda n, s: (-1) ** (s.l - 1)),
+    **dict.fromkeys((("Lambda", "S"), ("S", "Lambda")), lambda n, s: (-1) ** (n - s.l)),
+    ("Psi", "S"): lambda n, s: (-1) ** (s.l - 1) * s.lp,
+    ("S", "Psi"): lambda n, s: Fraction(1, s.pi_u),
+    ("Phi", "S"): lambda n, s: (-1) ** (s.l - 1) * Fraction(n, s.l),
+    ("S", "Phi"): lambda n, s: Fraction(1, s.sp),
+    ("F", "M"): lambda n, s: 1,
+    ("M", "F"): lambda n, s: (-1) ** (s.l - 1),
 }
-
-
-@lru_cache(maxsize=None)
-def _hub_row(basis: str, comp: Composition, to_hub: bool) -> tuple:
-    """The row of basis^I in its hub basis S or M (to_hub) or back, as ({target: numerator},
-    denominator, (code of target, ...)), codes in dict order: a `Sparse` core that one-term
-    conversions share, so it never changes once built.  A product row concatenates each pair
-    of factor keys on their codes, and decodes each result once, when the row is built."""
-    if basis in ("S", "M") or not comp:
-        return {comp: 1}, 1, (_code(comp),)
-    if basis == "Rib":
-        # Rib_I = sum over coarser-or-equal J of (-1)^(l(I)-l(J)) S^J and
-        # S^I = sum over coarser-or-equal J of Rib_J: the code of J keeps a
-        # sub-mask of I's inner partial sums, each one dropped merges two parts
-        row = [(_code(comp), 1)]
-        for s in accumulate(comp[:-1]):
-            row += [(c ^ 1 << s, -n if to_hub else n) for c, n in row]
-        return {_decode(c): n for c, n in row}, 1, tuple(c for c, _ in row)
-    if len(comp) == 1:
-        coeff = _ONE_PART[basis][0 if to_hub else 1]
-        nums, den = _integral((j, coeff(comp[0], stats(j))) for j in compositions_of(comp[0]))
-        return nums, den, tuple(map(_code, nums))
-    # Lambda, Psi and Phi are multiplicative and the F/M coefficients are products
-    # over the blocks of J: the row of I is the product of the rows of its halves
-    codes, prods, den, _ = _halves_product(lambda h: _hub_row(basis, h, to_hub), comp)
-    return dict(zip(map(_decode, codes), prods)), den, tuple(codes)
 
 
 def _halves_product(row, comp: Composition) -> tuple:
@@ -245,14 +221,22 @@ def _halves_product(row, comp: Composition) -> tuple:
 
 @lru_cache(maxsize=None)
 def _row(source: str, target: str, comp: Composition) -> tuple:
-    """The row of source^I in target, two Sym bases other than S, as `_hub_row` gives it
-    but reduced, so that a one-term conversion wraps its dict.  A longer row is the product
-    of its halves' rows, as in `_hub_row`, corrected by Rib_I·Rib_J = Rib_(I·J) + Rib_(I⊙J),
-    I⊙J joining the last part of I to the first of J (Gelfand et al., Adv. Math. 112, 1995):
-    a ribbon target takes each term twice, under code c and c ^ 1 << a, which differ in bit
-    a, and a ribbon source subtracts the row of Rib_(I⊙J), which has one part fewer."""
+    """The row of source^I in target, two bases of one side, as ({target: numerator},
+    denominator, (code of target, ...)), reduced, codes in dict order: a `Sparse` core that
+    one-term conversions share, so it never changes once built.  A one-part row is a closed
+    formula when S or M is one end (Rib_(n) = S_(n)), and is read through S otherwise.  A
+    longer row is the product of its halves' rows, joined on their codes (every basis but Rib
+    is multiplicative, and the F/M coefficients are products over the blocks of J), corrected
+    by Rib_I·Rib_J = Rib_(I·J) + Rib_(I⊙J), I⊙J joining the last part of I to the first of J
+    (Gelfand et al., Adv. Math. 112, 1995): a ribbon target takes each term twice, under code
+    c and c ^ 1 << a, which differ in bit a, and a ribbon source subtracts the row of
+    Rib_(I⊙J), which has one part fewer."""
     if len(comp) <= 1:
-        # the identity, or the hub row of source_n read back into target
+        if not comp or {source, target} == {"S", "Rib"}:
+            return {comp: 1}, 1, (_code(comp),)
+        if coeff := _ONE_PART.get((source, target)):
+            nums, den = _integral((j, coeff(comp[0], stats(j))) for j in compositions_of(comp[0]))
+            return nums, den, tuple(map(_code, nums))
         x = convert(convert(SymElement.single(comp, source), "S"), target)
         return x._nums, x._den, tuple(map(_code, x._nums))
     codes, prods, den, shift = _halves_product(lambda h: _row(source, target, h), comp)
@@ -268,40 +252,31 @@ def _row(source: str, target: str, comp: Composition) -> tuple:
     return nums, den, tuple(codes or map(_code, nums))
 
 
-def _apply_rows(x: _CompositionIndexed, target: str, row):
-    # sum over the terms n/d·I of x of n/d times row(I), the cached row of I in target, over
-    # one denominator; a one-term x (every point query) is its row, scaled, or the row when n = 1
+# element type -> (name, bases)
+_ROUTES = {SymElement: ("Sym", SYM_BASES), QSymElement: ("QSym", QSYM_BASES)}
+
+
+def convert(x: SymElement | QSymElement, target: str):
+    """Exact basis change in one step for any number of terms: the sum over the terms n/d·I
+    of x of n/d times the cached `_row` of I, over one denominator; a one-term x (every point
+    query) is its row, scaled, or the row itself when n = 1."""
+    if type(x) not in _ROUTES:
+        raise TypeError(f"cannot convert {type(x).__name__}")
+    name, valid = _ROUTES[type(x)]
+    if target not in valid:
+        raise ValueError(f"{target!r} is not a {name} basis")
+    if x.basis == target:
+        return x
     if len(x._nums) == 1:
         ((comp, n),) = x._nums.items()
-        nums, den, _ = row(comp)
+        nums, den, _ = _row(x.basis, target, comp)
         return type(x)._in(target, nums if n == 1 else {j: n * c for j, c in nums.items()}, x._den * den)
-    rows = [(n, row(comp)) for comp, n in x._nums.items()]
+    rows = [(n, _row(x.basis, target, comp)) for comp, n in x._nums.items()]
     den = lcm(*(d for _, (_, d, _) in rows))
     out: dict[Composition, int] = {}
     for n, (nums, d, _) in rows:
         add_into(out, nums.items(), n * (den // d))
     return type(x)._in(target, out, x._den * den)
-
-
-# element type -> (name, bases, hub basis)
-_ROUTES = {SymElement: ("Sym", SYM_BASES, "S"), QSymElement: ("QSym", QSYM_BASES, "M")}
-
-
-def convert(x: SymElement | QSymElement, target: str):
-    """Exact basis change in one step for any number of terms: the `_hub_row`s when S
-    (resp. M) is one end, the direct `_row`s between two other Sym bases."""
-    if type(x) not in _ROUTES:
-        raise TypeError(f"cannot convert {type(x).__name__}")
-    name, valid, hub = _ROUTES[type(x)]
-    if target not in valid:
-        raise ValueError(f"{target!r} is not a {name} basis")
-    if x.basis == target:
-        return x
-    if target == hub:
-        return _apply_rows(x, target, lambda comp: _hub_row(x.basis, comp, True))
-    if x.basis == hub:
-        return _apply_rows(x, target, lambda comp: _hub_row(target, comp, False))
-    return _apply_rows(x, target, lambda comp: _row(x.basis, target, comp))
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +517,6 @@ def cauchy_check(max_weight: int) -> bool:
     pair = lambda i, k: (((i, k), 1),)
     terms = []
     for j in comps:
-        (f_in_m, df, _), (rib_in_s, dr, _) = _hub_row("F", j, True), _hub_row("Rib", j, True)
+        (f_in_m, df, _), (rib_in_s, dr, _) = _row("F", "M", j), _row("Rib", "S", j)
         terms.append((Sparse._from(bilinear(f_in_m, rib_in_s, pair), df * dr), 1))
     return Sparse._from({(i, i): 1 for i in comps}) == Sparse._sum(terms)

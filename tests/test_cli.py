@@ -555,16 +555,25 @@ def test_sym_roundtrips_check_matches_the_per_element_loop(w_max):
 
 
 @pytest.fixture
-def fresh_hub_rows():
-    # rows built while `_hub_row` is patched (a product row reads its halves
-    # through the module name, and a direct row reads hub rows) must not
-    # outlive the test
-    caches = (symqsym._hub_row, symqsym._row)
-    for rows in caches:
-        rows.cache_clear()
+def fresh_rows():
+    # rows built while `_row` is patched (a longer row reads its halves through
+    # the module name) must not outlive the test
+    rows = symqsym._row
+    rows.cache_clear()
     yield
-    for rows in caches:
-        rows.cache_clear()
+    rows.cache_clear()
+
+
+def _doubled_last(row):
+    # the numerator of the last key of a conversion row doubled, in a new dict
+    nums, den, codes = row
+    last = next(reversed(nums))
+    return {**nums, last: 2 * nums[last]}, den, codes
+
+
+def _perturb_row(monkeypatch, key):
+    # `convert` and the checks that read rows directly all see the perturbed row
+    monkeypatch.setattr(symqsym, "_row", _patched(symqsym, "_row", lambda *args: args == key, _doubled_last))
 
 
 @pytest.mark.parametrize(
@@ -587,22 +596,26 @@ def fresh_hub_rows():
     ],
 )
 def test_sym_roundtrips_check_fails_where_the_per_element_loop_fails(
-    monkeypatch, fresh_hub_rows, basis, comp, to_hub, detail
+    monkeypatch, fresh_rows, basis, comp, to_hub, detail
 ):
-    # the numerator of the last key of one conversion row doubled, in a new
-    # dict; `convert` reads the same rows
-    real = symqsym._hub_row
-
-    def perturbed(b, c, t):
-        row, den, codes = real(b, c, t)
-        if (b, c, t) == (basis, comp, to_hub):
-            last = next(reversed(row))
-            row = {**row, last: 2 * row[last]}
-        return row, den, codes
-
-    monkeypatch.setattr(symqsym, "_hub_row", perturbed)
+    hub = "M" if basis == "F" else "S"
+    _perturb_row(monkeypatch, (basis, hub, comp) if to_hub else (hub, basis, comp))
     assert oracle.sym_roundtrips(5) == (False, detail)
     assert cli._check_sym_roundtrips(5, 8, random.Random(0)) == (False, detail)
+
+
+@pytest.mark.parametrize("key", [("F", "M", (1, 2)), ("Rib", "S", (1, 2))])
+def test_verify_catches_a_broken_row_in_the_cauchy_row(monkeypatch, fresh_rows, capsys, key):
+    _perturb_row(monkeypatch, key)
+    assert symqsym.cauchy_check(4) is False
+    assert main(["verify", "--max-weight", "4"]) == 1
+    assert any(line.startswith("FAIL  cauchy ") for line in capsys.readouterr().out.splitlines())
+
+
+def test_mirror_oracles_check_catches_a_broken_direct_row(monkeypatch, fresh_rows):
+    _perturb_row(monkeypatch, ("Lambda", "Psi", (1, 2)))
+    detail = "corrected Lambda->Psi oracle fails at (1, 2)"
+    assert cli._check_mirror_oracles(4, 8, random.Random(0)) == (False, detail)
 
 
 def test_products_check_rejects_an_inhomogeneous_product(monkeypatch):

@@ -1,6 +1,6 @@
 import itertools
 from fractions import Fraction
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +34,6 @@ from qshuffle.symqsym import (
     qsym_product,
     specialize_Mq,
     sym_coproduct,
-    _hub_row,
     _row,
 )
 from qshuffle.words import Word, _code, compositions_up_to, refinements, relative_stats, stats
@@ -591,17 +590,26 @@ def test_one_term_conversions_match_the_fraction_oracle(cls, source, target):
 _DIRECT_PAIRS = list(itertools.permutations(SYM_BASES[1:], 2))
 
 
-@pytest.mark.parametrize("source, target", _DIRECT_PAIRS)
-def test_direct_rows_match_the_fraction_oracle(source, target):
-    # the rows built by halves against the two-step sum, at every composition of
-    # weight <= 7; each row is reduced and stores the code of each key
+@pytest.mark.parametrize("cls, source, target", _ORDERED_PAIRS)
+def test_rows_match_the_oracle_rows(cls, source, target):
+    # every cached row at every composition of weight <= 7, reduced, with one stored code per
+    # key (a dict merges a repeated key silently): against the per-refinement and coarsening
+    # formulas when the hub S or M is one end, against the two-step sum otherwise
+    hub, to_hub, from_hub = (
+        ("S", oracle._to_s_row, oracle._from_s_row) if cls is SymElement else ("M", oracle._to_m_row, oracle._from_m_row)
+    )
     for comp in compositions_up_to(7):
         row, den, codes = _row(source, target, comp)
-        oracle.assert_canonical(SymElement._in(target, row, den))
-        assert codes == tuple(map(_code, row)), comp
+        oracle.assert_canonical(SimpleNamespace(_nums=row, _den=den))
+        assert len(row) == len(codes) and codes == tuple(map(_code, row)), comp
+        if hub in (source, target):
+            expected = dict(to_hub(source, comp) if target == hub else from_hub(target, comp))
+        else:
+            expected = oracle.convert({comp: Fraction(1)}, source, target)
+        assert {j: Fraction(n, den) for j, n in row.items()} == expected, comp
         for c in _COEFFS:
-            got = convert(SymElement.single(comp, source, c), target)
-            assert got.terms == oracle.convert({comp: Fraction(c)}, source, target), (comp, c)
+            got = convert(cls.single(comp, source, c), target)
+            assert got.terms == {j: c * e for j, e in expected.items()}, (comp, c)
             oracle.assert_canonical(got)
 
 
@@ -644,12 +652,12 @@ def test_one_term_pairings_match_the_fraction_oracle(x_basis):
 def test_shared_rows_and_word_coproducts_stay_unchanged():
     # one-term conversions and coproducts share their cached dicts: no
     # operation on the values they return may change the cache
-    rows = [(b, comp, t) for b, comp in (("Psi", (2, 1, 3)), ("Rib", (1, 2, 1)), ("Phi", (3,)), ("F", (1, 3)))
-            for t in (True, False)]
+    hub_rows = [key for b, hub, comp in (("Psi", "S", (2, 1, 3)), ("Rib", "S", (1, 2, 1)), ("Phi", "S", (3,)),
+                                         ("F", "M", (1, 3)))
+                for key in ((b, hub, comp), (hub, b, comp))]
     direct = [(a, b, comp) for (a, b), comp in itertools.product(_DIRECT_PAIRS, ((2, 1, 3), (3,), (1, 2, 1)))]
     words = [((1, 2, 1), "stuffle"), ((2, 2), "shuffle"), ((3,), "stuffle")]
-    snapshot = lambda: ([(dict(r), d, codes) for r, d, codes in (_hub_row(*key) for key in rows)],
-                        [(dict(r), d, codes) for r, d, codes in (_row(*key) for key in direct)],
+    snapshot = lambda: ([(dict(r), d, codes) for r, d, codes in (_row(*key) for key in hub_rows + direct)],
                         [dict(_word_coproduct(*key)) for key in words])
     before = snapshot()
     for source, target, comp in direct:
@@ -657,9 +665,8 @@ def test_shared_rows_and_word_coproducts_stay_unchanged():
         for y in (x + x, x - x, -x, 3 * x, x / 2, x * x, convert(x, source), convert(x, "S"), x):
             assert y.terms is not None
         pairing_ext(x, QSymElement.single(comp, "F"))
-    for basis, comp, to_hub in rows:
-        cls, hub = (SymElement, "S") if basis in SYM_BASES else (QSymElement, "M")
-        source, target = (basis, hub) if to_hub else (hub, basis)
+    for source, target, comp in hub_rows:
+        cls = SymElement if source in SYM_BASES else QSymElement
         x = convert(cls.single(comp, source), target)
         for y in (x + x, x - x, -x, 3 * x, x / 2, convert(x, source), x):
             assert y.terms is not None
@@ -676,38 +683,21 @@ def test_shared_rows_and_word_coproducts_stay_unchanged():
 
 def test_one_term_queries_wrap_the_cached_dict():
     comp, w = (2, 1, 3), (1, 2, 1)
-    assert _hub_row("Psi", comp, True)[1] == _hub_row("F", comp, True)[1] == 1
-    assert convert(SymElement.single(comp, "Psi"), "S")._nums is _hub_row("Psi", comp, True)[0]
-    assert convert(QSymElement.single(comp, "F"), "M")._nums is _hub_row("F", comp, True)[0]
-    for source, target in _DIRECT_PAIRS:
-        assert convert(SymElement.single(comp, source), target)._nums is _row(source, target, comp)[0]
+    assert _row("Psi", "S", comp)[1] == _row("F", "M", comp)[1] == 1
+    for cls, source, target in _ORDERED_PAIRS:
+        assert convert(cls.single(comp, source), target)._nums is _row(source, target, comp)[0]
     assert _row("Psi", "Phi", comp)[1] > 1 and _row("Rib", "Phi", comp)[1] > 1
     assert coproduct(NCPolynomial.word(w), "stuffle")._nums is _word_coproduct(w, "stuffle")
     assert coproduct(NCPolynomial.word(w), "shuffle")._nums is _word_coproduct(w, "shuffle")
 
 
-@pytest.mark.parametrize("basis", SYM_BASES + QSYM_BASES)
-def test_product_rows_match_the_per_refinement_rows(basis):
-    # every row, in both directions, against the per-refinement and
-    # coarsening formulas, exhaustively up to weight 7; each stored
-    # partial-sum code is the code of its key
-    to_hub, from_hub = (
-        (oracle._to_s_row, oracle._from_s_row) if basis in SYM_BASES else (oracle._to_m_row, oracle._from_m_row)
-    )
-    for comp in compositions_up_to(7):
-        for direction, expected in ((True, to_hub), (False, from_hub)):
-            row, den, codes = _hub_row(basis, comp, direction)
-            got = {j: Fraction(n, den) for j, n in row.items()}
-            # a dict merges a repeated key silently: one distinct code per key
-            assert len(row) == len(codes), (basis, comp, direction)
-            assert got == dict(expected(basis, comp)), (basis, comp, direction)
-            assert codes == tuple(map(_code, row)), (basis, comp, direction)
-
-
 def test_a_one_part_ribbon_of_large_weight_converts_at_once():
-    # its row has one term; a table over all 2^39 codes of weight 40 would not end
-    assert str(convert(SymElement.single((40,), "Rib"), "S")) == "S:(40)"
-    assert convert(SymElement.single((40,), "Rib"), "S") == SymElement.single((40,), "S")
+    # its row has one term in either direction; a table over all 2^39 codes of weight 40
+    # would not end
+    for source, target in (("Rib", "S"), ("S", "Rib")):
+        got = convert(SymElement.single((40,), source), target)
+        assert str(got) == f"{target}:(40)"
+        assert got == SymElement.single((40,), target)
 
 
 def test_non_integral_keys_are_rejected():
