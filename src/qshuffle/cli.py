@@ -322,16 +322,17 @@ def _check_pi1(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
 def _round_trips(basis: str, n: int, to_hub: bool):
     """Per composition I of weight n, in order, whether basis^I (to_hub) or
     hub^I converts there and back to itself: the first step's `_row`s times
-    the rows back, packed over their lcm D, give d_I·D at I and 0 elsewhere."""
-    comps, mask = words.compositions_of(n), (1 << n) - 2
+    the rows back, packed over their lcm D with one slot per composition (its
+    position in `compositions_of(n)`), give d_I·D at I and 0 elsewhere."""
+    comps = words.compositions_of(n)
+    slot = {j: s for s, j in enumerate(comps)}
     hub = "M" if basis == "F" else "S"
     ends = (basis, hub) if to_hub else (hub, basis)
     first, back = ([symqsym._row(*pair, i) for i in comps] for pair in (ends, ends[::-1]))
-    den = lcm(*(d for _, d, _ in back))
-    matrix = {j: [((c & mask) >> 1, m * (den // d)) for m, c in zip(row.values(), codes)]
-              for j, (row, d, codes) in zip(comps, back)}
-    for i, (_, d, _), got in zip(comps, first, ncpoly._packed_product([row.items() for row, _, _ in first], matrix)):
-        yield got == {(words._code(i) & mask) >> 1: d * den}
+    den = lcm(*(row._den for row in back))
+    matrix = {j: [(slot[k], m * (den // row._den)) for k, m in row._nums.items()] for j, row in zip(comps, back)}
+    for s, (row, got) in enumerate(zip(first, ncpoly._packed_product([row._nums.items() for row in first], matrix))):
+        yield got == {s: row._den * den}
 
 
 def _check_sym_roundtrips(w_max: int, q_degree: int, rng) -> tuple[bool, str]:

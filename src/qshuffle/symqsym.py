@@ -4,31 +4,30 @@ composition-indexed algebras.
 Sym carries five bases: complete (S), elementary (Lambda), power sums of the
 first (Psi) and second (Phi) kind, and ribbons (Rib).  QSym carries the
 monomial (M) and fundamental (F) bases.  Every conversion is one step over
-cached rows, one per (source, target, composition).  Rows of more than one
-part are products of the rows of their halves, corrected by the
-near-concatenation of ribbons, all built on partial-sum codes
-(`words._code`).  The sides pair by <S^I, M_J> = delta.  Composition tuples
-are the letter tuples of words, so the Hopf structure is the word algebra's
-read through the encodings at the bottom: the M side multiplies through
-`ncpoly.stuffle_words`, the Sym coproduct is the quasi-shuffle coproduct of
-words and the QSym coproduct is deconcatenation, both from
-`ncpoly.coproduct`.
+cached rows, one per (source, target, composition), each a reduced element
+of the target basis.  Rows of more than one part are products of the rows of
+their halves, joined on partial-sum codes (`words._code`) and corrected by
+the near-concatenation of ribbons.  The sides pair by <S^I, M_J> = delta.
+Composition tuples are the letter tuples of words, so the Hopf structure is
+the word algebra's read through the encodings at the bottom: the M side
+multiplies through `ncpoly.stuffle_words`, the Sym coproduct is the
+quasi-shuffle coproduct of words and the QSym coproduct is deconcatenation,
+both from `ncpoly.coproduct`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Mapping
 
 from .ncpoly import (
     NCPolynomial,
     Sparse,
+    TensorPolynomial,
     _coeff,
     _integral,
     _lincomb,
-    _reduced,
     add_into,
     bilinear,
     concat_words,
@@ -209,47 +208,37 @@ _ONE_PART = {
 }
 
 
-def _halves_product(row, comp: Composition) -> tuple:
-    # the concatenation product of row(I) and row(J), I and J the halves of comp (halves keep
-    # the recursion depth log l(comp)), as (codes, numerators, denominator, a), the code of
-    # each term j | k << a for a the weight of I
-    half = len(comp) // 2
-    (left, a, lc), (right, b, rc) = map(row, (comp[:half], comp[half:]))
-    shift, prods = sum(comp[:half]), [x * y for x in left.values() for y in right.values()]
-    return [j | k << shift for j in lc for k in rc], prods, a * b, shift
-
-
 @lru_cache(maxsize=None)
-def _row(source: str, target: str, comp: Composition) -> tuple:
-    """The row of source^I in target, two bases of one side, as ({target: numerator},
-    denominator, (code of target, ...)), reduced, codes in dict order: a `Sparse` core that
-    one-term conversions share, so it never changes once built.  A one-part row is a closed
-    formula when S or M is one end (Rib_(n) = S_(n)), and is read through S otherwise.  A
-    longer row is the product of its halves' rows, joined on their codes (every basis but Rib
-    is multiplicative, and the F/M coefficients are products over the blocks of J), corrected
-    by Rib_I·Rib_J = Rib_(I·J) + Rib_(I⊙J), I⊙J joining the last part of I to the first of J
+def _row(source: str, target: str, comp: Composition):
+    """The row of source^I in target, two bases of one side, as a reduced element of target
+    that one-term conversions share, so it never changes once built.  A one-part row is a
+    closed formula when S or M is one end (Rib_(n) = S_(n)), and is read through S otherwise.
+    A longer row is the product of its halves' rows, I and J (halves keep the recursion depth
+    log l(comp)), keyed by partial-sum codes (`words._code`): every basis but Rib is
+    multiplicative and the F/M coefficients are products over the blocks of the key, so the
+    term of j·k has code _code(j) | _code(k) << a, a = w(I).  It is corrected by
+    Rib_I·Rib_J = Rib_(I·J) + Rib_(I⊙J), I⊙J joining the last part of I to the first of J
     (Gelfand et al., Adv. Math. 112, 1995): a ribbon target takes each term twice, under code
     c and c ^ 1 << a, which differ in bit a, and a ribbon source subtracts the row of
     Rib_(I⊙J), which has one part fewer."""
+    cls = SymElement if source in SYM_BASES else QSymElement
     if len(comp) <= 1:
         if not comp or {source, target} == {"S", "Rib"}:
-            return {comp: 1}, 1, (_code(comp),)
+            return cls._in(target, {comp: 1})
         if coeff := _ONE_PART.get((source, target)):
-            nums, den = _integral((j, coeff(comp[0], stats(j))) for j in compositions_of(comp[0]))
-            return nums, den, tuple(map(_code, nums))
-        x = convert(convert(SymElement.single(comp, source), "S"), target)
-        return x._nums, x._den, tuple(map(_code, x._nums))
-    codes, prods, den, shift = _halves_product(lambda h: _row(source, target, h), comp)
+            return cls._in(target, *_integral((j, coeff(comp[0], stats(j))) for j in compositions_of(comp[0])))
+        return convert(convert(SymElement.single(comp, source), "S"), target)
+    half = len(comp) // 2
+    shift, left, right = sum(comp[:half]), _row(source, target, comp[:half]), _row(source, target, comp[half:])
+    right_codes = [_code(k) << shift for k in right._nums]
+    codes = [j | k for j in map(_code, left._nums) for k in right_codes]
+    prods = [x * y for x in left._nums.values() for y in right._nums.values()]
     if target == "Rib":
         codes, prods = codes + [c ^ 1 << shift for c in codes], prods * 2
-    nums = dict(zip(map(_decode, codes), prods))
+    out = cls._in(target, dict(zip(map(_decode, codes), prods)), left._den * right._den)
     if source == "Rib":
-        near, d, _ = _row(source, target, _decode(_code(comp) ^ 1 << shift))
-        if (f := lcm(den, d) // den) != 1:
-            nums, den = {j: n * f for j, n in nums.items()}, den * f
-        nums, codes = add_into(nums, near.items(), -(den // d)), None
-    (nums,), den = _reduced([nums], den)
-    return nums, den, tuple(codes or map(_code, nums))
+        return out - _row(source, target, _decode(_code(comp) ^ 1 << shift))
+    return out
 
 
 # element type -> (name, bases)
@@ -257,9 +246,9 @@ _ROUTES = {SymElement: ("Sym", SYM_BASES), QSymElement: ("QSym", QSYM_BASES)}
 
 
 def convert(x: SymElement | QSymElement, target: str):
-    """Exact basis change in one step for any number of terms: the sum over the terms n/d·I
-    of x of n/d times the cached `_row` of I, over one denominator; a one-term x (every point
-    query) is its row, scaled, or the row itself when n = 1."""
+    """Exact basis change in one step for any number of terms: the sum over the terms c·I of
+    x of c times the cached `_row` of I.  A one-term x (every point query) is a new element
+    on its row's numerators, scaled when its numerator is not 1."""
     if type(x) not in _ROUTES:
         raise TypeError(f"cannot convert {type(x).__name__}")
     name, valid = _ROUTES[type(x)]
@@ -269,14 +258,11 @@ def convert(x: SymElement | QSymElement, target: str):
         return x
     if len(x._nums) == 1:
         ((comp, n),) = x._nums.items()
-        nums, den, _ = _row(x.basis, target, comp)
-        return type(x)._in(target, nums if n == 1 else {j: n * c for j, c in nums.items()}, x._den * den)
-    rows = [(n, _row(x.basis, target, comp)) for comp, n in x._nums.items()]
-    den = lcm(*(d for _, (_, d, _) in rows))
-    out: dict[Composition, int] = {}
-    for n, (nums, d, _) in rows:
-        add_into(out, nums.items(), n * (den // d))
-    return type(x)._in(target, out, x._den * den)
+        row = _row(x.basis, target, comp)
+        nums = row._nums if n == 1 else {j: n * c for j, c in row._nums.items()}
+        return type(x)._in(target, nums, x._den * row._den)
+    rows = ((_row(x.basis, target, comp), Fraction(n, x._den)) for comp, n in x._nums.items())
+    return type(x)._in(target, *_lincomb(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +500,5 @@ def cauchy_check(max_weight: int) -> bool:
     """sum_I M_I (x) S^I = sum_J F_J (x) Rib_J after expanding F in M and Rib
     in S, truncated by weight."""
     comps = compositions_up_to(max_weight)
-    pair = lambda i, k: (((i, k), 1),)
-    terms = []
-    for j in comps:
-        (f_in_m, df, _), (rib_in_s, dr, _) = _row("F", "M", j), _row("Rib", "S", j)
-        terms.append((Sparse._from(bilinear(f_in_m, rib_in_s, pair), df * dr), 1))
-    return Sparse._from({(i, i): 1 for i in comps}) == Sparse._sum(terms)
+    terms = [(TensorPolynomial.tensor(_row("F", "M", j), _row("Rib", "S", j)), 1) for j in comps]
+    return TensorPolynomial._from({(i, i): 1 for i in comps}) == TensorPolynomial._sum(terms)

@@ -565,10 +565,9 @@ def fresh_rows():
 
 
 def _doubled_last(row):
-    # the numerator of the last key of a conversion row doubled, in a new dict
-    nums, den, codes = row
-    last = next(reversed(nums))
-    return {**nums, last: 2 * nums[last]}, den, codes
+    # a conversion row with the numerator of its last key doubled, as a new element
+    last = next(reversed(row._nums))
+    return row._like({**row._nums, last: 2 * row._nums[last]}, row._den)
 
 
 def _perturb_row(monkeypatch, key):

@@ -1,6 +1,6 @@
 import itertools
 from fractions import Fraction
-from types import MappingProxyType, SimpleNamespace
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +36,7 @@ from qshuffle.symqsym import (
     sym_coproduct,
     _row,
 )
-from qshuffle.words import Word, _code, compositions_up_to, refinements, relative_stats, stats
+from qshuffle.words import Word, compositions_up_to, refinements, relative_stats, stats
 
 S = lambda *parts: SymElement.single(tuple(parts), "S")
 M = lambda *parts: QSymElement.single(tuple(parts), "M")
@@ -592,21 +592,21 @@ _DIRECT_PAIRS = list(itertools.permutations(SYM_BASES[1:], 2))
 
 @pytest.mark.parametrize("cls, source, target", _ORDERED_PAIRS)
 def test_rows_match_the_oracle_rows(cls, source, target):
-    # every cached row at every composition of weight <= 7, reduced, with one stored code per
-    # key (a dict merges a repeated key silently): against the per-refinement and coarsening
-    # formulas when the hub S or M is one end, against the two-step sum otherwise
+    # every cached row at every composition of weight <= 7, a reduced element of the target
+    # basis: against the per-refinement and coarsening formulas when the hub S or M is one end,
+    # against the two-step sum otherwise
     hub, to_hub, from_hub = (
         ("S", oracle._to_s_row, oracle._from_s_row) if cls is SymElement else ("M", oracle._to_m_row, oracle._from_m_row)
     )
     for comp in compositions_up_to(7):
-        row, den, codes = _row(source, target, comp)
-        oracle.assert_canonical(SimpleNamespace(_nums=row, _den=den))
-        assert len(row) == len(codes) and codes == tuple(map(_code, row)), comp
+        row = _row(source, target, comp)
+        assert type(row) is cls and row.basis == target, comp
+        oracle.assert_canonical(row)
         if hub in (source, target):
             expected = dict(to_hub(source, comp) if target == hub else from_hub(target, comp))
         else:
             expected = oracle.convert({comp: Fraction(1)}, source, target)
-        assert {j: Fraction(n, den) for j, n in row.items()} == expected, comp
+        assert {j: Fraction(n, row._den) for j, n in row._nums.items()} == expected, comp
         for c in _COEFFS:
             got = convert(cls.single(comp, source, c), target)
             assert got.terms == {j: c * e for j, e in expected.items()}, (comp, c)
@@ -623,13 +623,24 @@ _MANY_TERMS = [
 ]
 
 
-@pytest.mark.parametrize("source, target", _DIRECT_PAIRS)
-def test_many_term_direct_conversions_match_the_fraction_oracle(source, target):
+@pytest.mark.parametrize("cls, source, target", _ORDERED_PAIRS)
+def test_many_term_conversions_match_the_fraction_oracle(cls, source, target):
     for terms in _MANY_TERMS:
-        x = SymElement(terms, source)
+        x = cls(terms, source)
         got = convert(x, target)
+        assert type(got) is cls and got.basis == target, terms
         assert got.terms == oracle.convert(dict(x.terms), source, target), terms
         oracle.assert_canonical(got)
+
+
+@pytest.mark.parametrize("cls, source, target", _ORDERED_PAIRS)
+def test_rebinding_the_basis_of_an_answer_leaves_the_next_answer_unchanged(cls, source, target):
+    # every answer is a new element, so no caller reaches the basis slot of a cached row
+    for x in (cls.single((2, 1, 3), source), cls.single((2, 1, 3), source, 3), cls(_MANY_TERMS[0], source)):
+        expected = oracle.convert(dict(x.terms), source, target)
+        convert(x, target).basis = source
+        got = convert(x, target)
+        assert got.basis == target and got.terms == expected, x
 
 
 @settings(max_examples=60, deadline=None)
@@ -657,7 +668,7 @@ def test_shared_rows_and_word_coproducts_stay_unchanged():
                 for key in ((b, hub, comp), (hub, b, comp))]
     direct = [(a, b, comp) for (a, b), comp in itertools.product(_DIRECT_PAIRS, ((2, 1, 3), (3,), (1, 2, 1)))]
     words = [((1, 2, 1), "stuffle"), ((2, 2), "shuffle"), ((3,), "stuffle")]
-    snapshot = lambda: ([(dict(r), d, codes) for r, d, codes in (_row(*key) for key in hub_rows + direct)],
+    snapshot = lambda: ([(type(r), r.basis, dict(r._nums), r._den) for r in (_row(*key) for key in hub_rows + direct)],
                         [dict(_word_coproduct(*key)) for key in words])
     before = snapshot()
     for source, target, comp in direct:
@@ -683,10 +694,11 @@ def test_shared_rows_and_word_coproducts_stay_unchanged():
 
 def test_one_term_queries_wrap_the_cached_dict():
     comp, w = (2, 1, 3), (1, 2, 1)
-    assert _row("Psi", "S", comp)[1] == _row("F", "M", comp)[1] == 1
+    assert _row("Psi", "S", comp)._den == _row("F", "M", comp)._den == 1
     for cls, source, target in _ORDERED_PAIRS:
-        assert convert(cls.single(comp, source), target)._nums is _row(source, target, comp)[0]
-    assert _row("Psi", "Phi", comp)[1] > 1 and _row("Rib", "Phi", comp)[1] > 1
+        row, got = _row(source, target, comp), convert(cls.single(comp, source), target)
+        assert got is not row and got._nums is row._nums, (source, target)
+    assert _row("Psi", "Phi", comp)._den > 1 and _row("Rib", "Phi", comp)._den > 1
     assert coproduct(NCPolynomial.word(w), "stuffle")._nums is _word_coproduct(w, "stuffle")
     assert coproduct(NCPolynomial.word(w), "shuffle")._nums is _word_coproduct(w, "shuffle")
 
