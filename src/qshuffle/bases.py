@@ -387,8 +387,10 @@ def log_y_series(bound: int) -> TSeries:
 
 
 def _higher_chain(k: int, bound: int):
-    """Yields (cal_L_j, cal_R_j) of `higher_series` to the bound for j = 1..k,
-    one chain from pad = bound + k - 1, each order checked before its yield."""
+    """Yields (cal_L_j, cal_R_j, off) of `higher_series` to the bound for
+    j = 1..k, one chain from pad = bound + k - 1.  off is None when
+    cal_L_j * Y = Y^(j) = Y * cal_R_j holds to the bound, else the least
+    t-degree where it fails, or bound + 1 when a series came out short."""
     k, bound = as_int(k), as_natural(bound)
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -397,9 +399,8 @@ def _higher_chain(k: int, bound: int):
     for j in range(1, k + 1):
         y_j = y_j.derivative()
         out_l, out_r, want = cal_l.truncate(bound), cal_r.truncate(bound), y_j.truncate(bound)
-        if not out_l.bound == out_r.bound == bound or not out_l * y == want == y * out_r:
-            raise AssertionError(f"higher_series postcondition failed at k={j}, bound={bound}")
-        yield out_l, out_r
+        diffs = (out_l * y - want, y * out_r - want) if out_l.bound == out_r.bound == bound else ()
+        yield out_l, out_r, min((d for x in diffs for (d,) in x._buckets), default=None if diffs else bound + 1)
         if j < k:
             cal_l = cal_l.derivative() + cal_l * l_series(cal_l.bound - 1)
             cal_r = cal_r.derivative() + r_series(cal_r.bound - 1) * cal_r
@@ -411,11 +412,14 @@ def higher_series(k: int, bound: int) -> tuple[TSeries, TSeries]:
     next = d/dt(previous) + R * previous  (right side),
     each exact to the requested degree, as the last pair of one chain over
     the orders 1..k (`_higher_chain`); each product runs at b - 1, the bound
-    of the derivative it is added to.  cal_L_j * Y = Y^(j) = Y * cal_R_j is
-    re-verified to the full bound at every order j <= k, and AssertionError
-    names the first j that fails.  k must be an integer >= 1, bound >= 0."""
-    *_, last = _higher_chain(k, bound)
-    return last
+    of the derivative it is added to.  The chain's verdicts check cal_L_j * Y
+    = Y^(j) = Y * cal_R_j to the full bound at every order j <= k, and
+    AssertionError names the first j that fails.  k must be an integer >= 1,
+    bound >= 0."""
+    for j, (cal_l, cal_r, off) in enumerate(_higher_chain(k, bound), 1):
+        if off is not None:
+            raise AssertionError(f"higher_series postcondition failed at k={j}, bound={bound}")
+    return cal_l, cal_r
 
 
 def exp_ad(a: TSeries, b: TSeries) -> TSeries:

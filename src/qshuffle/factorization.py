@@ -246,6 +246,7 @@ def character_checks(max_weight: int) -> list[tuple[str, bool, str]]:
     `diagonal(max_weight, "stuffle")`.
     """
     max_weight, results = as_natural(max_weight), []
+    diag = diagonal(max_weight, "stuffle")  # (b) takes its log, (c) compares with it
 
     # (a) character property
     bad = next(
@@ -269,7 +270,7 @@ def character_checks(max_weight: int) -> list[tuple[str, bool, str]]:
     )
 
     # (b) log of the generating series
-    ok_log = diagonal(max_weight, "stuffle").log() == pi1_series(max_weight)
+    ok_log = diag.log() == pi1_series(max_weight)
     results.append(
         (
             "log-series",
@@ -281,9 +282,8 @@ def character_checks(max_weight: int) -> list[tuple[str, bool, str]]:
     )
 
     # (c) closing identity in QSym (x) Sym
-    target = diagonal(max_weight, "stuffle")
     for pair in ("stuffle", "L", "R"):
-        ok = factorized_product(max_weight, pair) == target
+        ok = factorized_product(max_weight, pair) == diag
         results.append(
             (
                 f"closing-identity-{pair}",

@@ -266,7 +266,7 @@ def convert(x: SymElement | QSymElement, target: str):
 
 
 # ---------------------------------------------------------------------------
-# mirror-statistics conversion formulas, kept as test oracles only
+# mirror-statistics conversion formulas, the oracles of the mirror-oracles check
 # ---------------------------------------------------------------------------
 
 def lambda_in_psi_oracle(comp: Composition, literal_sign: bool = False) -> SymElement:

@@ -665,8 +665,9 @@ def test_higher_chain_matches_the_oracle_at_every_order(k):
     for bound in range(8):
         chain = list(bases._higher_chain(k, bound))
         assert len(chain) == k
-        for j, pair in enumerate(chain, 1):
-            for new, old in zip(pair, oracle.higher_series(j, bound)):
+        for j, (cal_l, cal_r, off) in enumerate(chain, 1):
+            assert off is None
+            for new, old in zip((cal_l, cal_r), oracle.higher_series(j, bound), strict=True):
                 assert (new._buckets, new._den, new.bound) == (old._buckets, old._den, old.bound)
 
 
@@ -746,18 +747,24 @@ def test_higher_series_postcondition_rejects_a_short_bound(monkeypatch):
         higher_series(2, 4)
 
 
+def test_higher_chain_marks_a_short_order_one_degree_past_the_bound(monkeypatch):
+    # with letter series one degree short, order 2 comes out at bound 2 < 4,
+    # and its verdict is bound + 1
+    short = lambda series: lambda b: series(b - 1)
+    monkeypatch.setattr(bases, "l_series", short(l_series))
+    monkeypatch.setattr(bases, "r_series", short(r_series))
+    assert [(cal_l.bound, off) for cal_l, _, off in bases._higher_chain(2, 4)] == [(4, None), (2, 5)]
+
+
 @pytest.mark.parametrize("at, order", [(6, 1), (5, 2)])
 def test_higher_chain_names_the_lower_order_that_fails(monkeypatch, at, order):
     # the k=3, bound=4 chain reads the L series at bound 6 for order 1 and at
     # bound 5 for the product of order 2; a t^1 term added there breaks that
-    # order, which is checked and named before any higher one is built
+    # order, whose verdict names it; the orders below it pass
     real = l_series
     monkeypatch.setattr(bases, "l_series", lambda b: real(b) + TSeries({1: mono(1)}, b) if b == at else real(b))
-    chain = bases._higher_chain(3, 4)
-    for _ in range(order - 1):
-        next(chain)
-    with pytest.raises(AssertionError, match=f"postcondition failed at k={order}, bound=4"):
-        next(chain)
+    offs = [off for _, _, off in bases._higher_chain(3, 4)]
+    assert offs[: order - 1] == [None] * (order - 1) and offs[order - 1] is not None
     with pytest.raises(AssertionError, match=f"postcondition failed at k={order}, bound=4"):
         higher_series(3, 4)
 

@@ -663,6 +663,105 @@ def test_series_check_fails_where_exp_of_log_y_is_not_y(monkeypatch):
     assert cli._check_series(4, 8, random.Random(0)) == (False, "exp(log Y) != Y")
 
 
+@pytest.mark.parametrize("n", [1, 4, 6])
+@pytest.mark.parametrize(
+    "name, side, detail",
+    [("_x", (), "Y * Y^-1 != 1"), ("_lr", ("L",), "n y_n identity fails at n={}"),
+     ("_lr", ("R",), "n y_n identity fails at n={}")],
+)
+def test_series_check_reads_every_letter_series_coefficient_it_covers(monkeypatch, n, name, side, detail):
+    # X_{n+1}, L_{n+1} or R_{n+1} with an extra y_{n+1}: Y·Y^-1 is checked one
+    # degree past n, and L_{n+1}, R_{n+1} sit at t^n of the L/R series
+    real = getattr(bases, name)
+    key = (n + 1, *side)
+    extra = NCPolynomial.word((n + 1,))
+    monkeypatch.setattr(bases, name, lambda *args: real(*args) + extra if args == key else real(*args))
+    assert cli._check_series(n, 8, random.Random(0)) == (False, detail.format(n + 1))
+
+
+def test_series_check_fails_where_the_conjugation_fails(monkeypatch):
+    # a chain whose order-2 cal_L carries an extra t^1 term under a passing
+    # verdict: only the ad-exponential comparison sees it
+    real = bases._higher_chain
+
+    def chain(k, bound):
+        for j, (cal_l, cal_r, off) in enumerate(real(k, bound), 1):
+            yield (cal_l + bases.TSeries({1: NCPolynomial.word((1,))}, bound) if j == 2 else cal_l), cal_r, off
+
+    monkeypatch.setattr(bases, "_higher_chain", chain)
+    assert cli._check_series(4, 8, random.Random(0)) == (False, "ad-exponential formula fails at k=2")
+
+
+def _verify_fails(capsys, failed):
+    # verify prints every row and the RESULT line, exits 1 and writes no error
+    assert main(["verify", "--max-weight", "4"]) == 1
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert len(lines) == len(cli.CHECKS) + 1 and err == ""
+    assert [line for line in lines if line.startswith("FAIL")] == failed
+    total = len(cli.CHECKS)
+    assert lines[-1] == f"RESULT: {total - len(failed)}/{total} checks passed (max weight 4, q degree 8, seed 0)"
+
+
+def test_verify_reports_a_failing_higher_order_as_a_row(monkeypatch, capsys):
+    # the derivative of a series of bound 6 loses its t^1 term: at N = 4 that
+    # is order 2 of the chain (padded to 6), a row rather than a traceback
+    real = bases.TSeries.derivative
+
+    def broken(series):
+        out = real(series)
+        return out - bases.TSeries({1: out.coeff(1)}, out.bound) if series.bound == 6 else out
+
+    monkeypatch.setattr(bases.TSeries, "derivative", broken)
+    _verify_fails(capsys, ["FAIL  series-identities     order-2 derivative identity fails at t^1"])
+
+
+def test_verify_reports_a_failed_library_precondition_as_a_row(monkeypatch, capsys):
+    # a zero PiL_(2 1) breaks the duality and makes the exponential factor of
+    # the L pair raise its ValueError inside two checks
+    real = bases.basis_element
+    zero = lambda family, w: bases.BasisElement(w, family, NCPolynomial.zero())
+    monkeypatch.setattr(bases, "basis_element",
+                        lambda family, w: (zero if (family, w.letters) == ("PiL", (2, 1)) else real)(family, w))
+    error = "exp factor needs dual and primal nonzero and homogeneous of one weight >= 1"
+    _verify_fails(capsys, ["FAIL  duality-matrices      duality PiL/SigmaL fails at 2 1, 2 1",
+                           f"FAIL  factorization         {error}", f"FAIL  characters            {error}"])
+
+
+def test_factorization_check_names_the_first_discrepancy(monkeypatch):
+    real = bases.basis_element
+    doubled = lambda family, w: bases.BasisElement(w, family, 2 * real(family, w).value)
+    monkeypatch.setattr(bases, "basis_element",
+                        lambda family, w: (doubled if (family, w.letters) == ("Pi", (2,)) else real)(family, w))
+    detail = "pair stuffle differs at (2, 1 1): 0 vs -1/2"
+    assert cli._check_factorization(4, 8, random.Random(0)) == (False, detail)
+
+
+def test_factorization_check_rejects_a_passing_negative_control(monkeypatch):
+    real = factorization.verify_factorization
+    monkeypatch.setattr(factorization, "verify_factorization", lambda w, pair, negative_control=False: real(w, pair))
+    assert cli._check_factorization(4, 8, random.Random(0)) == (False, "negative control unexpectedly passes")
+
+
+def test_hall_littlewood_check_fails_on_a_wrong_specialization(monkeypatch):
+    real = symqsym.specialize_Mq
+    monkeypatch.setattr(symqsym, "specialize_Mq", lambda comp, q: real((1,) if comp == (2,) else comp, q))
+    assert symqsym.hall_littlewood_check(4, 8) is False
+    detail = "geometric-alphabet specialization matches mod q^8, weight <= 4"
+    assert cli._check_hall_littlewood(4, 8, random.Random(0)) == (False, detail)
+
+
+@pytest.mark.parametrize(
+    "key, detail",
+    [(("Psi", "Lambda", (1, 2)), "Psi->Lambda oracle fails at (1, 2)"),
+     (("Lambda", "Phi", (1, 2)), "corrected Lambda->Phi oracle fails at (1, 2)"),
+     (("Phi", "Lambda", (1, 2)), "corrected Phi->Lambda oracle fails at (1, 2)")],
+)
+def test_mirror_oracles_check_names_each_direction(monkeypatch, fresh_rows, key, detail):
+    _perturb_row(monkeypatch, key)
+    assert cli._check_mirror_oracles(4, 8, random.Random(0)) == (False, detail)
+
+
 def test_primitivity_and_hall_littlewood_state_the_weights_covered():
     assert cli._check_primitivity(6, 8, random.Random(0)) == (
         True, "primitive seeds up to weight 6, Lyndon PBW elements up to weight 5")
