@@ -7,11 +7,10 @@ Example:
 """
 
 import argparse
-import random
 import sys
 import time
 
-from qshuffle.cli import CHECKS, WEIGHT_CAP
+from qshuffle import cli
 
 
 def main() -> int:
@@ -20,21 +19,21 @@ def main() -> int:
     parser.add_argument("--q-degree", type=int, default=8)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
-    bad = [w for w in args.weights if not 1 <= w <= WEIGHT_CAP]
+    bad = [w for w in args.weights if not 1 <= w <= cli.WEIGHT_CAP]
     if bad:
-        parser.error(f"--weights must be between 1 and {WEIGHT_CAP}, got {bad[0]}")
+        parser.error(f"--weights must be between 1 and {cli.WEIGHT_CAP}, got {bad[0]}")
 
     failures = 0
     for w in args.weights:
-        rng = random.Random(args.seed)
         print(f"== max weight {w} ==")
-        for name, fn in CHECKS:
-            t0 = time.perf_counter()
-            ok, detail = fn(w, args.q_degree, rng)
+        # the rows are verify's, a failed library precondition a FAIL row; each is timed
+        t0 = time.perf_counter()
+        for name, ok, detail in cli._verify_rows(w, args.q_degree, args.seed):
             elapsed = time.perf_counter() - t0
             verdict = "pass" if ok else "FAIL"
             print(f"  {verdict:4}  {elapsed:8.4f}s  {name:<22}  {detail}")
             failures += not ok
+            t0 = time.perf_counter()
     print(f"total failures: {failures}")
     return 1 if failures else 0
 

@@ -171,13 +171,14 @@ def _check_adjunction(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
 
 
 def _check_exp_log(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
+    # a polynomial truncated by weight is a TSeries whose t-degree is the word weight
     cap = min(w_max, 4)
     for _ in range(5):
-        terms = {}
+        terms: dict = {}
         for w in _sample_words(rng, cap, 4):
-            terms[w] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        p = NCPolynomial(terms)
-        if ncpoly.log_trunc(ncpoly.exp_trunc(p, cap), cap) != p.truncate(cap):
+            terms.setdefault(w.weight, {})[w] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        p = bases.TSeries({n: NCPolynomial(t) for n, t in terms.items()}, cap)
+        if p.exp().log() != p:
             return False, "log(exp(p)) != p"
     return True, f"log/exp round trips on seeded polynomials, weight <= {cap}"
 
@@ -414,13 +415,15 @@ def _check_mirror_oracles(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
 
 
 def _check_cauchy(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
-    ok = symqsym.cauchy_check(w_max)
-    return ok, f"sum M_I (x) S^I = sum F_J (x) Rib_J up to weight {w_max}"
+    if bad := symqsym.cauchy_first_off(w_max):
+        return False, "sum M_I (x) S^I = sum F_J (x) Rib_J fails at {} (x) {}".format(*bad)
+    return True, f"sum M_I (x) S^I = sum F_J (x) Rib_J up to weight {w_max}"
 
 
 def _check_hall_littlewood(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
-    ok = symqsym.hall_littlewood_check(w_max, q_degree)
-    return ok, f"geometric-alphabet specialization matches mod q^{q_degree}, weight <= {w_max}"
+    if (comp := symqsym.hall_littlewood_first_off(w_max, q_degree)) is not None:
+        return False, f"geometric-alphabet specialization fails at {comp} mod q^{q_degree}"
+    return True, f"geometric-alphabet specialization matches mod q^{q_degree}, weight <= {w_max}"
 
 
 def _check_factorization(w_max: int, q_degree: int, rng) -> tuple[bool, str]:
@@ -484,16 +487,26 @@ def _emit(args, out, text: str, payload, indent: int | None = None, table=()) ->
         out.write(text)
 
 
-def run_verify(args, out) -> int:
-    rng = random.Random(args.seed)
-    rows = []
+def _verify_rows(max_weight: int, q_degree: int, seed: int):
+    """Yields (name, ok, detail) for each check of `CHECKS`, read at the first
+    row, in order, all drawing from one generator seeded with seed.  The
+    caller has validated the arguments, so a ValueError inside a check is a
+    failed library precondition: that check's FAIL row, its message the
+    detail."""
+    rng = random.Random(seed)
     for name, fn in CHECKS:
-        # main has validated every flag: a ValueError here is a failed library precondition
         try:
-            ok, detail = fn(args.max_weight, args.q_degree, rng)
+            ok, detail = fn(max_weight, q_degree, rng)
         except ValueError as exc:
             ok, detail = False, str(exc)
-        rows.append({"check": name, "status": "pass" if ok else "fail", "detail": detail})
+        yield name, ok, detail
+
+
+def run_verify(args, out) -> int:
+    rows = [
+        {"check": name, "status": "pass" if ok else "fail", "detail": detail}
+        for name, ok, detail in _verify_rows(args.max_weight, args.q_degree, args.seed)
+    ]
     passed = sum(r["status"] == "pass" for r in rows)
     width = max(len(r["check"]) for r in rows)
     text = "".join(f"{r['status'].upper():4}  {r['check']:<{width}}  {r['detail']}\n" for r in rows)

@@ -3,8 +3,7 @@ coefficients.
 
 Carries the three products (concatenation, shuffle, quasi-shuffle), the four
 coproducts (deconcatenation, shuffle, quasi-shuffle, and the letterwise
-contraction coproduct), the counit, the word pairing, and weight-truncated
-exp/log, summed like every truncated power series by `_series_sum`.
+contraction coproduct), the counit and the word pairing.
 
 Every sparse container of the package stands on `Sparse`, the one
 coefficient core: tuple keys map to integer numerators over one positive
@@ -15,8 +14,10 @@ pairings run on ints.  `fractions.Fraction` values appear only where a
 value is read through `.terms`, `coeff` or a pairing; everything is exact.
 `Graded` is the same core split into buckets by grade, for the truncated
 series: the diagonal series of `factorization` and the letter series of
-`bases`.  `gram`, the factorization flatten and the round trips of `verify`,
-sums of outer products, run on ints packed by Kronecker substitution.
+`bases`.  Its `exp` and `log` are the package's one truncated exp and log;
+a polynomial truncated by weight is a `bases.TSeries` graded by weight.
+`gram`, the factorization flatten and the round trips of `verify`, sums of
+outer products, run on ints packed by Kronecker substitution.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from math import factorial, gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from .words import Word, _letters, as_natural, parse_coeff, parse_word, signed_str, signed_terms, sort_key, word_str
+from .words import Word, _letters, parse_coeff, parse_word, signed_str, signed_terms, sort_key, word_str
 
 PRODUCT_KINDS = ("concat", "shuffle", "stuffle")
 COPRODUCT_KINDS = ("concat", "shuffle", "stuffle", "plus")
@@ -122,16 +123,6 @@ def _lincomb(pairs) -> tuple[dict, int]:
         else:
             out = dict(x._nums) if f == 1 else {k: n * f for k, n in x._nums.items()}
     return out, den
-
-
-def _series_sum(x, step, coeff):
-    """sum_{k>=1} coeff(k)·x_k, x_1 = x and x_{k+1} = step(x_k), up to the
-    first zero x_k, which the caller's input checks guarantee.  It uses only
-    `*`, `+` and `is_zero`, so it serves polynomials and series alike."""
-    out, k = x * 0, 1
-    while not x.is_zero():
-        out, x, k = out + x * coeff(k), step(x), k + 1
-    return out
 
 
 def fraction_view(items, den: int, label=lambda k: k) -> MappingProxyType:
@@ -287,20 +278,29 @@ class Graded:
                     bilinear(p, q, self._kernel, out.setdefault(grade, {}))
         return self._like(out, self._den * other._den, bound)
 
+    def _power_sum(self, coeff):
+        """sum_{k>=1} coeff(k)·self^k up to the first zero power; with no
+        term in the grade of 1 every power raises the grade, so some power
+        lies above the bound and is zero."""
+        out, x, k = self * 0, self, 1
+        while not x.is_zero():
+            out, x, k = out + x * coeff(k), x * self, k + 1
+        return out
+
     def log(self):
         """log(1 + z) = sum_k (-1)^(k-1) z^k / k for z = self - 1; the grade of 1 must hold just 1."""
         grade, key = self._unit
         if self._buckets.get(grade) != {key: self._den}:
             raise ValueError("log requires constant coefficient 1")
         z = self._like({g: t for g, t in self._buckets.items() if g != grade}, self._den)
-        return _series_sum(z, lambda x: x * z, lambda k: Fraction((-1) ** (k - 1), k))
+        return z._power_sum(lambda k: Fraction((-1) ** (k - 1), k))
 
     def exp(self):
         """exp(z) = 1 + sum_k z^k / k! for z = self, with no term in the grade of 1."""
         g, key = self._unit
         if g in self._buckets:
             raise ValueError("exp requires no term in the grade of 1")
-        return self._like({g: {key: 1}}, 1) + _series_sum(self, self.__mul__, lambda k: Fraction(1, factorial(k)))
+        return self._like({g: {key: 1}}, 1) + self._power_sum(lambda k: Fraction(1, factorial(k)))
 
     __add__ = _plus
     __rmul__ = _scaled
@@ -342,9 +342,6 @@ class NCPolynomial(Sparse):
 
     def support(self) -> list[Word]:
         return [Word._raw(k) for k in self._sorted_keys()]
-
-    def truncate(self, max_weight: int) -> "NCPolynomial":
-        return self._from({k: n for k, n in self._nums.items() if sum(k) <= max_weight}, self._den)
 
     def __mul__(self, other):
         if isinstance(other, NCPolynomial):
@@ -571,36 +568,6 @@ def is_primitive(p: NCPolynomial, kind: str) -> bool:
     """coproduct(p) == p (x) 1 + 1 (x) p, on reduced integer cores built from p's numerators."""
     expected = add_into({}, (pair for w, n in p._nums.items() for pair in (((w, ()), n), (((), w), n))))
     return coproduct(p, kind) == TensorPolynomial._from(expected, p._den)
-
-
-# ---------------------------------------------------------------------------
-# weight-truncated exp / log (concatenation powers)
-# ---------------------------------------------------------------------------
-
-def exp_trunc(p: NCPolynomial, max_weight: int) -> NCPolynomial:
-    """sum p^k / k!, discarding all words of weight > max_weight.
-
-    Requires the empty-word coefficient of p to vanish (grading then makes
-    the sum finite) and max_weight to be an integer >= 0.
-    """
-    if p.counit() != 0:
-        raise ValueError("exp_trunc requires a vanishing empty-word coefficient")
-    base = p.truncate(max_weight := as_natural(max_weight))
-    step = lambda x: (x * base).truncate(max_weight)
-    return NCPolynomial.one() + _series_sum(base, step, lambda k: Fraction(1, factorial(k)))
-
-
-def log_trunc(q: NCPolynomial, max_weight: int) -> NCPolynomial:
-    """sum (-1)^(k-1) (q - 1)^k / k, truncated by weight.
-
-    Requires the empty-word coefficient of q to equal 1 and max_weight to be
-    an integer >= 0.
-    """
-    if q.counit() != 1:
-        raise ValueError("log_trunc requires an empty-word coefficient equal to 1")
-    z = (q - NCPolynomial.one()).truncate(max_weight := as_natural(max_weight))
-    step = lambda x: (x * z).truncate(max_weight)
-    return _series_sum(z, step, lambda k: Fraction((-1) ** (k - 1), k))
 
 
 # ---------------------------------------------------------------------------

@@ -480,25 +480,41 @@ def hl_product(max_weight: int, q_bound: int) -> dict[Composition, QSeries]:
     return {comp: QSeries(qs, q_bound) for comp, qs in acc.items()}
 
 
-def hall_littlewood_check(max_weight: int, q_bound: int) -> bool:
-    """Coefficient of S^I in the ordered product equals the q-specialized
-    M_I for every I of weight <= max_weight, below q^q_bound; q_bound must
-    be >= 1, where the check is not vacuous."""
+def hall_littlewood_first_off(max_weight: int, q_bound: int) -> Composition | None:
+    """The first composition I of weight <= max_weight, in (weight, parts)
+    order, where the coefficient of S^I in the ordered product and the
+    q-specialized M_I differ below q^q_bound, or None; q_bound must be >= 1,
+    where the check is not vacuous."""
     table = hl_product(max_weight, q_bound)
     empty = QSeries({}, q_bound)
     for comp in compositions_up_to(max_weight):
         if table.get(comp, empty) != specialize_Mq(comp, q_bound):
-            return False
-    return True
+            return comp
+    return None
+
+
+def hall_littlewood_check(max_weight: int, q_bound: int) -> bool:
+    """Coefficient of S^I in the ordered product equals the q-specialized
+    M_I for every I of weight <= max_weight, below q^q_bound."""
+    return hall_littlewood_first_off(max_weight, q_bound) is None
 
 
 # ---------------------------------------------------------------------------
 # Cauchy-type identity
 # ---------------------------------------------------------------------------
 
-def cauchy_check(max_weight: int) -> bool:
-    """sum_I M_I (x) S^I = sum_J F_J (x) Rib_J after expanding F in M and Rib
-    in S, truncated by weight."""
+def cauchy_first_off(max_weight: int) -> tuple[Composition, Composition] | None:
+    """The first key (I, J), in (weight, parts) order, where sum_I M_I (x) S^I
+    and sum_J F_J (x) Rib_J differ after expanding F in M and Rib in S,
+    truncated by weight, or None."""
     comps = compositions_up_to(max_weight)
     terms = [(TensorPolynomial.tensor(_row("F", "M", j), _row("Rib", "S", j)), 1) for j in comps]
-    return TensorPolynomial._from({(i, i): 1 for i in comps}) == TensorPolynomial._sum(terms)
+    lhs, rhs = TensorPolynomial._from({(i, i): 1 for i in comps}), TensorPolynomial._sum(terms)
+    if lhs == rhs:
+        return None
+    return min((lhs - rhs)._nums, key=lambda k: (sum(k[0]), k))
+
+
+def cauchy_check(max_weight: int) -> bool:
+    """sum_I M_I (x) S^I = sum_J F_J (x) Rib_J up to the weight."""
+    return cauchy_first_off(max_weight) is None

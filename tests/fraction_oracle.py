@@ -4,7 +4,7 @@ written directly on {Word or composition: Fraction} dicts, the way the
 package computed them before its containers stored integer numerators over
 one denominator; the truncated t-series as a dict of NCPolynomial
 coefficients, the way the package held it before `ncpoly.Graded`, with
-`exp_ad` as the bounded loop of ad steps it ran before `ncpoly._series_sum`
+`exp_ad` as the bounded loop of ad steps it ran before the power sum of `Graded`
 and the conjugation e^a·b·e^(-a); the
 accumulate step with one `add_into` call per pair of terms, the way
 `ncpoly.bilinear` ran before it accumulated inline; the X_n, L_n and

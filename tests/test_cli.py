@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import random
@@ -603,12 +604,18 @@ def test_sym_roundtrips_check_fails_where_the_per_element_loop_fails(
     assert cli._check_sym_roundtrips(5, 8, random.Random(0)) == (False, detail)
 
 
-@pytest.mark.parametrize("key", [("F", "M", (1, 2)), ("Rib", "S", (1, 2))])
-def test_verify_catches_a_broken_row_in_the_cauchy_row(monkeypatch, fresh_rows, capsys, key):
+@pytest.mark.parametrize(
+    "key, bad",
+    # F_(1 2) = M_(1 2) + M_(1 1 1) and Rib_(1 2) = S^(1 2) - S^(3): a doubled last
+    # row key leaves the M_(1 1 1) (x) S^(1 2) and M_(1 1 1) (x) S^(3) terms off
+    [(("F", "M", (1, 2)), "(1, 1, 1) (x) (1, 2)"), (("Rib", "S", (1, 2)), "(1, 1, 1) (x) (3,)")],
+)
+def test_verify_catches_a_broken_row_in_the_cauchy_row(monkeypatch, fresh_rows, capsys, key, bad):
     _perturb_row(monkeypatch, key)
     assert symqsym.cauchy_check(4) is False
     assert main(["verify", "--max-weight", "4"]) == 1
-    assert any(line.startswith("FAIL  cauchy ") for line in capsys.readouterr().out.splitlines())
+    detail = f"sum M_I (x) S^I = sum F_J (x) Rib_J fails at {bad}"
+    assert f"FAIL  cauchy                {detail}" in capsys.readouterr().out.splitlines()
 
 
 def test_mirror_oracles_check_catches_a_broken_direct_row(monkeypatch, fresh_rows):
@@ -716,16 +723,49 @@ def test_verify_reports_a_failing_higher_order_as_a_row(monkeypatch, capsys):
     _verify_fails(capsys, ["FAIL  series-identities     order-2 derivative identity fails at t^1"])
 
 
-def test_verify_reports_a_failed_library_precondition_as_a_row(monkeypatch, capsys):
+_ERROR = "exp factor needs dual and primal nonzero and homogeneous of one weight >= 1"
+_ZERO_PIL_FAILS = ["FAIL  duality-matrices      duality PiL/SigmaL fails at 2 1, 2 1",
+                   f"FAIL  factorization         {_ERROR}", f"FAIL  characters            {_ERROR}"]
+
+
+def _zero_pil(monkeypatch):
     # a zero PiL_(2 1) breaks the duality and makes the exponential factor of
     # the L pair raise its ValueError inside two checks
     real = bases.basis_element
     zero = lambda family, w: bases.BasisElement(w, family, NCPolynomial.zero())
     monkeypatch.setattr(bases, "basis_element",
                         lambda family, w: (zero if (family, w.letters) == ("PiL", (2, 1)) else real)(family, w))
-    error = "exp factor needs dual and primal nonzero and homogeneous of one weight >= 1"
-    _verify_fails(capsys, ["FAIL  duality-matrices      duality PiL/SigmaL fails at 2 1, 2 1",
-                           f"FAIL  factorization         {error}", f"FAIL  characters            {error}"])
+
+
+def test_verify_reports_a_failed_library_precondition_as_a_row(monkeypatch, capsys):
+    _zero_pil(monkeypatch)
+    _verify_fails(capsys, _ZERO_PIL_FAILS)
+
+
+def test_run_verify_reports_a_failed_library_precondition_as_verify_does(monkeypatch, capsys):
+    # the script's main, run in this process so that it sees the patch, prints
+    # verify's FAIL rows, each with its time, instead of a traceback
+    _zero_pil(monkeypatch)
+    path = Path(__file__).parent.parent / "scripts" / "run_verify.py"
+    spec = importlib.util.spec_from_file_location("run_verify", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", [str(path), "--weights", "4"])
+    assert script.main() == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(None, 3)[2:] for line in out if line.startswith("  FAIL")] == [
+        line.split(None, 2)[1:] for line in _ZERO_PIL_FAILS
+    ]
+    assert out[-1] == "total failures: 3"
+
+
+def test_verify_reports_a_failing_log_as_the_exp_log_row(monkeypatch, capsys):
+    # exp-log runs on Graded.exp and Graded.log, as do the log series of two later rows
+    real = ncpoly.Graded.log
+    monkeypatch.setattr(ncpoly.Graded, "log", lambda x: 2 * real(x))
+    _verify_fails(capsys, ["FAIL  exp-log               log(exp(p)) != p",
+                           "FAIL  series-identities     log coefficient differs from pi1 at n=1",
+                           "FAIL  characters            log-series: log expansion disagrees with the primitive regrouping"])
 
 
 def test_factorization_check_names_the_first_discrepancy(monkeypatch):
@@ -747,7 +787,7 @@ def test_hall_littlewood_check_fails_on_a_wrong_specialization(monkeypatch):
     real = symqsym.specialize_Mq
     monkeypatch.setattr(symqsym, "specialize_Mq", lambda comp, q: real((1,) if comp == (2,) else comp, q))
     assert symqsym.hall_littlewood_check(4, 8) is False
-    detail = "geometric-alphabet specialization matches mod q^8, weight <= 4"
+    detail = "geometric-alphabet specialization fails at (2,) mod q^8"
     assert cli._check_hall_littlewood(4, 8, random.Random(0)) == (False, detail)
 
 

@@ -10,7 +10,6 @@ from qshuffle.ncpoly import (
     NCPolynomial,
     _pack,
     _packed_product,
-    _series_sum,
     _unpack,
     _width,
     TensorPolynomial,
@@ -19,10 +18,8 @@ from qshuffle.ncpoly import (
     concat_pairs,
     concat_words,
     coproduct,
-    exp_trunc,
     gram,
     is_primitive,
-    log_trunc,
     pairing,
     parse_poly,
     poly_from_json,
@@ -32,6 +29,7 @@ from qshuffle.ncpoly import (
     shuffle_words,
     stuffle_words,
 )
+from qshuffle.bases import TSeries
 from qshuffle.symqsym import QSymElement, SymElement
 from qshuffle.words import Word, words_of_weight, words_up_to
 
@@ -255,26 +253,38 @@ def test_pairing_is_bilinear():
 
 
 # -- exp / log ----------------------------------------------------------------
+# A polynomial truncated by weight is a TSeries whose t-degree is the word
+# weight, so its exp and log are Graded.exp and Graded.log.
+
+def graded(p, bound):
+    """p as a TSeries of the given bound, the words of weight n at t^n."""
+    return TSeries({n: NCPolynomial({w: c for w, c in p.terms.items() if w.weight == n}) for n in p.weights()}, bound)
+
+
+def flat(x):
+    """The word -> coefficient map of a weight-graded TSeries."""
+    return {w: c for q in x.coeffs.values() for w, c in q.terms.items()}
+
 
 def test_exp_of_letter():
-    assert exp_trunc(mono(1), 2) == one + mono(1) + mono(1, 1) / 2
+    assert graded(mono(1), 2).exp() == graded(one + mono(1) + mono(1, 1) / 2, 2)
 
 
 def test_log_of_one_plus_letter():
     expected = mono(1) - mono(1, 1) / 2 + mono(1, 1, 1) / 3
-    assert log_trunc(one + mono(1), 3) == expected
+    assert graded(one + mono(1), 3).log() == graded(expected, 3)
 
 
 def test_exp_log_round_trip():
-    p = mono(2) + mono(1)
-    assert log_trunc(exp_trunc(p, 4), 4) == p
+    p = graded(mono(2) + mono(1), 4)
+    assert p.exp().log() == p
 
 
 def test_exp_log_preconditions():
     with pytest.raises(ValueError):
-        exp_trunc(one + mono(1), 3)
+        graded(one + mono(1), 3).exp()
     with pytest.raises(ValueError):
-        log_trunc(mono(1), 3)
+        graded(mono(1), 3).log()
 
 
 @settings(max_examples=25)
@@ -286,18 +296,18 @@ def test_exp_log_preconditions():
     )
 )
 def test_exp_log_round_trip_random(term_list):
-    p = NCPolynomial([(Word(w), c) for w, c in term_list]).truncate(4)
-    assert log_trunc(exp_trunc(p, 4), 4) == p
-    assert exp_trunc(log_trunc(one + p, 4), 4) == one + p
+    p = graded(NCPolynomial([(Word(w), c) for w, c in term_list]), 4)
+    assert p.exp().log() == p
+    assert (TSeries.one(4) + p).log().exp() == TSeries.one(4) + p
 
 
-def test_series_sum_stops_at_the_first_zero_term():
-    zero = NCPolynomial.zero()
-    assert _series_sum(zero, lambda x: pytest.fail("stepped past a zero x_1"), lambda k: 1) == zero
-    # x_1 = [1], x_2 = [2], x_3 = 0; the [3] after it is never summed
-    later = iter([mono(2), zero, mono(3)])
-    got = _series_sum(mono(1), lambda x: next(later), lambda k: Fraction(1, k))
-    assert got == mono(1) + mono(2) / 2 and next(later) == mono(3)
+def test_power_sum_stops_at_the_first_zero_power():
+    zero = graded(NCPolynomial.zero(), 3)
+    assert zero._power_sum(lambda k: pytest.fail("summed a zero power")) == zero
+    # z = [1] t: z^2 = [1 1] t^2, and z^3 lies above the bound 2, so it is zero and not summed
+    z, calls = graded(mono(1), 2), []
+    got = z._power_sum(lambda k: calls.append(k) or Fraction(1, k))
+    assert got == graded(mono(1) + mono(1, 1) / 2, 2) and calls == [1, 2]
 
 
 # -- arithmetic and serialization ----------------------------------------------
@@ -487,11 +497,15 @@ def test_one_term_coproducts_match_the_fraction_oracle(kind, c):
 @given(a=rational_terms(keys=_words_up_to(3, include_empty=False)))
 def test_exp_and_log_match_the_fraction_oracle(a):
     p, pd = _poly_and_oracle(a)
-    e = exp_trunc(p, 4)
-    assert e.terms == oracle.exp_trunc(pd, 4)
-    l = log_trunc(one + p, 4)
-    assert l.terms == oracle.log_trunc(oracle.accumulate([*pd.items(), (Word(), Fraction(1))]), 4)
-    _assert_equality_follows_terms(e, l, p)
+    e = graded(p, 4).exp()
+    assert flat(e) == oracle.exp_trunc(pd, 4)
+    l = graded(one + p, 4).log()
+    assert flat(l) == oracle.log_trunc(oracle.accumulate([*pd.items(), (Word(), Fraction(1))]), 4)
+    values = (e, l, graded(p, 4))
+    for x in values:
+        oracle.assert_graded_canonical(x)
+        for y in values:
+            assert (x == y) == (flat(x) == flat(y))
 
 
 def _primitive_pool(kind):
@@ -704,15 +718,15 @@ def test_terms_are_read_only_views():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: exp_trunc(mono(1), -1),
-        lambda: exp_trunc(mono(1), 1.5),
-        lambda: log_trunc(one + mono(1), -3),
-        lambda: log_trunc(one + mono(1), "2"),
+        lambda: graded(mono(1), -1).exp(),
+        lambda: graded(mono(1), 1.5).exp(),
+        lambda: graded(one + mono(1), -3).log(),
+        lambda: graded(one + mono(1), "2").log(),
     ],
     ids=["exp-negative", "exp-float", "log-negative", "log-text"],
 )
 def test_exp_and_log_take_a_weight_bound_that_is_an_integer_at_least_zero(call):
-    # exp_trunc(y1, -1) used to return 1 and log_trunc(1 + y1, -3) 0
+    # the weight-truncated exp of y1 at bound -1 once returned 1, and the log of 1 + y1 at -3 gave 0
     with pytest.raises(ValueError, match="expected an integer"):
         call()
 
