@@ -3,7 +3,8 @@ coefficients.
 
 Carries the three products (concatenation, shuffle, quasi-shuffle), the four
 coproducts (deconcatenation, shuffle, quasi-shuffle, and the letterwise
-contraction coproduct), the counit and the word pairing.
+contraction coproduct), the counit and the word pairing.  Every coproduct is
+the linear extension of one cached dict per word and kind, `_word_coproduct`.
 
 Every sparse container of the package stands on `Sparse`, the one
 coefficient core: tuple keys map to integer numerators over one positive
@@ -503,15 +504,6 @@ class TensorPolynomial(Sparse):
         return f"TensorPolynomial({body or '0'})"
 
 
-@lru_cache(maxsize=None)
-def _letter_coproduct(a: int, kind: str) -> tuple:
-    empty: tuple = ()
-    pairs = [(((a,), empty), 1), ((empty, (a,)), 1)]
-    if kind == "stuffle":
-        pairs.extend((((i,), (a - i,)), 1) for i in range(1, a))
-    return tuple(pairs)
-
-
 def concat_pairs(s: tuple, t: tuple) -> tuple:
     """Kernel of the tensor square of a concatenation algebra on tuple keys:
     (a, b)(c, d) = (ac, bd)."""
@@ -520,42 +512,45 @@ def concat_pairs(s: tuple, t: tuple) -> tuple:
 
 @lru_cache(maxsize=None)
 def _word_coproduct(letters: tuple, kind: str) -> dict:
-    """Coproduct of a single word for the shuffle/stuffle kinds, extended as a
-    morphism for concatenation: {(u, v): numerator} over 1, shared, never mutated."""
-    pairs: dict[tuple[tuple, tuple], int] = {((), ()): 1}
-    for a in letters:
-        pairs = bilinear(pairs, dict(_letter_coproduct(a, kind)), concat_pairs)
-    return pairs
+    """The one coproduct of a word, for every kind: {(u, v): numerator} over 1,
+    shared, never mutated.  "concat" gives the cuts of the word, "plus" the
+    splittings y_i (x) y_{n-i} of a letter (ValueError on any other word, never
+    cached), and "shuffle"/"stuffle" y_n (x) 1 + 1 (x) y_n (plus the splittings
+    for "stuffle") on a letter and, as a morphism for concatenation, the product
+    of the prefix's dict and the last letter's on a longer word: a recursion as
+    deep as the word is long, and such a word has at least 2^length terms."""
+    if kind == "concat":
+        return {(letters[:i], letters[i:]): 1 for i in range(len(letters) + 1)}
+    if kind == "plus":
+        if len(letters) != 1:
+            raise ValueError(f"the contraction coproduct is only defined on letters, got {word_str(letters)!r}")
+        return {((i,), (letters[0] - i,)): 1 for i in range(1, letters[0])}
+    if not letters:
+        return {((), ()): 1}
+    if len(letters) == 1:
+        splits = _word_coproduct(letters, "plus") if kind == "stuffle" else {}
+        return {(letters, ()): 1, ((), letters): 1, **splits}
+    return bilinear(_word_coproduct(letters[:-1], kind), _word_coproduct(letters[-1:], kind), concat_pairs)
 
 
 def coproduct(p: NCPolynomial, kind: str) -> TensorPolynomial:
-    """The coproduct of the given kind.
+    """The coproduct of the given kind: the linear extension of `_word_coproduct`.
 
     "concat" is deconcatenation, "shuffle"/"stuffle" act on letters and extend
     multiplicatively, and "plus" is the contraction coproduct
     y_n -> sum y_i (x) y_{n-i}, defined on single letters only (it is not a
     morphism for concatenation, so extending it silently would be wrong).
-    A one-term shuffle/stuffle coproduct shares its word's cached dict.
+    A one-term coproduct shares its word's cached dict.
     """
     if kind not in COPRODUCT_KINDS:
         raise ValueError(f"unknown coproduct kind {kind!r}")
-    if len(p._nums) == 1 and kind in ("shuffle", "stuffle"):
+    if len(p._nums) == 1:
         ((ls, n),) = p._nums.items()
         row = _word_coproduct(ls, kind)
         return TensorPolynomial._from(row if n == 1 else {k: n * c for k, c in row.items()}, p._den)
     out: dict[tuple[tuple, tuple], int] = {}
     for ls, n in p._nums.items():
-        if kind == "concat":
-            items = [((ls[:i], ls[i:]), 1) for i in range(len(ls) + 1)]
-        elif kind == "plus":
-            if len(ls) != 1:
-                raise ValueError(
-                    f"the contraction coproduct is only defined on letters, got {word_str(ls)!r}"
-                )
-            items = [(((i,), (ls[0] - i,)), 1) for i in range(1, ls[0])]
-        else:
-            items = _word_coproduct(ls, kind).items()
-        add_into(out, items, n)
+        add_into(out, _word_coproduct(ls, kind).items(), n)
     return TensorPolynomial._from(out, p._den)
 
 

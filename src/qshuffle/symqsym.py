@@ -487,7 +487,7 @@ def hall_littlewood_first_off(max_weight: int, q_bound: int) -> Composition | No
     where the check is not vacuous."""
     table = hl_product(max_weight, q_bound)
     empty = QSeries({}, q_bound)
-    for comp in compositions_up_to(max_weight):
+    for comp in sorted(compositions_up_to(max_weight), key=lambda c: (sum(c), c)):
         if table.get(comp, empty) != specialize_Mq(comp, q_bound):
             return comp
     return None

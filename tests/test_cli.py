@@ -791,6 +791,16 @@ def test_hall_littlewood_check_fails_on_a_wrong_specialization(monkeypatch):
     assert cli._check_hall_littlewood(4, 8, random.Random(0)) == (False, detail)
 
 
+def test_hall_littlewood_names_the_first_failing_composition_in_weight_parts_order(monkeypatch, capsys):
+    # (1, 1, 1) precedes (3,) in (weight, parts) order and follows it in (weight, length, parts) order
+    real = symqsym.specialize_Mq
+    monkeypatch.setattr(symqsym, "specialize_Mq", lambda comp, q: real((2,) if comp in ((3,), (1, 1, 1)) else comp, q))
+    assert symqsym.hall_littlewood_first_off(4, 8) == (1, 1, 1)
+    detail = "geometric-alphabet specialization fails at (1, 1, 1) mod q^8"
+    assert cli._check_hall_littlewood(4, 8, random.Random(0)) == (False, detail)
+    _verify_fails(capsys, [f"FAIL  hall-littlewood       {detail}"])
+
+
 @pytest.mark.parametrize(
     "key, detail",
     [(("Psi", "Lambda", (1, 2)), "Psi->Lambda oracle fails at (1, 2)"),

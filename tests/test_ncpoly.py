@@ -12,6 +12,7 @@ from qshuffle.ncpoly import (
     _packed_product,
     _unpack,
     _width,
+    _word_coproduct,
     TensorPolynomial,
     add_into,
     bilinear,
@@ -178,8 +179,10 @@ def test_plus_coproduct_of_y3():
 
 
 def test_plus_coproduct_rejects_longer_words():
-    with pytest.raises(ValueError):
+    size = _word_coproduct.cache_info().currsize
+    with pytest.raises(ValueError, match="only defined on letters"):
         coproduct(mono(1, 1), "plus")
+    assert _word_coproduct.cache_info().currsize == size  # the exception is not cached
     assert coproduct(mono(1), "plus").is_zero()  # no splittings of 1
 
 
@@ -491,6 +494,15 @@ def test_one_term_coproducts_match_the_fraction_oracle(kind, c):
         got = coproduct(NCPolynomial.word(w, c), kind)
         assert got.terms == oracle.coproduct({w: Fraction(c)}, kind), w
         oracle.assert_canonical(got)
+
+
+def test_word_coproducts_built_on_their_prefix_match_the_letter_fold_of_the_oracle():
+    # same pairs, numerators and key order as the oracle's fold letter by letter
+    for w in words_up_to(7):
+        for kind in ("shuffle", "stuffle"):
+            want = oracle._word_coproduct(w, kind)
+            got = _word_coproduct(w.letters, kind)
+            assert list(got.items()) == [((u.letters, v.letters), c) for (u, v), c in want.items()], (w, kind)
 
 
 @settings(max_examples=30, deadline=None)

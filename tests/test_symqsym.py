@@ -667,7 +667,7 @@ def test_shared_rows_and_word_coproducts_stay_unchanged():
                                          ("F", "M", (1, 3)))
                 for key in ((b, hub, comp), (hub, b, comp))]
     direct = [(a, b, comp) for (a, b), comp in itertools.product(_DIRECT_PAIRS, ((2, 1, 3), (3,), (1, 2, 1)))]
-    words = [((1, 2, 1), "stuffle"), ((2, 2), "shuffle"), ((3,), "stuffle")]
+    words = [((1, 2, 1), "stuffle"), ((2, 2), "shuffle"), ((3,), "stuffle"), ((1, 2, 1), "concat"), ((3,), "plus")]
     snapshot = lambda: ([(type(r), r.basis, dict(r._nums), r._den) for r in (_row(*key) for key in hub_rows + direct)],
                         [dict(_word_coproduct(*key)) for key in words])
     before = snapshot()
@@ -699,8 +699,13 @@ def test_one_term_queries_wrap_the_cached_dict():
         row, got = _row(source, target, comp), convert(cls.single(comp, source), target)
         assert got is not row and got._nums is row._nums, (source, target)
     assert _row("Psi", "Phi", comp)._den > 1 and _row("Rib", "Phi", comp)._den > 1
-    assert coproduct(NCPolynomial.word(w), "stuffle")._nums is _word_coproduct(w, "stuffle")
-    assert coproduct(NCPolynomial.word(w), "shuffle")._nums is _word_coproduct(w, "shuffle")
+    for kind, key in (("stuffle", w), ("shuffle", w), ("concat", w), ("concat", ()), ("plus", (3,)), ("plus", (1,))):
+        assert coproduct(NCPolynomial.word(key), kind)._nums is _word_coproduct(key, kind), (kind, key)
+    # a one-term qsym_coproduct reads its composition's cached deconcatenation and adds no entry
+    row, before = _word_coproduct(comp, "concat"), _word_coproduct.cache_info()
+    assert qsym_coproduct(QSymElement.single(comp, "M")) == {k: Fraction(n) for k, n in row.items()}
+    after = _word_coproduct.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 def test_a_one_part_ribbon_of_large_weight_converts_at_once():
